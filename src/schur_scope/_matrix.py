@@ -70,7 +70,8 @@ def det(a: Matrix) -> int:
     value = Fraction(sign)
     for i in range(n):
         value *= rows[i][i]
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("determinant of an integer matrix is not an integer")
     return int(value)
 
 

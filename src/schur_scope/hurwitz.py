@@ -4,6 +4,15 @@ A braid word is a tuple of nonzero letters, +i for the i-th generator move and
 -i for its inverse, applied left to right.  Under that convention the word for
 a product of generators reads the product right to left; all identities checked
 here are encoded accordingly.
+
+braid_move and apply_braid_word act on Factorization objects by conjugating
+matrices; they are the reference route.  The orbit searches instead move on
+tuples of positive roots, a reflection being determined by its root: by the
+identity t_a t_b t_a = t_{s_a(beta_b)}, the generator move sends
+(beta_a, beta_b) to (positive_part(t_a beta_b), beta_a), one matrix-vector
+product.  Each search builds the Reflection of every root it meets once, by
+making the move that first brings the root in once more with braid_move, whose
+roots must agree with the root move.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import weyl
-from ._matrix import Matrix, identity, mat_pow, matmul
+from ._matrix import Matrix, identity, mat_pow, matmul, matvec
 from .cartan import (
     CartanMatrix,
     TypeClass,
@@ -24,9 +33,17 @@ from .cartan import (
     coxeter_number,
     submatrix,
 )
-from .weyl import Reflection, coxeter_element, height, root_of_reflection
+from .weyl import (
+    Reflection,
+    Root,
+    coxeter_element,
+    height,
+    positive_part,
+    root_of_reflection,
+)
 
 BraidWord = tuple[int, ...]
+RootTuple = tuple[Root, ...]
 
 DEFAULT_NODE_CAP = 10**6
 DEFAULT_PRUNE_MULTIPLIER = 4
@@ -102,8 +119,55 @@ def word_inverse(word: BraidWord) -> BraidWord:
     return tuple(-x for x in reversed(word))
 
 
-def _sort_key(f: Factorization) -> tuple:
-    return f.roots()
+class _RootTuples:
+    """Generator moves on tuples of positive roots, checked against braid_move.
+
+    The move at slot i sends (beta_a, beta_b) to (positive_part(t_a beta_b),
+    beta_a) and its inverse sends it to (beta_b, positive_part(t_b beta_a)),
+    one matrix-vector product each.  A move that brings in a root met for the
+    first time is made once more by braid_move on the node's Factorization: its
+    roots must equal the image, and it supplies the new root's Reflection and
+    the image's Factorization.
+    """
+
+    def __init__(self, start: Factorization):
+        self.coxeter = start.coxeter
+        self.reflections = {part.root: part for part in start.parts}
+        self.factorizations = {start.roots(): start}
+
+    def factorization(self, node: RootTuple) -> Factorization:
+        """The node's Factorization, built and product-checked at most once."""
+        f = self.factorizations.get(node)
+        if f is None:
+            parts = tuple(self.reflections[root] for root in node)
+            f = self.factorizations[node] = Factorization(parts, self.coxeter)
+        return f
+
+    def moves(self, node: RootTuple):
+        """(letter, image) for the generator move and its inverse at every
+        slot, in the order +1, -1, +2, -2, ...; the same moves braid_move makes."""
+        for i in range(1, len(node)):
+            a, b = node[i - 1], node[i]
+            head, tail = node[: i - 1], node[i + 1 :]
+            yield i, self._checked(node, i, False, head + (self._moved(a, b), a) + tail)
+            yield -i, self._checked(node, i, True, head + (b, self._moved(b, a)) + tail)
+
+    def _moved(self, a: Root, b: Root) -> Root:
+        """Root of t_a t_b t_a, which is s_a(beta_b) up to sign."""
+        return positive_part(matvec(self.reflections[a].matrix, b))
+
+    def _checked(self, node: RootTuple, i: int, inverse: bool, image: RootTuple) -> RootTuple:
+        slot = i if inverse else i - 1  # where the moved root lands
+        if image[slot] not in self.reflections:
+            moved = braid_move(self.factorization(node), i, inverse)
+            if moved.roots() != image:
+                raise ArithmeticError(
+                    f"root move gives {image} but braid_move gives "
+                    f"{moved.roots()}; upstream bug"
+                )
+            self.reflections[image[slot]] = moved.parts[slot]
+            self.factorizations[image] = moved
+        return image
 
 
 @dataclass(frozen=True)
@@ -118,27 +182,33 @@ class OrbitResult:
 def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> OrbitResult:
     """Breadth-first closure of the factorization under all generator moves.
 
+    Nodes are root tuples and a move costs one matrix-vector product (see the
+    module docstring).  At most one Factorization is built per distinct tuple,
+    by braid_move where the tuple first brought in a root and from its roots
+    otherwise, so every returned factorization has had its product checked
+    against c exactly once.  They are returned sorted by roots.
+
     complete is True iff the closure terminated below the node cap; this always
     happens for finite types, where the orbit is the full set of reduced
     reflection factorizations of c.
     """
     if node_cap < 1:
         raise ValueError("node cap must be >= 1")
-    seen = {start}
-    queue = deque([start])
+    roots = _RootTuples(start)
+    first = start.roots()
+    seen = {first}
+    queue = deque([first])
     complete = True
     while queue:
-        f = queue.popleft()
-        for i in range(1, f.n):
-            for inverse in (False, True):
-                image = braid_move(f, i, inverse)
-                if image not in seen:
-                    if len(seen) >= node_cap:
-                        complete = False
-                        continue
-                    seen.add(image)
-                    queue.append(image)
-    return OrbitResult(tuple(sorted(seen, key=_sort_key)), complete)
+        for _, image in roots.moves(queue.popleft()):
+            if image not in seen:
+                if len(seen) >= node_cap:
+                    complete = False
+                    continue
+                seen.add(image)
+                queue.append(image)
+    factorizations = tuple(roots.factorization(node) for node in sorted(seen))
+    return OrbitResult(factorizations, complete)
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,7 +216,8 @@ def _full_orbit(C: CartanMatrix, order: tuple[int, ...] | None) -> OrbitResult:
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("unbounded orbit closure requires a finite-type matrix")
     result = hurwitz_orbit(canonical_factorization(C, order))
-    assert result.complete
+    if not result.complete:
+        raise RuntimeError("finite-type orbit closure hit the node cap")
     return result
 
 
@@ -186,7 +257,8 @@ def _targeted_orbit_search(
     node_cap: int,
     height_cap: int | None,
 ) -> SearchOutcome:
-    """BFS for a factorization containing the target as a component.
+    """BFS over root tuples for a factorization containing the target as a
+    component, matched by its root.
 
     Tuples with any component root taller than height_cap are not expanded;
     that is sound for reporting found-witnesses, never for claiming absence.
@@ -194,12 +266,12 @@ def _targeted_orbit_search(
     front) when found.
     """
 
-    def admissible(f: Factorization) -> bool:
+    def admissible(node: RootTuple) -> bool:
         if height_cap is None:
             return True
-        return all(height(r) <= height_cap for r in f.roots())
+        return all(height(r) <= height_cap for r in node)
 
-    def finish(f: Factorization, node: Factorization, parents) -> BraidWord:
+    def finish(node: RootTuple) -> BraidWord:
         word: list[int] = []
         cursor = node
         while parents[cursor] is not None:
@@ -207,31 +279,31 @@ def _targeted_orbit_search(
             word.append(letter)
             cursor = parent
         word.reverse()
-        slot = next(j for j, part in enumerate(f.parts) if part == target)
+        slot = node.index(target.root)
         word.extend(range(-slot, 0))  # -slot, ..., -1 walks the witness to slot 1
         return tuple(word)
 
-    parents: dict[Factorization, tuple[Factorization, int] | None] = {start: None}
-    if target in start.parts:
-        return SearchOutcome(finish(start, start, parents), True, 1)
-    queue = deque([start])
+    roots = _RootTuples(start)
+    first = start.roots()
+    parents: dict[RootTuple, tuple[RootTuple, int] | None] = {first: None}
+    if target.root in first:
+        return SearchOutcome(finish(first), True, 1)
+    queue = deque([first])
     exhausted = True
     while queue:
-        f = queue.popleft()
-        for i in range(1, f.n):
-            for letter in (i, -i):
-                image = braid_move(f, i, inverse=letter < 0)
-                if image in parents:
-                    continue
-                parents[image] = (f, letter)
-                if target in image.parts:
-                    return SearchOutcome(finish(image, image, parents), False, len(parents))
-                if not admissible(image):
-                    continue
-                if len(parents) >= node_cap:
-                    exhausted = False
-                    continue
-                queue.append(image)
+        node = queue.popleft()
+        for letter, image in roots.moves(node):
+            if image in parents:
+                continue
+            parents[image] = (node, letter)
+            if target.root in image:
+                return SearchOutcome(finish(image), False, len(parents))
+            if not admissible(image):
+                continue
+            if len(parents) >= node_cap:
+                exhausted = False
+                continue
+            queue.append(image)
     return SearchOutcome(None, exhausted, len(parents))
 
 
@@ -281,7 +353,10 @@ def is_prefix_of_coxeter(
         if not length_route:
             return PrefixVerdict(Ternary.NO, None)
         rest = weyl.factor_into_reflections(remainder, n - 1, weyl.reflections(C))
-        assert rest is not None
+        if rest is None:
+            raise ArithmeticError(
+                "t c has absolute length n - 1 but no factorization; upstream bug"
+            )
         return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
 
     # Rank 2 is decidable outright: t extends iff t c is itself a reflection.
@@ -303,7 +378,10 @@ def is_prefix_of_coxeter(
     outcome = _targeted_orbit_search(canonical, t, node_cap, height_cap)
     if outcome.word is not None:
         witness = apply_braid_word(canonical, outcome.word)
-        assert witness.parts[0] == t
+        if witness.parts[0] != t:
+            raise ArithmeticError(
+                "replayed witness does not start with the target; upstream bug"
+            )
         return PrefixVerdict(Ternary.YES, witness)
     return PrefixVerdict(Ternary.UNKNOWN, None, exhausted=outcome.exhausted)
 

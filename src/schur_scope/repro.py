@@ -73,9 +73,13 @@ def _fixture_count_table() -> dict:
     for name in ("A2", "B2", "G2", "A3", "B3", "A4", "D4"):
         C = cartan.preset(name)
         orbit = hurwitz.hurwitz_orbit(hurwitz.canonical_factorization(C))
-        assert orbit.complete
+        if not orbit.complete:
+            raise RuntimeError(f"{name} orbit closure hit the node cap")
         formula = hurwitz.factorization_count_formula(C)
-        assert len(orbit) == formula
+        if len(orbit) != formula:
+            raise ArithmeticError(
+                f"{name} orbit has {len(orbit)} factorizations, the formula gives {formula}"
+            )
         table[name] = len(orbit)
     return table
 

@@ -156,7 +156,8 @@ def c_orbit_census_finite(o: Orientation) -> tuple[tuple[Root, ...], ...]:
     while remaining:
         seed = min(remaining, key=lambda r: (height(r), r))
         orbit = c_orbit(seed, o, step_bound=10 * coxeter_number(o.cartan))
-        assert orbit.closed
+        if not orbit.closed:
+            raise RuntimeError(f"c-orbit of {seed} did not close within 10 h steps")
         remaining.difference_update(orbit.roots)
         orbits.append(orbit.roots)
     return tuple(sorted(orbits))

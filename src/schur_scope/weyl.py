@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from . import _matrix as _mat
 from ._matrix import Matrix, Vector, identity, mat_sub, matmul, matvec
-from .cartan import CartanMatrix, TypeClass, classify_type, symmetrized, symmetrizer
+from .cartan import (
+    CartanMatrix,
+    TypeClass,
+    _simple_reflection_matrix,
+    classify_type,
+    symmetrized,
+    symmetrizer,
+)
 
 Root = Vector
 
@@ -75,14 +82,7 @@ def simple_reflection(C: CartanMatrix, i: int) -> Reflection:
     n = C.n
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    rows = tuple(
-        tuple(
-            (1 if row == col else 0) - (C.entries[i - 1][col] if row == i - 1 else 0)
-            for col in range(n)
-        )
-        for row in range(n)
-    )
-    return Reflection(rows, simple_root(n, i))
+    return Reflection(_simple_reflection_matrix(C, i), simple_root(n, i))
 
 
 def simple_reflections(C: CartanMatrix) -> tuple[Reflection, ...]:

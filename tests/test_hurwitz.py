@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -6,7 +7,9 @@ from schur_scope import weyl
 from schur_scope.cartan import preset
 from schur_scope.hurwitz import (
     Factorization,
+    SearchOutcome,
     Ternary,
+    _targeted_orbit_search,
     apply_braid_word,
     braid_move,
     canonical_factorization,
@@ -259,3 +262,124 @@ def test_prefix_routes_cross_checked_on_all_reflections():
             assert verdict.answer is not Ternary.UNKNOWN
             if verdict.answer is Ternary.YES:
                 assert verdict.factorization.parts[0] == t
+
+
+# Reference searches on Factorization nodes, one braid_move per image: the
+# matrix route that the root-tuple searches in hurwitz replace.
+
+
+def _reference_orbit(start, node_cap):
+    seen = {start}
+    queue = deque([start])
+    complete = True
+    while queue:
+        f = queue.popleft()
+        for i in range(1, f.n):
+            for inverse in (False, True):
+                image = braid_move(f, i, inverse)
+                if image not in seen:
+                    if len(seen) >= node_cap:
+                        complete = False
+                        continue
+                    seen.add(image)
+                    queue.append(image)
+    return tuple(sorted(seen, key=lambda f: f.roots())), complete
+
+
+def _reference_targeted_search(start, target, node_cap, height_cap):
+    def finish(node):
+        word = []
+        cursor = node
+        while parents[cursor] is not None:
+            cursor, letter = parents[cursor]
+            word.append(letter)
+        word.reverse()
+        slot = node.parts.index(target)
+        return tuple(word) + tuple(range(-slot, 0))
+
+    parents = {start: None}
+    if target in start.parts:
+        return SearchOutcome(finish(start), True, 1)
+    queue = deque([start])
+    exhausted = True
+    while queue:
+        f = queue.popleft()
+        for i in range(1, f.n):
+            for letter in (i, -i):
+                image = braid_move(f, i, inverse=letter < 0)
+                if image in parents:
+                    continue
+                parents[image] = (f, letter)
+                if target in image.parts:
+                    return SearchOutcome(finish(image), False, len(parents))
+                if any(weyl.height(r) > height_cap for r in image.roots()):
+                    continue
+                if len(parents) >= node_cap:
+                    exhausted = False
+                    continue
+                queue.append(image)
+    return SearchOutcome(None, exhausted, len(parents))
+
+
+@pytest.mark.parametrize(
+    "name, node_cap",
+    [
+        ("A2", 10**6),
+        ("B2", 10**6),
+        ("G2", 10**6),
+        ("A3", 10**6),
+        ("B3", 10**6),
+        ("B4", 10**6),
+        ("universal:3:2", 25),
+        ("universal:3:2", 200),
+    ],
+)
+def test_orbit_matches_braid_move_reference(name, node_cap):
+    start = canonical_factorization(preset(name))
+    orbit = hurwitz_orbit(start, node_cap=node_cap)
+    assert (orbit.factorizations, orbit.complete) == _reference_orbit(start, node_cap)
+
+
+@pytest.mark.parametrize("name", ["universal:3:2", "affine-A2"])
+def test_targeted_search_matches_braid_move_reference(name):
+    C = preset(name)
+    start = canonical_factorization(C)
+    kinds = set()
+    for node_cap, height_cap in ((3, 2), (8, 4), (60, 8)):
+        for beta in weyl.positive_real_roots(C, 6):
+            target = weyl.reflection_for_root(C, beta)
+            outcome = _targeted_orbit_search(start, target, node_cap, height_cap)
+            reference = _reference_targeted_search(start, target, node_cap, height_cap)
+            assert outcome == reference, (beta, node_cap, height_cap)
+            if outcome.word is not None:
+                kinds.add("found")
+            else:
+                kinds.add("exhausted" if outcome.exhausted else "capped")
+    # The caps are small enough that every kind of outcome is compared.
+    assert kinds == {"found", "exhausted", "capped"}
+
+
+def test_orbit_rejects_reflection_with_wrong_root():
+    # The product check sees matrices only; the moved root (0, 1) then
+    # disagrees with the root (1, 1) of the conjugated matrix s1 s2 s1.
+    A2 = preset("A2")
+    s1, s2 = weyl.simple_reflections(A2)
+    mislabelled = Factorization(
+        (s1, weyl.Reflection(s2.matrix, (1, 1))), weyl.coxeter_element(A2)
+    )
+    with pytest.raises(ArithmeticError):
+        hurwitz_orbit(mislabelled)
+
+
+def test_orbit_checks_each_distinct_product_once(monkeypatch):
+    start = canonical_factorization(preset("B3"))
+    checked = []
+    check = Factorization.__post_init__
+    monkeypatch.setattr(
+        Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
+    )
+    orbit = hurwitz_orbit(start)
+    # The start was checked when it was built; every other tuple exactly once.
+    others = [f.roots() for f in orbit.factorizations if f != start]
+    assert len(others) == len(orbit) - 1
+    assert sorted(checked) == sorted(others)
