@@ -78,12 +78,15 @@ def _parse_element(text: str, session: Session):
     stripped = text.strip()
     if stripped.startswith("["):
         data = json.loads(stripped)
-        matrix = tuple(tuple(int(x) for x in row) for row in data)
-        if len(matrix) != session.cartan.n or any(
-            len(row) != session.cartan.n for row in matrix
+        n = session.cartan.n
+        # type() rather than isinstance: JSON true/false decode to bool, an int.
+        if not (
+            isinstance(data, list) and len(data) == n
+            and all(isinstance(row, list) and len(row) == n for row in data)
+            and all(type(x) is int for row in data for x in row)
         ):
-            raise ValueError("matrix rank does not match the session")
-        return matrix
+            raise ValueError(f"matrix must be a JSON list of {n} lists of {n} integers")
+        return tuple(tuple(row) for row in data)
     root = _parse_root(stripped, session.cartan.n)
     return weyl.reflection_for_root(session.cartan, root).matrix
 

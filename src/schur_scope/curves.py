@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from . import hurwitz, weyl
-from ._matrix import Matrix, identity, matmul
+from ._matrix import Matrix, identity, matmul, matvec
 from .cartan import CartanMatrix, preset
 from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
 from .weyl import Reflection, Root
@@ -84,7 +84,7 @@ def root_of_curve(cw: CurveWord, C: CartanMatrix) -> Root:
     """sign * s_{j_1} ... s_{j_k} (alpha_end), always a real root."""
     v = weyl.simple_root(C.n, cw.end)
     for letter in reversed(cw.letters):
-        v = weyl.apply(weyl.simple_reflection(C, letter).matrix, v)
+        v = matvec(weyl.simple_reflection(C, letter).matrix, v)
     return v if cw.sign == 1 else weyl.negate(v)
 
 

@@ -195,19 +195,10 @@ def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orb
     if node_cap < 1:
         raise ValueError("node cap must be >= 1")
     roots = _RootTuples(start)
-    first = start.roots()
-    seen = {first}
-    queue = deque([first])
-    complete = True
-    while queue:
-        for _, image in roots.moves(queue.popleft()):
-            if image not in seen:
-                if len(seen) >= node_cap:
-                    complete = False
-                    continue
-                seen.add(image)
-                queue.append(image)
-    factorizations = tuple(roots.factorization(node) for node in sorted(seen))
+    nodes, complete = weyl._bounded_closure(
+        [start.roots()], lambda node: (image for _, image in roots.moves(node)), node_cap
+    )
+    factorizations = tuple(roots.factorization(node) for node in sorted(nodes))
     return OrbitResult(factorizations, complete)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weyl
-from ._matrix import Matrix, det, identity, mat_sub, matmul, rank
+from ._matrix import Matrix, det, identity, inverse, mat_sub, matmul, rank
 from .cartan import CartanMatrix, TypeClass, classify_type
 from .hurwitz import Factorization, Ternary
 from .weyl import Reflection, coxeter_element
@@ -27,6 +27,15 @@ def length_lower_bound(w: Matrix) -> int:
     return r if det(w) == (1 if r % 2 == 0 else -1) else r + 1
 
 
+def _leq_in_table(table: dict[Matrix, int], u: Matrix, w: Matrix) -> bool:
+    """l(u) + l(u^-1 w) = l(w), every length read from a finite group's table."""
+    quotient = matmul(inverse(u), w)
+    try:
+        return table[u] + table[quotient] == table[w]
+    except KeyError:
+        raise ValueError("matrix is not an element of the Weyl group") from None
+
+
 def absolute_leq(
     u: Matrix, w: Matrix, C: CartanMatrix, cap: int | None = None
 ) -> Ternary:
@@ -38,15 +47,8 @@ def absolute_leq(
     """
     if classify_type(C) is TypeClass.FINITE:
         table = weyl._absolute_length_table(C)
-        quotient = matmul(weyl.inverse(u), w)
-        if u not in table or quotient not in table:
-            raise ValueError("matrix is not an element of the Weyl group")
-        return (
-            Ternary.YES
-            if table[u] + table[quotient] == table[w]
-            else Ternary.NO
-        )
-    quotient = matmul(weyl.inverse(u), w)
+        return Ternary.YES if _leq_in_table(table, u, w) else Ternary.NO
+    quotient = matmul(inverse(u), w)
     lengths = {}
     certified = {}
     for key, m in (("u", u), ("q", quotient), ("w", w)):
@@ -90,9 +92,7 @@ class NCPoset:
     def leq(self, i: int, j: int) -> bool:
         """Order relation between element indices via the defining identity."""
         table = weyl._absolute_length_table(self.cartan)
-        u, w = self.elements[i], self.elements[j]
-        quotient = matmul(weyl.inverse(u), w)
-        return table[u] + table[quotient] == table[w]
+        return _leq_in_table(table, self.elements[i], self.elements[j])
 
 
 def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPoset:
@@ -102,12 +102,7 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     order = weyl._check_order(C, order)
     c = coxeter_element(C, order)
     table = weyl._absolute_length_table(C)
-    n = C.n
-    members = [
-        w
-        for w in weyl.enumerate_group(C)
-        if table[w] + table[matmul(weyl.inverse(w), c)] == n
-    ]
+    members = [w for w in weyl.enumerate_group(C) if _leq_in_table(table, w, c)]
     members.sort(key=lambda w: (table[w], w))
     ranks = tuple(table[w] for w in members)
     index = {w: i for i, w in enumerate(members)}
@@ -116,7 +111,7 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
         for j, w in enumerate(members):
             if ranks[j] != ranks[i] + 1:
                 continue
-            quotient = matmul(weyl.inverse(u), w)
+            quotient = matmul(inverse(u), w)
             if table[quotient] == 1:  # rank-adjacent and comparable
                 covers.append((i, j))
     return NCPoset(C, order, tuple(members), ranks, tuple(covers))
@@ -143,10 +138,7 @@ def interval_factorization(
     table = weyl._absolute_length_table(C)
     c = coxeter_element(C, poset.order)
 
-    def check_leq(a: Matrix, b: Matrix) -> bool:
-        return table[a] + table[matmul(weyl.inverse(a), b)] == table[b]
-
-    if not (check_leq(u, w) and check_leq(w, c)):
+    if not (_leq_in_table(table, u, w) and _leq_in_table(table, w, c)):
         raise ValueError("interval requires u <= w <= c in absolute order")
 
     def climb(lower: Matrix, upper: Matrix) -> tuple[Reflection, ...]:
@@ -161,7 +153,7 @@ def interval_factorization(
                     y = matmul(x, t.matrix)
                     if y in parents or table[y] != table[x] + 1:
                         continue
-                    if not check_leq(y, upper):
+                    if not _leq_in_table(table, y, upper):
                         continue
                     parents[y] = (x, t)
                     if y == upper:

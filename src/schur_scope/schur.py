@@ -9,11 +9,10 @@ the reflection route coincide with the roots harvested from simple-curve words.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 from . import curves, hurwitz, weyl
-from ._matrix import Matrix, mat_pow, matmul
+from ._matrix import Matrix, mat_pow, matmul, matvec
 from .cartan import CartanMatrix, TypeClass, classify_type, coxeter_number
 from .curves import CurveWord
 from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Factorization, Ternary
@@ -130,7 +129,7 @@ def c_orbit(beta: Root, o: Orientation, step_bound: int = 100) -> COrbit:
     forward = [beta]
     x = beta
     for _ in range(step_bound):
-        x = weyl.apply(c, x)
+        x = matvec(c, x)
         if x == beta:
             return COrbit(tuple(forward), True)
         forward.append(x)
@@ -138,7 +137,7 @@ def c_orbit(beta: Root, o: Orientation, step_bound: int = 100) -> COrbit:
     backward = []
     x = beta
     for _ in range(step_bound):
-        x = weyl.apply(c_inv, x)
+        x = matvec(c_inv, x)
         backward.append(x)
     return COrbit(tuple(reversed(backward)) + tuple(forward), False)
 
@@ -213,7 +212,7 @@ def mutation_equivalence_check(
     """Whether beta's verdict matches the verdict of s(c) beta in the
     source-mutated orientation; None when either side is unresolved."""
     s = weyl.simple_reflection(o.cartan, o.source).matrix
-    image = weyl.apply(s, positive_part(beta))
+    image = matvec(s, positive_part(beta))
     before = is_schur_root(beta, o, node_cap, prune_multiplier)
     after = is_schur_root(image, mutate(o, "source"), node_cap, prune_multiplier)
     if Ternary.UNKNOWN in (before.answer, after.answer):
@@ -229,45 +228,40 @@ def _curve_root_harvest(
 ) -> tuple[set[Root], bool]:
     """Positive roots of curve words reachable from the fan by braid moves.
 
-    Word tuples are deduplicated by their evaluated reflection tuples (in the
-    universal group words are already faithful; in finite groups distinct words
-    for the same curve system evaluate identically, and harvested roots depend
-    only on the evaluation).  Tuples with a component root taller than
+    Curve-word tuples are deduplicated by their tuples of positive roots; each
+    root tuple keeps the first curve words that reached it, and braid moves
+    act on those words.  This key is exact: a curve's loop word evaluates to
+    w s_end w^-1 = t_beta with beta = w(alpha_end), and t_beta = t_gamma iff
+    beta = +-gamma, so two word tuples have the same root tuple iff their
+    loops evaluate to the same reflection tuple.  (In the universal group
+    words are already faithful; in finite groups distinct words for the same
+    curve system evaluate identically, and harvested roots depend only on the
+    evaluation.)  Tuples with a component root taller than
     prune_multiplier * height_bound are recorded but not expanded.
     """
     C = o.cartan
-    start = tuple(
-        CurveWord((), o.order[k]) for k in range(o.n)
-    )
     cap = prune_multiplier * height_bound
 
-    def evaluate(words: tuple[CurveWord, ...]):
-        return tuple(curves.reflection_of_curve(w, C).matrix for w in words)
+    def roots_of(words: tuple[CurveWord, ...]) -> tuple[Root, ...]:
+        return tuple(positive_part(curves.root_of_curve(w, C)) for w in words)
 
-    def roots_of(words: tuple[CurveWord, ...]) -> list[Root]:
-        return [positive_part(curves.root_of_curve(w, C)) for w in words]
+    fan = tuple(CurveWord((), k) for k in o.order)
+    start = roots_of(fan)
+    words_of = {start: fan}  # the first curve words reaching each tuple
 
-    harvested: set[Root] = set()
-    seen = {evaluate(start)}
-    queue = deque([start])
-    exhausted = True
-    while queue:
-        words = queue.popleft()
-        tuple_roots = roots_of(words)
-        harvested.update(r for r in tuple_roots if height(r) <= height_bound)
-        if any(height(r) > cap for r in tuple_roots):
-            continue
+    def moves(node: tuple[Root, ...]):
         for i in range(1, o.n):
             for inverse in (False, True):
-                image = curves.braid_move_curves(words, i, inverse)
-                key = evaluate(image)
-                if key in seen:
-                    continue
-                if len(seen) >= node_cap:
-                    exhausted = False
-                    continue
-                seen.add(key)
-                queue.append(image)
+                image = curves.braid_move_curves(words_of[node], i, inverse)
+                key = roots_of(image)
+                words_of.setdefault(key, image)
+                yield key
+
+    def expandable(node: tuple[Root, ...]) -> bool:
+        return all(height(r) <= cap for r in node)
+
+    nodes, exhausted = weyl._bounded_closure([start], moves, node_cap, expandable)
+    harvested = {r for node in nodes for r in node if height(r) <= height_bound}
     return harvested, exhausted
 
 

@@ -8,6 +8,8 @@ infinite groups.  Roots are integer coordinate tuples; height is the L1 norm.
 from __future__ import annotations
 
 import functools
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +25,6 @@ from .cartan import (
 )
 
 Root = Vector
-
-# Exact integer matrix algebra; _matrix raises ValueError on rank mismatch.
-compose = matmul
-inverse = _mat.inverse
-apply = matvec
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,33 @@ def is_real_root(C: CartanMatrix, v: Root) -> bool:
     return True
 
 
+def _bounded_closure(starts, moves, node_cap, expand=None):
+    """Breadth-first closure of the starts under moves, keeping at most
+    node_cap nodes; returns (nodes in discovery order, complete).
+
+    moves(node) yields the node's images.  An image not met before is kept
+    while fewer than node_cap nodes are kept; otherwise it is dropped and
+    complete becomes False.  A kept node for which expand(node) is false is
+    recorded but not expanded.
+    """
+    seen = dict.fromkeys(starts)
+    queue = deque(seen)
+    complete = True
+    while queue:
+        node = queue.popleft()
+        if expand is not None and not expand(node):
+            continue
+        for image in moves(node):
+            if image in seen:
+                continue
+            if len(seen) >= node_cap:
+                complete = False
+                continue
+            seen[image] = None
+            queue.append(image)
+    return tuple(seen), complete
+
+
 _FINITE_CLOSURE_CAP = 2_000_000
 
 
@@ -196,21 +220,18 @@ def positive_real_roots(C: CartanMatrix, height_bound: int) -> tuple[Root, ...]:
         raise ValueError("height bound must be >= 1")
     unbounded = classify_type(C) is TypeClass.FINITE
     gens = simple_reflections(C)
-    found: set[Root] = {simple_root(C.n, i) for i in range(1, C.n + 1)}
-    frontier = list(found)
-    while frontier:
-        if len(found) > _FINITE_CLOSURE_CAP:
-            raise RuntimeError("root closure exceeded safety cap")
-        beta = frontier.pop()
+
+    def moves(beta: Root):
         for g in gens:
             image = matvec(g.matrix, beta)
-            if not is_positive(image):
-                continue  # only beta = alpha_i flips, and -alpha_i is recorded via pairing
-            if not unbounded and height(image) > height_bound:
-                continue
-            if image not in found:
-                found.add(image)
-                frontier.append(image)
+            # Only beta = alpha_i flips, and -alpha_i is recorded via pairing.
+            if is_positive(image) and (unbounded or height(image) <= height_bound):
+                yield image
+
+    starts = [simple_root(C.n, i) for i in range(1, C.n + 1)]
+    found, complete = _bounded_closure(starts, moves, _FINITE_CLOSURE_CAP)
+    if not complete:
+        raise RuntimeError("root closure exceeded safety cap")
     return tuple(sorted(found, key=lambda r: (height(r), r)))
 
 
@@ -243,16 +264,10 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("group enumeration requires a finite-type matrix")
     gens = [g.matrix for g in simple_reflections(C)]
-    seen: set[Matrix] = {identity(C.n)}
-    frontier = [identity(C.n)]
-    while frontier:
-        w = frontier.pop()
-        for g in gens:
-            image = matmul(w, g)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return frozenset(seen)
+    elements, _ = _bounded_closure(
+        [identity(C.n)], lambda w: (matmul(w, g) for g in gens), math.inf
+    )
+    return frozenset(elements)
 
 
 @functools.lru_cache(maxsize=None)

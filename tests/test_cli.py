@@ -223,3 +223,13 @@ def test_nc_leq_cli(capsys):
     )
     assert code == EXIT_OK
     assert 'answer = "yes"' in out.splitlines()
+
+
+@pytest.mark.parametrize("u", ["[[1.5,0],[0,1]]", "[1,2]", "[[true,0],[0,1]]"])
+def test_nc_leq_rejects_non_integer_matrix(capsys, u):
+    # 1.5 used to truncate to the identity (answer yes), [1,2] to raise TypeError.
+    code = run(["--type", "A2", "nc", "leq", "--u", u, "--w", "1,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from schur_scope import hurwitz, weyl
+from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import preset
 from schur_scope.curves import (
     CurveWord,
@@ -59,7 +60,7 @@ def test_canonicalize_idempotent_and_value_preserving():
         # Signed evaluation of the canonical word equals the raw evaluation.
         v = weyl.simple_root(3, end)
         for letter in reversed(raw):
-            v = weyl.apply(weyl.simple_reflection(A3, letter).matrix, v)
+            v = matvec(weyl.simple_reflection(A3, letter).matrix, v)
         assert root_of_curve(cw, A3) == v
 
 
@@ -108,7 +109,7 @@ def test_reflection_of_curve_examples():
     s2 = weyl.simple_reflection(A3, 2).matrix
     s3 = weyl.simple_reflection(A3, 3).matrix
     assert reflection_of_curve(CurveWord((), 2), A3).matrix == s2
-    expected = weyl.compose(weyl.compose(s2, s3), s2)
+    expected = matmul(matmul(s2, s3), s2)
     assert reflection_of_curve(CurveWord((2,), 3), A3).matrix == expected
 
 
@@ -180,7 +181,7 @@ def test_product_invariant_under_moves():
             curves = _random_tuple(rng, C.n, moves=rng.randint(0, 10))
             product = weyl.identity(C.n)
             for cw in curves:
-                product = weyl.compose(product, reflection_of_curve(cw, C).matrix)
+                product = matmul(product, reflection_of_curve(cw, C).matrix)
             assert product == c
 
 
@@ -207,7 +208,7 @@ def test_spiral_realizes_coxeter_powers():
             expected = root_of_curve(cw, C)
             from schur_scope._matrix import mat_pow
 
-            expected = weyl.apply(mat_pow(c, k), expected)
+            expected = matvec(mat_pow(c, k), expected)
             order = tuple(range(1, C.n + 1))
             assert root_of_curve(spiral(cw, order, k), C) == expected
 

@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from schur_scope import weyl
+from schur_scope._matrix import matmul
 from schur_scope.cartan import preset
 from schur_scope.hurwitz import (
     Factorization,
@@ -48,7 +49,7 @@ def test_braid_move_formula_instance():
     assert moved.roots() == ((1, 1), (1, 0))  # (s1 s2 s1, s1)
     s1 = weyl.simple_reflection(A2, 1).matrix
     s2 = weyl.simple_reflection(A2, 2).matrix
-    conjugated = weyl.compose(weyl.compose(s1, s2), s1)
+    conjugated = matmul(matmul(s1, s2), s1)
     assert moved.parts[0].matrix == conjugated
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from schur_scope import hurwitz, weyl
+from schur_scope._matrix import inverse, matmul
 from schur_scope.cartan import preset
 from schur_scope.hurwitz import Ternary
 from schur_scope.ncposet import (
@@ -24,6 +25,8 @@ def test_absolute_leq_examples():
     assert absolute_leq(s1, c, A2) is Ternary.YES
     assert absolute_leq(c, s1, A2) is Ternary.NO
     assert absolute_leq(c, c, A2) is Ternary.YES  # reflexive, non-strict
+    with pytest.raises(ValueError):
+        absolute_leq(((-1, 0), (0, -1)), c, A2)  # -1 is not in W(A2)
 
 
 def test_absolute_leq_infinite_certified():
@@ -65,7 +68,7 @@ def test_nc_grading_and_covers():
     # Complement identity: l(w) + l(w^-1 c) = n for every member.
     table = weyl._absolute_length_table(preset("A3"))
     for w in poset.elements:
-        quotient = weyl.compose(weyl.inverse(w), poset.top)
+        quotient = matmul(inverse(w), poset.top)
         assert table[w] + table[quotient] == poset.n
 
 
@@ -82,7 +85,7 @@ def test_interval_factorization_examples():
     assert len(witness.steps) == 2
     product = s2
     for t in witness.steps:
-        product = weyl.compose(product, t.matrix)
+        product = matmul(product, t.matrix)
     assert product == c
 
     bottom_to_top = interval_factorization(weyl.identity(3), c, poset)
@@ -97,6 +100,8 @@ def test_interval_factorization_rejects_incomparable():
     s1 = weyl.simple_reflection(A2, 1).matrix
     with pytest.raises(ValueError):
         interval_factorization(c, s1, poset)
+    with pytest.raises(ValueError):
+        interval_factorization(((-1, 0), (0, -1)), c, poset)  # not in W(A2)
 
 
 def test_interval_lengths_match_rank_difference():

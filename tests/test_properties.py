@@ -7,7 +7,7 @@ with `pytest tests/test_properties.py`.
 import random
 
 from schur_scope import hurwitz, weyl
-from schur_scope._matrix import mat_pow
+from schur_scope._matrix import mat_pow, matmul, matvec
 from schur_scope.cartan import preset
 from schur_scope.curves import (
     braid_move_curves,
@@ -59,7 +59,7 @@ def test_loop_product_invariant_on_reachable_tuples():
             tuple_words = _random_reachable(rng, C.n)
             product = weyl.identity(C.n)
             for cw in tuple_words:
-                product = weyl.compose(product, reflection_of_curve(cw, C).matrix)
+                product = matmul(product, reflection_of_curve(cw, C).matrix)
             assert product == c
 
 
@@ -85,7 +85,7 @@ def test_canonicalize_preserves_signed_evaluation():
             end = rng.randint(1, C.n)
             value = weyl.simple_root(C.n, end)
             for letter in reversed(raw):
-                value = weyl.apply(weyl.simple_reflection(C, letter).matrix, value)
+                value = matvec(weyl.simple_reflection(C, letter).matrix, value)
             assert root_of_curve(canonicalize(raw, end), C) == value
 
 
@@ -99,7 +99,7 @@ def test_spiral_agrees_with_coxeter_power():
             raw = tuple(rng.randint(1, C.n) for _ in range(rng.randint(0, 6)))
             cw = canonicalize(raw, rng.randint(1, C.n))
             k = rng.randint(-3, 3)
-            assert root_of_curve(spiral(cw, order, k), C) == weyl.apply(
+            assert root_of_curve(spiral(cw, order, k), C) == matvec(
                 mat_pow(c, k), root_of_curve(cw, C)
             )
 
@@ -113,7 +113,7 @@ def test_braid_move_transforms_signed_roots():
             i = rng.randint(1, C.n - 1)
             moved = braid_move_curves(tuple_words, i)
             acting = reflection_of_curve(tuple_words[i - 1], C).matrix
-            expected = weyl.apply(acting, root_of_curve(tuple_words[i], C))
+            expected = matvec(acting, root_of_curve(tuple_words[i], C))
             assert root_of_curve(moved[i - 1], C) == expected
 
 
@@ -130,7 +130,7 @@ def test_loop_words_transform_like_braid_moves():
             # The conjugated slot evaluates to a b a^-1 of the old loops.
             a = reflection_of_curve(tuple_words[i - 1], C).matrix
             b = reflection_of_curve(tuple_words[i], C).matrix
-            expected = weyl.compose(weyl.compose(a, b), a)
+            expected = matmul(matmul(a, b), a)
             assert reflection_of_curve(moved[i - 1], C).matrix == expected
             assert loop_of_curve(moved[i - 1]) == tuple(
                 reversed(loop_of_curve(moved[i - 1]))

@@ -1,12 +1,16 @@
+from collections import deque
+
 import pytest
 
 from schur_scope import curves, weyl
+from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import coxeter_number, preset
 from schur_scope.curves import CurveWord
-from schur_scope.hurwitz import Ternary
+from schur_scope.hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
 from schur_scope.schur import (
     COrbit,
     Orientation,
+    _curve_root_harvest,
     c_orbit,
     c_orbit_census_finite,
     is_schur_root,
@@ -166,7 +170,7 @@ def test_mutated_coxeter_is_conjugate():
 
     o = _o("A3")
     s = weyl.simple_reflection(o.cartan, o.source).matrix
-    expected = weyl.compose(weyl.compose(s, coxeter_matrix(o)), s)
+    expected = matmul(matmul(s, coxeter_matrix(o)), s)
     assert coxeter_matrix(mutate(o, "source")) == expected
 
 
@@ -193,7 +197,7 @@ def test_schur_set_mutation_invariance_a3():
         for beta in weyl.positive_real_roots(o.cartan, 10)
         if is_schur_root(beta, o).answer is Ternary.YES
     }
-    mapped = {weyl.positive_part(weyl.apply(s, beta)) for beta in schur_before}
+    mapped = {weyl.positive_part(matvec(s, beta)) for beta in schur_before}
     schur_after = {
         beta
         for beta in weyl.positive_real_roots(o.cartan, 10)
@@ -266,3 +270,60 @@ def test_report_json_shape():
         "height_bound", "sets", "unknowns", "truncated", "sets_match",
     }
     assert set(data["sets"]) == {"prefix", "curves", "all_positive"}
+
+
+def _matrix_keyed_harvest(o, height_bound, node_cap, prune_multiplier):
+    """Reference curve harvest that deduplicates curve-word tuples by their
+    evaluated loop matrices (the route the root-tuple key replaces)."""
+    C = o.cartan
+    start = tuple(CurveWord((), k) for k in o.order)
+    cap = prune_multiplier * height_bound
+
+    def evaluate(words):
+        return tuple(curves.reflection_of_curve(w, C).matrix for w in words)
+
+    harvested = set()
+    seen = {evaluate(start)}
+    queue = deque([start])
+    exhausted = True
+    while queue:
+        words = queue.popleft()
+        roots = [weyl.positive_part(curves.root_of_curve(w, C)) for w in words]
+        harvested.update(r for r in roots if weyl.height(r) <= height_bound)
+        if any(weyl.height(r) > cap for r in roots):
+            continue
+        for i in range(1, o.n):
+            for inverse in (False, True):
+                image = curves.braid_move_curves(words, i, inverse)
+                key = evaluate(image)
+                if key in seen:
+                    continue
+                if len(seen) >= node_cap:
+                    exhausted = False
+                    continue
+                seen.add(key)
+                queue.append(image)
+    return harvested, exhausted
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("A3", (3, 1, 2)),
+        ("B3", (2, 1, 3)),
+        ("universal:2:2", (2, 1)),
+        ("universal:3:2", (2, 3, 1)),
+        ("affine-A2", (3, 1, 2)),
+    ],
+)
+def test_curve_harvest_matches_matrix_keyed_reference(name, order):
+    o = _o(name, order)
+    exhausted_seen = set()
+    for height_bound in range(4, 9):
+        for node_cap in (1, 5, 50, 300, DEFAULT_NODE_CAP):
+            for prune_multiplier in (1, DEFAULT_PRUNE_MULTIPLIER):
+                args = (o, height_bound, node_cap, prune_multiplier)
+                expected = _matrix_keyed_harvest(*args)
+                assert _curve_root_harvest(*args) == expected, args[1:]
+                exhausted_seen.add(expected[1])
+    assert exhausted_seen == {True, False}  # both truncated and complete runs

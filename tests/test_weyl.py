@@ -1,20 +1,19 @@
+import math
 import random
 
 import pytest
 
 from schur_scope import weyl
+from schur_scope._matrix import inverse, matmul, matvec
 from schur_scope.cartan import CartanMatrix, preset
 from schur_scope.weyl import (
     absolute_length,
-    apply,
     bilinear,
-    compose,
     coxeter_element,
     enumerate_group,
     enumerate_real_roots,
     height,
     identity,
-    inverse,
     is_reflection,
     positive_real_roots,
     reflection_for_root,
@@ -29,16 +28,16 @@ PRESETS = ["A2", "B2", "G2", "A3", "B3", "universal:2:2", "universal:3:2", "affi
 def _random_element(C, rng, length=6):
     w = identity(C.n)
     for _ in range(length):
-        w = compose(w, simple_reflection(C, rng.randint(1, C.n)).matrix)
+        w = matmul(w, simple_reflection(C, rng.randint(1, C.n)).matrix)
     return w
 
 
 def test_simple_reflection_formula_instances():
     A2 = preset("A2")
-    assert apply(simple_reflection(A2, 1).matrix, simple_root(2, 2)) == (1, 1)
-    assert apply(simple_reflection(A2, 1).matrix, simple_root(2, 1)) == (-1, 0)
+    assert matvec(simple_reflection(A2, 1).matrix, simple_root(2, 2)) == (1, 1)
+    assert matvec(simple_reflection(A2, 1).matrix, simple_root(2, 1)) == (-1, 0)
     U = CartanMatrix(((2, -2), (-2, 2)))
-    assert apply(simple_reflection(U, 2).matrix, simple_root(2, 1)) == (1, 2)
+    assert matvec(simple_reflection(U, 2).matrix, simple_root(2, 1)) == (1, 2)
 
 
 def test_simple_reflection_formula_everywhere():
@@ -49,7 +48,7 @@ def test_simple_reflection_formula_everywhere():
             for j in range(1, C.n + 1):
                 expected = list(simple_root(C.n, j))
                 expected[i - 1] -= C.entry(i, j)
-                assert apply(s, simple_root(C.n, j)) == tuple(expected)
+                assert matvec(s, simple_root(C.n, j)) == tuple(expected)
 
 
 def test_simple_reflection_index_range():
@@ -60,15 +59,15 @@ def test_simple_reflection_index_range():
 def test_compose_involution_and_action():
     A2 = preset("A2")
     s1 = simple_reflection(A2, 1).matrix
-    assert compose(s1, s1) == identity(2)
+    assert matmul(s1, s1) == identity(2)
     c = coxeter_element(A2)
-    assert apply(c, (1, 0)) == (0, 1)
-    assert apply(identity(2), (1, 0)) == (1, 0)
+    assert matvec(c, (1, 0)) == (0, 1)
+    assert matvec(identity(2), (1, 0)) == (1, 0)
 
 
 def test_compose_rank_mismatch():
     with pytest.raises(ValueError):
-        compose(identity(2), identity(3))
+        matmul(identity(2), identity(3))
 
 
 def test_action_is_associative():
@@ -78,7 +77,7 @@ def test_action_is_associative():
         u = _random_element(A3, rng)
         w = _random_element(A3, rng)
         v = tuple(rng.randint(-3, 3) for _ in range(3))
-        assert apply(compose(u, w), v) == apply(u, apply(w, v))
+        assert matvec(matmul(u, w), v) == matvec(u, matvec(w, v))
 
 
 def test_inverse_roundtrip():
@@ -87,15 +86,15 @@ def test_inverse_roundtrip():
         C = preset(name)
         for _ in range(25):
             w = _random_element(C, rng)
-            assert compose(w, inverse(w)) == identity(C.n)
+            assert matmul(w, inverse(w)) == identity(C.n)
 
 
 def test_coxeter_element_variants():
     rank1 = preset("A1")
     assert coxeter_element(rank1) == ((-1,),)
     A3 = preset("A3")
-    expected = compose(
-        compose(simple_reflection(A3, 2).matrix, simple_reflection(A3, 1).matrix),
+    expected = matmul(
+        matmul(simple_reflection(A3, 2).matrix, simple_reflection(A3, 1).matrix),
         simple_reflection(A3, 3).matrix,
     )
     assert coxeter_element(A3, (2, 1, 3)) == expected
@@ -109,7 +108,7 @@ def test_is_reflection():
     s2 = simple_reflection(A2, 2).matrix
     assert is_reflection(s1)
     assert not is_reflection(identity(2))
-    assert is_reflection(compose(compose(s1, s2), s1))
+    assert is_reflection(matmul(matmul(s1, s2), s1))
     assert not is_reflection(coxeter_element(A2))
 
 
@@ -118,7 +117,7 @@ def test_reflection_for_root_simple_and_long():
     assert reflection_for_root(A2, (1, 0)).matrix == simple_reflection(A2, 1).matrix
     s1 = simple_reflection(A2, 1).matrix
     s2 = simple_reflection(A2, 2).matrix
-    assert reflection_for_root(A2, (1, 1)).matrix == compose(compose(s1, s2), s1)
+    assert reflection_for_root(A2, (1, 1)).matrix == matmul(matmul(s1, s2), s1)
 
 
 def test_reflection_for_root_validates():
@@ -139,7 +138,7 @@ def test_root_of_reflection_examples():
     s2 = simple_reflection(A3, 2).matrix
     s3 = simple_reflection(A3, 3).matrix
     assert root_of_reflection(s2) == (0, 1, 0)
-    assert root_of_reflection(compose(compose(s2, s3), s2)) == (0, 1, 1)
+    assert root_of_reflection(matmul(matmul(s2, s3), s2)) == (0, 1, 1)
     with pytest.raises(ValueError):
         root_of_reflection(identity(3))
     with pytest.raises(ValueError):
@@ -218,4 +217,29 @@ def test_form_preservation():
             w = _random_element(C, rng, length=5)
             u = tuple(rng.randint(-2, 2) for _ in range(C.n))
             v = tuple(rng.randint(-2, 2) for _ in range(C.n))
-            assert bilinear(C, apply(w, u), apply(w, v)) == bilinear(C, u, v)
+            assert bilinear(C, matvec(w, u), matvec(w, v)) == bilinear(C, u, v)
+
+
+def test_bounded_closure_cap_rule():
+    def moves(x):
+        return [(x + 1) % 10, (2 * x) % 10]
+
+    full = (0, 1, 2, 3, 4, 6, 5, 8, 7, 9)  # breadth-first discovery order
+    assert weyl._bounded_closure([0], moves, 10) == (full, True)
+    assert weyl._bounded_closure([0], moves, math.inf) == (full, True)
+    assert weyl._bounded_closure([0], moves, 9) == (full[:9], False)
+    assert weyl._bounded_closure([0], moves, 1) == ((0,), False)
+
+
+def test_bounded_closure_expand_and_several_starts():
+    def step(x):
+        return [(x + 1) % 10]
+
+    # 2 is kept but not expanded, so 3 is never reached.
+    assert weyl._bounded_closure([0], step, 10, lambda x: x != 2) == ((0, 1, 2), True)
+    assert weyl._bounded_closure([7, 0], step, 10) == (
+        (7, 0, 8, 1, 9, 2, 3, 4, 5, 6),
+        True,
+    )
+    # Starts count toward the cap.
+    assert weyl._bounded_closure([7, 0], step, 3) == ((7, 0, 8), False)
