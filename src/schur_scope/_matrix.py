@@ -52,7 +52,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def det(a: Matrix) -> int:
-    """Exact determinant via fraction-free elimination on a working copy."""
+    """Exact determinant by Gaussian elimination over Fractions on a working copy."""
     n = len(a)
     rows = [[Fraction(x) for x in row] for row in a]
     sign = 1

@@ -3,7 +3,7 @@
 A CartanMatrix is the single source of truth for a session: it fixes the rank,
 the simple-reflection action on the root lattice and the symmetrized bilinear
 form.  Everything here is exact integer (or Fraction) arithmetic; type
-classification uses principal-minor tests, never floating point.
+classification is one elimination of that form, never floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._matrix import Matrix, det, identity, matmul, rank
+from ._matrix import Matrix, identity, matmul
 
 
 class CartanError(ValueError):
@@ -187,24 +187,27 @@ def coxeter_exponent(C: CartanMatrix, i: int, j: int) -> int | None:
 
 @functools.lru_cache(maxsize=None)
 def classify_type(C: CartanMatrix) -> TypeClass:
-    """Finite / affine / indefinite via exact minor tests on the symmetrized form."""
-    s = symmetrized(C)
-    n = C.n
-    leading = [
-        det(tuple(tuple(s[i][j] for j in range(k)) for i in range(k)))
-        for k in range(1, n + 1)
-    ]
-    if all(m > 0 for m in leading):
-        return TypeClass.FINITE
-    # Positive semidefinite iff every principal minor is >= 0.
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            minor = det(tuple(tuple(s[i][j] for j in subset) for i in subset))
-            if minor < 0:
-                return TypeClass.INDEFINITE
-    if rank(s) == n - 1:
-        return TypeClass.AFFINE
-    return TypeClass.INDEFINITE
+    """Finite / affine / indefinite by one exact elimination of the symmetrized
+    form with diagonal pivots (a congruence, so the inertia is kept).
+
+    A negative pivot, or a zero pivot whose row is not zero, means the form is
+    not positive semidefinite.  Otherwise its nullity is the number of zero
+    pivots: finite at 0, affine at 1, indefinite above.
+    """
+    a = [[Fraction(x) for x in row] for row in symmetrized(C)]
+    nullity = 0
+    for k, row in enumerate(a):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            return TypeClass.INDEFINITE
+        if pivot == 0:
+            nullity += 1
+            continue
+        for other in a[k + 1 :]:
+            factor = other[k] / pivot
+            for j in range(k + 1, len(a)):
+                other[j] -= factor * row[j]
+    return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
 
 
 def _simple_reflection_matrix(C: CartanMatrix, i: int) -> Matrix:

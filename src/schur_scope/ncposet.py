@@ -11,20 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weyl
-from ._matrix import Matrix, det, identity, inverse, mat_sub, matmul, rank
+from ._matrix import Matrix, identity, inverse, matmul
 from .cartan import CartanMatrix, TypeClass, classify_type
 from .hurwitz import Factorization, Ternary
-from .weyl import Reflection, coxeter_element
-
-
-def length_lower_bound(w: Matrix) -> int:
-    """rank(w - id), raised by one when determinant parity rules that value out.
-
-    Any product of k reflections moves a sublattice of rank at most k and has
-    determinant (-1)^k, so a length equal to this bound is certified minimal.
-    """
-    r = rank(mat_sub(w, identity(len(w))))
-    return r if det(w) == (1 if r % 2 == 0 else -1) else r + 1
+from .weyl import Reflection, coxeter_element, length_lower_bound
 
 
 def _leq_in_table(table: dict[Matrix, int], u: Matrix, w: Matrix) -> bool:
@@ -106,14 +96,14 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     members.sort(key=lambda w: (table[w], w))
     ranks = tuple(table[w] for w in members)
     index = {w: i for i, w in enumerate(members)}
-    covers = []
-    for i, u in enumerate(members):
-        for j, w in enumerate(members):
-            if ranks[j] != ranks[i] + 1:
-                continue
-            quotient = matmul(inverse(u), w)
-            if table[quotient] == 1:  # rank-adjacent and comparable
-                covers.append((i, j))
+    # u < w is a cover iff w = u t for a reflection t and l(w) = l(u) + 1.
+    covers = sorted(
+        (i, j)
+        for i, u in enumerate(members)
+        for t in weyl.reflections(C)
+        if (j := index.get(matmul(u, t.matrix))) is not None
+        and ranks[j] == ranks[i] + 1
+    )
     return NCPoset(C, order, tuple(members), ranks, tuple(covers))
 
 

@@ -242,18 +242,21 @@ def _curve_root_harvest(
     C = o.cartan
     cap = prune_multiplier * height_bound
 
-    def roots_of(words: tuple[CurveWord, ...]) -> tuple[Root, ...]:
-        return tuple(positive_part(curves.root_of_curve(w, C)) for w in words)
+    def root(w: CurveWord) -> Root:
+        return positive_part(curves.root_of_curve(w, C))
 
     fan = tuple(CurveWord((), k) for k in o.order)
-    start = roots_of(fan)
+    start = tuple(root(w) for w in fan)
     words_of = {start: fan}  # the first curve words reaching each tuple
 
     def moves(node: tuple[Root, ...]):
+        # Only the conjugated word's root is new; its neighbour's just shifts.
         for i in range(1, o.n):
             for inverse in (False, True):
                 image = curves.braid_move_curves(words_of[node], i, inverse)
-                key = roots_of(image)
+                new = root(image[i if inverse else i - 1])
+                pair = (node[i], new) if inverse else (new, node[i - 1])
+                key = node[: i - 1] + pair + node[i + 1 :]
                 words_of.setdefault(key, image)
                 yield key
 

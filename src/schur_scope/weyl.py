@@ -272,26 +272,26 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
 
 @functools.lru_cache(maxsize=None)
 def _absolute_length_table(C: CartanMatrix) -> dict[Matrix, int]:
-    """Absolute length of every element of a finite-type group (BFS layering)."""
-    gens = [t.matrix for t in reflections(C)]
-    table: dict[Matrix, int] = {identity(C.n): 0}
-    frontier = [identity(C.n)]
-    level = 0
-    while frontier:
-        level += 1
-        next_frontier = []
-        for w in frontier:
-            for t in gens:
-                image = matmul(t, w)
-                if image not in table:
-                    table[image] = level
-                    next_frontier.append(image)
-        frontier = next_frontier
-    return table
+    """Absolute length of every element of a finite-type group: rank(w - id),
+    by Carter's lemma ("Conjugacy classes in the Weyl group", Compositio 1972,
+    Lemma 2)."""
+    one = identity(C.n)
+    return {w: _mat.rank(mat_sub(w, one)) for w in enumerate_group(C)}
 
 
 def _parity_matches(w: Matrix, k: int) -> bool:
     return _mat.det(w) == (1 if k % 2 == 0 else -1)
+
+
+def length_lower_bound(w: Matrix) -> int:
+    """rank(w - id), raised by one when determinant parity rules that value out.
+
+    Any product of k reflections moves a sublattice of rank at most k and has
+    determinant (-1)^k, so a length equal to this bound is certified minimal.
+    On finite types the bound is exact (Carter's lemma).
+    """
+    r = _mat.rank(mat_sub(w, identity(len(w))))
+    return r if _parity_matches(w, r) else r + 1
 
 
 def factor_into_reflections(
@@ -372,10 +372,7 @@ def absolute_length(C: CartanMatrix, w: Matrix, cap: int | None = None) -> int |
         raise ValueError("cap must be >= 1")
     if w == identity(C.n):
         return 0
-    lower = _mat.rank(mat_sub(w, identity(C.n)))
-    for k in range(lower, cap + 1):
-        if not _parity_matches(w, k):
-            continue
+    for k in range(length_lower_bound(w), cap + 1, 2):
         for bound in adaptive_pool_bounds(_moved_height(w)):
             pool = _reflection_pool(C, bound)
             witness = factor_into_reflections(w, k, pool)

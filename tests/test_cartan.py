@@ -1,9 +1,11 @@
+import itertools
 import random
 from math import gcd
 
 import pytest
 
 from schur_scope import cartan, weyl
+from schur_scope._matrix import det, rank
 from schur_scope.cartan import (
     CartanError,
     CartanMatrix,
@@ -14,6 +16,7 @@ from schur_scope.cartan import (
     parse_cartan,
     preset,
     submatrix,
+    symmetrized,
     symmetrizer,
 )
 
@@ -223,3 +226,93 @@ def test_submatrix_allows_disconnected():
     assert sub.entries == ((2, 0), (0, 2))
     assert classify_type(sub) is TypeClass.FINITE
     assert coxeter_number(sub) == 2
+
+
+def _minor_walk_classify(C: CartanMatrix) -> TypeClass:
+    """Reference: positive leading minors mean finite; otherwise every
+    principal minor is tested for positive semidefiniteness (2^n of them)."""
+    s = symmetrized(C)
+    n = C.n
+    leading = [
+        det(tuple(tuple(s[i][j] for j in range(k)) for i in range(k)))
+        for k in range(1, n + 1)
+    ]
+    if all(m > 0 for m in leading):
+        return TypeClass.FINITE
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if det(tuple(tuple(s[i][j] for j in subset) for i in subset)) < 0:
+                return TypeClass.INDEFINITE
+    return TypeClass.AFFINE if rank(s) == n - 1 else TypeClass.INDEFINITE
+
+
+def _random_symmetrizable(rng: random.Random) -> CartanMatrix:
+    """Rank 1..8, built without the connectivity check, so often reducible."""
+    n = rng.randint(1, 8)
+    d = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n)]
+    density = rng.choice((0.15, 0.3, 0.5))
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            e = rng.choice((1, 1, 1, 2))
+            g = gcd(d[i], d[j])
+            entries[i][j] = -e * d[j] // g
+            entries[j][i] = -e * d[i] // g
+    return CartanMatrix(tuple(tuple(row) for row in entries))
+
+
+def _minor_walk_presets():
+    names = [f"A{n}" for n in range(1, 9)]
+    names += [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    names += [f"D{n}" for n in range(3, 9)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    names += [f"affine-A{n}" for n in range(1, 11)]
+    names += [f"universal:{k}:{m}" for k in range(1, 9) for m in (2, 3, 4)]
+    return names
+
+
+@pytest.mark.parametrize("name", _minor_walk_presets())
+def test_classify_matches_minor_walk_on_presets(name):
+    C = preset(name)
+    assert classify_type(C) is _minor_walk_classify(C)
+
+
+def test_classify_matches_minor_walk_on_random_matrices():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(400):
+        C = _random_symmetrizable(rng)
+        expected = _minor_walk_classify(C)
+        assert classify_type(C) is expected, C.entries
+        seen.add(expected)
+    assert seen == set(TypeClass)
+
+
+def test_classify_reducible_by_nullity():
+    a1, affine_a1 = ((2,),), ((2, -2), (-2, 2))
+
+    def block_sum(*blocks):
+        n = sum(len(b) for b in blocks)
+        entries = [[0] * n for _ in range(n)]
+        offset = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                entries[offset + i][offset : offset + len(b)] = row
+            offset += len(b)
+        return CartanMatrix(tuple(tuple(row) for row in entries))
+
+    expected = {
+        (a1, a1): TypeClass.FINITE,
+        (a1, affine_a1): TypeClass.AFFINE,
+        (affine_a1, affine_a1): TypeClass.INDEFINITE,  # nullity 2
+        (affine_a1, a1, affine_a1): TypeClass.INDEFINITE,
+    }
+    for blocks, kind in expected.items():
+        C = block_sum(*blocks)
+        assert classify_type(C) is kind is _minor_walk_classify(C)
+
+
+def test_classify_large_rank_without_minor_walk():
+    # 2^31 principal minors would never finish; one elimination is immediate.
+    assert classify_type(preset("affine-A30")) is TypeClass.AFFINE
+    assert classify_type(preset("universal:30:2")) is TypeClass.INDEFINITE

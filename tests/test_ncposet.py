@@ -46,6 +46,34 @@ def test_length_lower_bound_certifies_coxeter():
         assert length_lower_bound(c) == C.n
 
 
+def _pairwise_covers(poset):
+    """Reference: every rank-adjacent pair (u, w) with l(u^-1 w) = 1."""
+    table = weyl._absolute_length_table(poset.cartan)
+    return tuple(
+        (i, j)
+        for i, u in enumerate(poset.elements)
+        for j, w in enumerate(poset.elements)
+        if poset.ranks[j] == poset.ranks[i] + 1 and table[matmul(inverse(u), w)] == 1
+    )
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("A2", (2, 1)),
+        ("B2", (2, 1)),
+        ("G2", (2, 1)),
+        ("A3", (2, 3, 1)),
+        ("B3", (3, 1, 2)),
+        ("A4", (3, 1, 4, 2)),
+        ("D4", (4, 2, 1, 3)),
+    ],
+)
+def test_covers_match_pairwise_reference(name, order):
+    poset = enumerate_nc(preset(name), order)
+    assert poset.covers == _pairwise_covers(poset)
+
+
 def test_nc_sizes():
     for name, size in NC_SIZES.items():
         poset = enumerate_nc(preset(name))

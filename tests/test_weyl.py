@@ -198,6 +198,37 @@ def test_absolute_length_infinite_types():
     assert absolute_length(U3, coxeter_element(U3)) == 3
 
 
+def _reflection_bfs_length_table(C):
+    """Reference that does not use Carter's lemma: breadth-first levels of
+    the group under multiplication by reflections."""
+    gens = [t.matrix for t in weyl.reflections(C)]
+    table = {identity(C.n): 0}
+    frontier = [identity(C.n)]
+    level = 0
+    while frontier:
+        level += 1
+        next_frontier = []
+        for w in frontier:
+            for t in gens:
+                image = matmul(t, w)
+                if image not in table:
+                    table[image] = level
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return table
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+)
+def test_length_table_matches_reflection_bfs(name):
+    C = preset(name)
+    table = weyl._absolute_length_table(C)
+    assert table == _reflection_bfs_length_table(C)
+    # The rank-and-parity lower bound is exact on finite types.
+    assert all(weyl.length_lower_bound(w) == k for w, k in table.items())
+
+
 def test_enumerate_group_sizes():
     assert len(enumerate_group(preset("A2"))) == 6
     assert len(enumerate_group(preset("B2"))) == 8
