@@ -2,12 +2,13 @@
 
 All group elements and roots in this package are plain tuples of Python ints,
 so every computation is exact and every value is hashable.  Matrices are
-stored row-major; column j holds the image of the j-th basis vector.
+stored row-major; column j holds the image of the j-th basis vector.  The
+eliminations (det, rank, inverse) are fraction-free: they combine rows with
+integer coefficients and divide only where the division is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -52,42 +53,53 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def det(a: Matrix) -> int:
-    """Exact determinant by Gaussian elimination over Fractions on a working copy."""
+    """Exact determinant by Bareiss's fraction-free elimination: after step k
+    every entry of the working copy is a (k+1)-by-(k+1) minor of a, so each
+    division by the previous pivot is exact and all values stay integers."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
+    rows = [list(row) for row in a]
     sign = 1
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
+        top = rows[col]
+        p = top[col]
         for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    value = Fraction(sign)
-    for i in range(n):
-        value *= rows[i][i]
-    if value.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix is not an integer")
-    return int(value)
+            f = rows[r][col]
+            rows[r] = [(p * x - f * y) // previous for x, y in zip(rows[r], top)]
+        previous = p
+    return sign * previous
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """p * row - f * pivot_row with p = pivot_row[col] and f = row[col],
+    divided by the gcd of its entries: an integer row with a zero in column
+    col that spans, together with pivot_row, the same space over Q as before."""
+    p, f = pivot_row[col], row[col]
+    out = [p * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def rank(a: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
+    """Exact rank by integer elimination (no Fractions)."""
+    rows = [list(row) for row in a]
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     r = 0
     for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n_rows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col] / rows[r][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i in range(r + 1, n_rows):
+            if rows[i][col]:
+                rows[i] = _eliminate(rows[i], top, col)
         r += 1
         if r == n_rows:
             break
@@ -95,27 +107,29 @@ def rank(a: Matrix) -> int:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises if singular or if the inverse is not integral."""
+    """Exact inverse; raises if singular or if the inverse is not integral.
+
+    Integer Gauss-Jordan elimination of [a | id] leaves row i as
+    [d_i e_i | b_i] with a^-1 row i = b_i / d_i; each row is primitive (its
+    gcd divided out), so that quotient is integral exactly when d_i = +-1.
+    """
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv_pivot = 1 / rows[col][col]
-        rows[col] = [x * inv_pivot for x in rows[col]]
+        top = rows[col]
         for r in range(n):
             if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+                rows[r] = _eliminate(rows[r], top, col)
     out = []
-    for i in range(n):
-        entries = rows[i][n:]
-        if any(x.denominator != 1 for x in entries):
+    for i, row in enumerate(rows):
+        d = row[i]
+        if d not in (1, -1):
             raise ValueError("inverse is not an integer matrix")
-        out.append(tuple(int(x) for x in entries))
+        out.append(tuple(d * x for x in row[n:]))
     return tuple(out)
 
 

@@ -189,7 +189,7 @@ def _cmd_roots(session: Session, args) -> tuple[dict, int]:
 
 
 def _cmd_group(session: Session, args) -> tuple[dict, int]:
-    return {"order": len(weyl.enumerate_group(session.cartan))}, EXIT_OK
+    return {"order": weyl.group_order(session.cartan)}, EXIT_OK
 
 
 def _cmd_orbit(session: Session, args) -> tuple[dict, int]:

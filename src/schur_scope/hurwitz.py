@@ -218,7 +218,7 @@ def factorization_count_formula(C: CartanMatrix) -> int:
         raise ValueError("counting formula requires a finite-type matrix")
     n = C.n
     h = coxeter_number(C)
-    group_order = len(weyl.enumerate_group(C))
+    group_order = weyl.group_order(C)
     numerator = math.factorial(n) * h**n
     if numerator % group_order:
         raise ArithmeticError(

@@ -8,10 +8,8 @@ infinite groups.  Roots are integer coordinate tuples; height is the L1 norm.
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _matrix as _mat
 from ._matrix import Matrix, Vector, identity, mat_sub, matmul, matvec
@@ -20,6 +18,7 @@ from .cartan import (
     TypeClass,
     _simple_reflection_matrix,
     classify_type,
+    submatrix,
     symmetrized,
     symmetrizer,
 )
@@ -127,10 +126,8 @@ def root_of_reflection(t: Matrix) -> Root:
     # Every column must be an integer multiple of the generator (rank 1).
     pivot = next(i for i, x in enumerate(generator) if x)
     for col in columns:
-        ratio = Fraction(col[pivot], generator[pivot])
-        if ratio.denominator != 1 or any(
-            col[i] != ratio * generator[i] for i in range(n)
-        ):
+        ratio, remainder = divmod(col[pivot], generator[pivot])
+        if remainder or any(col[i] != ratio * generator[i] for i in range(n)):
             raise ValueError("matrix does not move a rank-1 sublattice")
     if matmul(t, t) != identity(n):
         raise ValueError("matrix is not an involution")
@@ -158,11 +155,10 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     for row in range(C.n):
         entries = []
         for col in range(C.n):
-            coeff = Fraction(2 * s_beta[col], norm)
-            value = (1 if row == col else 0) - coeff * beta[row]
-            if value.denominator != 1:
+            moved, remainder = divmod(2 * s_beta[col] * beta[row], norm)
+            if remainder:
                 raise ValueError(f"{beta} is not a real root (non-integral reflection)")
-            entries.append(int(value))
+            entries.append((1 if row == col else 0) - moved)
         rows.append(tuple(entries))
     matrix = tuple(rows)
     if root_of_reflection(matrix) != beta:
@@ -259,14 +255,82 @@ def _reflection_pool(C: CartanMatrix, height_bound: int) -> tuple[Reflection, ..
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
-    """All group elements of a finite-type group, by closure under generators."""
+def group_order(C: CartanMatrix) -> int:
+    """|W| of a finite-type group, by orbit-stabilizer along the parabolic
+    chain W(C) > W(C on 1..n-1) > ... > 1, without enumerating W.
+
+    The stabilizer of a dominant weight is the standard parabolic subgroup
+    generated by the simple reflections fixing it (Chevalley; Humphreys,
+    "Reflection Groups and Coxeter Groups", 1990, 1.10-1.12), so
+    |W(C)| = |W omega_n| |W(C on 1..n-1)|; the submatrix may be reducible.
+    The orbit is taken in fundamental-weight coordinates, where
+    alpha_i = sum_j a_ji omega_j and s_i(lambda) = lambda - lambda_i alpha_i,
+    so s_i changes only lambda_i and the coordinates of i's neighbours.
+    """
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("group enumeration requires a finite-type matrix")
-    gens = [g.matrix for g in simple_reflections(C)]
-    elements, _ = _bounded_closure(
-        [identity(C.n)], lambda w: (matmul(w, g) for g in gens), math.inf
-    )
+    n = C.n
+    # columns[i]: the (j, a_ji) with a_ji != 0, i itself included.
+    columns = [
+        [(j, C.entries[j][i]) for j in range(n) if C.entries[j][i]] for i in range(n)
+    ]
+
+    def moves(weight: Vector):
+        for i, column in enumerate(columns):
+            coefficient = weight[i]
+            if coefficient:  # s_i fixes the weight when lambda_i = 0
+                image = list(weight)
+                for j, a_ji in column:
+                    image[j] -= coefficient * a_ji
+                yield tuple(image)
+
+    omega_n = (0,) * (n - 1) + (1,)
+    orbit, complete = _bounded_closure([omega_n], moves, _FINITE_CLOSURE_CAP)
+    if not complete:
+        raise ValueError(
+            f"a weight orbit exceeds the safety cap of {_FINITE_CLOSURE_CAP} elements"
+        )
+    if n == 1:
+        return len(orbit)
+    return len(orbit) * group_order(submatrix(C, tuple(range(1, n))))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
+    """All elements of a finite-type group: the closure of the identity under
+    left multiplication by the simple reflections.
+
+    s_i w differs from w only in row i, which becomes
+    -w_i - sum_{j != i} a_ij w_j over the neighbours j of i, so each move builds
+    one row and reuses the other row tuples.  A group with more than
+    _FINITE_CLOSURE_CAP elements is refused before enumeration (ValueError).
+    The closure keeps at most group_order(C) elements and must find exactly
+    that many (ArithmeticError otherwise), so it cannot run away.
+    """
+    order = group_order(C)
+    if order > _FINITE_CLOSURE_CAP:
+        raise ValueError(
+            f"the Weyl group has {order} elements, more than the enumeration cap "
+            f"of {_FINITE_CLOSURE_CAP}"
+        )
+    n = C.n
+    neighbours = [
+        [(j, C.entries[i][j]) for j in range(n) if j != i and C.entries[i][j]]
+        for i in range(n)
+    ]
+
+    def moves(w: Matrix):
+        for i, row_neighbours in enumerate(neighbours):
+            row = [-x for x in w[i]]
+            for j, a_ij in row_neighbours:
+                row = [x - a_ij * y for x, y in zip(row, w[j])]
+            yield w[:i] + (tuple(row),) + w[i + 1 :]
+
+    elements, complete = _bounded_closure([identity(n)], moves, order)
+    if not complete or len(elements) != order:
+        raise ArithmeticError(
+            f"enumerated {len(elements)} group elements, but |W| = {order}; upstream bug"
+        )
     return frozenset(elements)
 
 

@@ -117,6 +117,23 @@ def test_cli_is_thin_adapter_over_core(capsys):
     assert out.strip() == emit(report.to_json_dict(), True).strip()
 
 
+def test_group_order_of_e8_without_enumeration(capsys):
+    code, out = _run(capsys, ["--type", "E8", "--json", "group", "order"])
+    assert code == EXIT_OK
+    assert json.loads(out) == {"order": 696729600}
+
+
+def test_nc_list_refuses_groups_above_the_enumeration_cap(capsys):
+    code = run(["--type", "E7", "nc", "list"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the Weyl group has 2903040 elements, more than the enumeration "
+        "cap of 2000000\n"
+    )
+
+
 def test_caps_must_be_positive(capsys):
     assert run(["--type", "A2", "--orbit-cap", "0", "roots", "list"]) == EXIT_USAGE
     capsys.readouterr()

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from schur_scope import weyl
-from schur_scope._matrix import inverse, matmul, matvec
-from schur_scope.cartan import CartanMatrix, preset
+from schur_scope._matrix import inverse, matmul, matvec, primitive
+from schur_scope.cartan import CartanMatrix, preset, submatrix, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
     bilinear,
@@ -238,6 +239,71 @@ def test_enumerate_group_sizes():
 def test_enumerate_group_requires_finite():
     with pytest.raises(ValueError):
         enumerate_group(preset("affine-A2"))
+    with pytest.raises(ValueError):
+        weyl.group_order(preset("universal:3:2"))
+
+
+def _right_multiplication_closure(C):
+    """Reference: closure of the identity under w -> w s_i, one matmul each."""
+    gens = [g.matrix for g in weyl.simple_reflections(C)]
+    seen = {identity(C.n)}
+    frontier = list(seen)
+    while frontier:
+        images = {matmul(w, g) for w in frontier for g in gens} - seen
+        seen |= images
+        frontier = list(images)
+    return frozenset(seen)
+
+
+SMALL_FINITE = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                "D3", "D4", "D5", "G2", "F4"]  # every finite preset with |W| <= 2000
+
+
+def test_enumerate_group_matches_right_multiplication_closure():
+    for name in SMALL_FINITE:
+        C = preset(name)
+        assert enumerate_group(C) == _right_multiplication_closure(C), name
+
+
+# |W| from the classification (Bourbaki, Lie groups, ch. VI, plates I-IX).
+WEYL_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
+    "B2": 8, "B3": 48, "B4": 384, "B5": 3840, "C3": 48, "C4": 384,
+    "D4": 192, "D5": 1920, "D6": 23040, "G2": 12, "F4": 1152,
+}
+
+
+def test_group_order_matches_enumeration():
+    for name, order in WEYL_ORDERS.items():
+        C = preset(name)
+        assert weyl.group_order(C) == len(enumerate_group(C)) == order, name
+
+
+@pytest.mark.parametrize(
+    "name, vertices, order",
+    [
+        ("A5", (1, 2, 4, 5), 36),  # A2 x A2
+        ("D5", (1, 2, 4, 5), 24),  # A2 x A1 x A1
+        ("B4", (1, 3, 4), 16),  # A1 x B2
+        ("F4", (1, 2, 4), 12),  # A2 x A1
+        ("E6", (1, 2, 4, 5, 6), 72),  # A2 x A2 x A1
+        ("G2", (2,), 2),
+    ],
+)
+def test_group_order_on_reducible_submatrices(name, vertices, order):
+    C = submatrix(preset(name), vertices)
+    assert weyl.group_order(C) == len(enumerate_group(C)) == order
+
+
+def test_enumerate_group_refuses_large_groups_and_checks_its_size(monkeypatch):
+    with pytest.raises(ValueError, match="2903040 elements"):
+        enumerate_group(preset("E7"))
+    # The uncached closure against a wrong |W|: too small cuts it short, too
+    # large leaves it short of the count.
+    for wrong in (5, 7):
+        monkeypatch.setattr(weyl, "group_order", lambda C, wrong=wrong: wrong)
+        with pytest.raises(ArithmeticError):
+            enumerate_group.__wrapped__(preset("A2"))
 
 
 def test_form_preservation():
@@ -274,3 +340,81 @@ def test_bounded_closure_expand_and_several_starts():
     )
     # Starts count toward the cap.
     assert weyl._bounded_closure([7, 0], step, 3) == ((7, 0, 8), False)
+
+
+def _fraction_root_of_reflection(t):
+    """Reference: the column-ratio test over Fractions."""
+    n = len(t)
+    moved = [[t[r][c] - (r == c) for c in range(n)] for r in range(n)]
+    columns = [tuple(moved[r][c] for r in range(n)) for c in range(n)]
+    generator = next((primitive(col) for col in columns if any(col)), None)
+    if generator is None:
+        raise ValueError("identity matrix is not a reflection")
+    pivot = next(i for i, x in enumerate(generator) if x)
+    for col in columns:
+        ratio = Fraction(col[pivot], generator[pivot])
+        if ratio.denominator != 1 or any(col[i] != ratio * generator[i] for i in range(n)):
+            raise ValueError("matrix does not move a rank-1 sublattice")
+    if matmul(t, t) != identity(n):
+        raise ValueError("matrix is not an involution")
+    return weyl.positive_part(generator)
+
+
+def _fraction_reflection_for_root(C, beta):
+    """Reference: the reflection matrix built over Fractions."""
+    beta = weyl.positive_part(beta)
+    norm = bilinear(C, beta, beta)
+    if norm <= 0:
+        raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
+    if norm not in {2 * d for d in symmetrizer(C)}:
+        raise ValueError(f"{beta} has norm {norm}, not the norm of any simple root")
+    s = symmetrized(C)
+    s_beta = [sum(s[i][j] * beta[j] for j in range(C.n)) for i in range(C.n)]
+    rows = []
+    for row in range(C.n):
+        entries = []
+        for col in range(C.n):
+            value = (row == col) - Fraction(2 * s_beta[col], norm) * beta[row]
+            if value.denominator != 1:
+                raise ValueError(f"{beta} is not a real root (non-integral reflection)")
+            entries.append(int(value))
+        rows.append(tuple(entries))
+    matrix = tuple(rows)
+    if _fraction_root_of_reflection(matrix) != beta:
+        raise ValueError(f"{beta} is not a real root (not primitive for its reflection)")
+    return matrix
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "universal:3:2",
+                                  "universal:2:3", "affine-A2"])
+def test_reflection_kernels_match_fraction_reference(name):
+    C = preset(name)
+    rng = random.Random(name)
+    roots = 0
+    matrix_outcomes = set()
+    for _ in range(300):
+        beta = tuple(rng.randint(0, 4) for _ in range(C.n))
+        if any(beta):
+            found = _outcome(lambda b: reflection_for_root(C, b).matrix, beta)
+            assert found == _outcome(_fraction_reflection_for_root, C, beta), beta
+            roots += not isinstance(found, str)
+        # Identity plus one or two rank-1 terms v u^T, some of them reflections.
+        t = identity(C.n)
+        for _ in range(rng.choice((1, 1, 2))):
+            v = [rng.randint(-2, 2) for _ in range(C.n)]
+            u = [rng.randint(-2, 2) for _ in range(C.n)]
+            t = tuple(
+                tuple(t[r][c] + v[r] * u[c] for c in range(C.n)) for r in range(C.n)
+            )
+        found = _outcome(root_of_reflection, t)
+        assert found == _outcome(_fraction_root_of_reflection, t), t
+        matrix_outcomes.add(found if isinstance(found, str) else "root")
+    assert roots
+    assert {"root", "matrix does not move a rank-1 sublattice"} <= matrix_outcomes
