@@ -75,12 +75,6 @@ class CartanMatrix:
         """a_ij with 1-based indices."""
         return self.entries[i - 1][j - 1]
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.n) for j in range(self.n)
-        )
-
 
 def is_irreducible(entries: Matrix) -> bool:
     """Connectivity of the graph with an edge i-j whenever a_ij != 0."""

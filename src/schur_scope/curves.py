@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import hurwitz, weyl
 from ._matrix import Matrix, identity, matmul, matvec
 from .cartan import CartanMatrix, preset
-from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
+from .hurwitz import DEFAULT_NODE_CAP, Ternary
 from .weyl import Reflection, Root
 
 LoopWord = tuple[int, ...]
@@ -181,7 +181,6 @@ def is_simple(
     cw: CurveWord,
     n: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune_multiplier: int = DEFAULT_PRUNE_MULTIPLIER,
 ) -> SimpleVerdict:
     """Certify that the word lies in the braid-orbit closure of the fan.
 
@@ -195,9 +194,7 @@ def is_simple(
         raise ValueError(f"word references punctures beyond {n}")
     U = universal_model(n)
     t = reflection_of_curve(cw, U)
-    verdict = hurwitz.is_prefix_of_coxeter(
-        t, U, node_cap=node_cap, prune_multiplier=prune_multiplier
-    )
+    verdict = hurwitz.is_prefix_of_coxeter(t, U, node_cap=node_cap)
     if verdict.answer is Ternary.YES:
         return SimpleVerdict.YES
     if verdict.answer is Ternary.NO or verdict.exhausted:

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import weyl
-from ._matrix import Matrix, identity, mat_pow, matmul, matvec
+from ._matrix import Matrix, identity, mat_pow, mat_sub, matmul, matvec, rank
 from .cartan import (
     CartanMatrix,
     TypeClass,
@@ -317,15 +317,15 @@ def is_prefix_of_coxeter(
     C: CartanMatrix,
     order: tuple[int, ...] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune_multiplier: int = DEFAULT_PRUNE_MULTIPLIER,
 ) -> PrefixVerdict:
     """Certify that t extends to a reflection factorization t r_2 ... r_n = c.
 
-    Two routes are cross-checked where both are exact: (a) the length identity
-    l(t c) = n - 1 in absolute length, and (b) membership of t among the
-    components of the orbit of the canonical factorization.  Finite types are
-    decided exhaustively; infinite types report YES with a certificate or
-    UNKNOWN, never an uncertified NO.
+    Finite types are decided: the search for n - 1 reflections multiplying to
+    t c draws on all of T, so finding none is a NO.  Carter's lemma gives the
+    same answer independently, as rank(t c - id) = n - 1 ("Conjugacy classes
+    in the Weyl group", Compositio 1972, Lemma 2), and the two are
+    cross-checked.  Infinite types report YES with a certificate or UNKNOWN,
+    never an uncertified NO.
     """
     t = _as_reflection(t)
     canonical = canonical_factorization(C, order)
@@ -334,20 +334,17 @@ def is_prefix_of_coxeter(
     remainder = matmul(t.matrix, c)  # t^{-1} c, reflections being involutions
 
     if classify_type(C) is TypeClass.FINITE:
-        table = weyl._absolute_length_table(C)
-        if t.matrix not in table:
+        pool = weyl.reflections(C)
+        if all(t.matrix != r.matrix for r in pool):
             raise ValueError("reflection does not belong to this Weyl group")
-        length_route = table[remainder] == n - 1
-        orbit_route = any(t in f.parts for f in _full_orbit(C, order).factorizations)
-        if length_route != orbit_route:
-            raise AssertionError("length and orbit routes disagree; upstream bug")
-        if not length_route:
-            return PrefixVerdict(Ternary.NO, None)
-        rest = weyl.factor_into_reflections(remainder, n - 1, weyl.reflections(C))
-        if rest is None:
+        rest = weyl.factor_into_reflections(remainder, n - 1, pool)
+        carter = rank(mat_sub(remainder, identity(n))) == n - 1
+        if carter != (rest is not None):
             raise ArithmeticError(
-                "t c has absolute length n - 1 but no factorization; upstream bug"
+                "Carter's rank route and the reflection search disagree; upstream bug"
             )
+        if rest is None:
+            return PrefixVerdict(Ternary.NO, None)
         return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
 
     # Rank 2 is decidable outright: t extends iff t c is itself a reflection.
@@ -365,7 +362,7 @@ def is_prefix_of_coxeter(
         if rest is not None:
             return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
     # Orbit certificate search, pruned by component root height.
-    height_cap = prune_multiplier * max(height(t.root), 1)
+    height_cap = DEFAULT_PRUNE_MULTIPLIER * max(height(t.root), 1)
     outcome = _targeted_orbit_search(canonical, t, node_cap, height_cap)
     if outcome.word is not None:
         witness = apply_braid_word(canonical, outcome.word)

@@ -76,9 +76,6 @@ class NCPoset:
     def n(self) -> int:
         return self.cartan.n
 
-    def rank_of(self, w: Matrix) -> int:
-        return self.ranks[self.elements.index(w)]
-
     def leq(self, i: int, j: int) -> bool:
         """Order relation between element indices via the defining identity."""
         table = weyl._absolute_length_table(self.cartan)

@@ -73,18 +73,15 @@ def is_schur_root(
     beta: Root,
     o: Orientation,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune_multiplier: int = DEFAULT_PRUNE_MULTIPLIER,
 ) -> SchurVerdict:
     """Certify that the reflection of |beta| starts a reflection factorization
     of the Coxeter element.  YES verdicts always carry a witness factorization.
 
-    Finite types and rank 2 are decided exactly (every positive real root
-    passes there); other infinite types may report UNKNOWN within bounds.
+    Finite types (where every positive root passes, by Bessis) and rank 2 are
+    decided exactly; other infinite types may report UNKNOWN within bounds.
     """
     t = weyl.reflection_for_root(o.cartan, positive_part(beta))
-    verdict = hurwitz.is_prefix_of_coxeter(
-        t, o.cartan, o.order, node_cap=node_cap, prune_multiplier=prune_multiplier
-    )
+    verdict = hurwitz.is_prefix_of_coxeter(t, o.cartan, o.order, node_cap=node_cap)
     return SchurVerdict(verdict.answer, verdict.factorization)
 
 
@@ -207,14 +204,13 @@ def mutation_equivalence_check(
     beta: Root,
     o: Orientation,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune_multiplier: int = DEFAULT_PRUNE_MULTIPLIER,
 ) -> bool | None:
     """Whether beta's verdict matches the verdict of s(c) beta in the
     source-mutated orientation; None when either side is unresolved."""
     s = weyl.simple_reflection(o.cartan, o.source).matrix
     image = matvec(s, positive_part(beta))
-    before = is_schur_root(beta, o, node_cap, prune_multiplier)
-    after = is_schur_root(image, mutate(o, "source"), node_cap, prune_multiplier)
+    before = is_schur_root(beta, o, node_cap)
+    after = is_schur_root(image, mutate(o, "source"), node_cap)
     if Ternary.UNKNOWN in (before.answer, after.answer):
         return None
     return before.answer == after.answer
@@ -313,32 +309,37 @@ def verify_conjecture(
     o: Orientation,
     height_bound: int = 20,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune_multiplier: int = DEFAULT_PRUNE_MULTIPLIER,
 ) -> ConjectureReport:
     """Compare three root sets below the height bound: roots whose reflection
     passes the prefix certificate (P), roots harvested from simple-curve words
     reachable from the fan (S), and, for finite types, all positive roots (F).
 
     Truncation of either search is reported, never silent; roots with an
-    unresolved prefix status are listed as stragglers.
+    unresolved prefix status are listed as stragglers.  A finite type whose
+    Hurwitz orbit, walked by the harvest, exceeds the node cap is refused.
     """
     C = o.cartan
     enumerated = weyl.positive_real_roots(C, height_bound)  # exhaustive if finite
+    all_positive: tuple[Root, ...] | None = None
     if classify_type(C) is TypeClass.FINITE:
-        all_positive: tuple[Root, ...] | None = enumerated
-    else:
-        all_positive = None
+        count = hurwitz.factorization_count_formula(C)
+        if count > node_cap:
+            raise ValueError(
+                f"the Hurwitz orbit has {count} factorizations, more than the "
+                f"node cap of {node_cap}"
+            )
+        all_positive = enumerated
     positives = tuple(r for r in enumerated if height(r) <= height_bound)
     prefix_roots = []
     unknowns = []
     for beta in positives:
-        verdict = is_schur_root(beta, o, node_cap, prune_multiplier)
+        verdict = is_schur_root(beta, o, node_cap)
         if verdict.answer is Ternary.YES:
             prefix_roots.append(beta)
         elif verdict.answer is Ternary.UNKNOWN:
             unknowns.append(beta)
     harvested, exhausted = _curve_root_harvest(
-        o, height_bound, node_cap, prune_multiplier
+        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER
     )
     return ConjectureReport(
         height_bound=height_bound,

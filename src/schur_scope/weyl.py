@@ -166,14 +166,6 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     return Reflection(matrix, beta)
 
 
-def is_real_root(C: CartanMatrix, v: Root) -> bool:
-    try:
-        reflection_for_root(C, v)
-    except ValueError:
-        return False
-    return True
-
-
 def _bounded_closure(starts, moves, node_cap, expand=None):
     """Breadth-first closure of the starts under moves, keeping at most
     node_cap nodes; returns (nodes in discovery order, complete).
@@ -256,26 +248,24 @@ def _reflection_pool(C: CartanMatrix, height_bound: int) -> tuple[Reflection, ..
 
 @functools.lru_cache(maxsize=None)
 def group_order(C: CartanMatrix) -> int:
-    """|W| of a finite-type group, by orbit-stabilizer along the parabolic
-    chain W(C) > W(C on 1..n-1) > ... > 1, without enumerating W.
+    """|W| of a finite-type group, by orbit-stabilizer along a chain of
+    parabolic subgroups, without enumerating W.
 
     The stabilizer of a dominant weight is the standard parabolic subgroup
     generated by the simple reflections fixing it (Chevalley; Humphreys,
     "Reflection Groups and Coxeter Groups", 1990, 1.10-1.12), so
-    |W(C)| = |W omega_n| |W(C on 1..n-1)|; the submatrix may be reducible.
-    The orbit is taken in fundamental-weight coordinates, where
+    |W(C)| = |W omega_i| |W(C without vertex i)|; the submatrix may be
+    reducible.  Each step peels the vertex whose weight orbit is smallest,
+    each candidate's closure capped at the smallest orbit found so far: on
+    B_n, C_n and D_n that is omega_1, with 2n elements, where omega_n has
+    2^n or 2^(n-1).  Orbits are taken in fundamental-weight coordinates, where
     alpha_i = sum_j a_ji omega_j and s_i(lambda) = lambda - lambda_i alpha_i,
     so s_i changes only lambda_i and the coordinates of i's neighbours.
     """
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("group enumeration requires a finite-type matrix")
-    n = C.n
-    # columns[i]: the (j, a_ji) with a_ji != 0, i itself included.
-    columns = [
-        [(j, C.entries[j][i]) for j in range(n) if C.entries[j][i]] for i in range(n)
-    ]
 
-    def moves(weight: Vector):
+    def moves(weight: Vector):  # on the current step's columns
         for i, column in enumerate(columns):
             coefficient = weight[i]
             if coefficient:  # s_i fixes the weight when lambda_i = 0
@@ -284,15 +274,30 @@ def group_order(C: CartanMatrix) -> int:
                     image[j] -= coefficient * a_ji
                 yield tuple(image)
 
-    omega_n = (0,) * (n - 1) + (1,)
-    orbit, complete = _bounded_closure([omega_n], moves, _FINITE_CLOSURE_CAP)
-    if not complete:
-        raise ValueError(
-            f"a weight orbit exceeds the safety cap of {_FINITE_CLOSURE_CAP} elements"
-        )
-    if n == 1:
-        return len(orbit)
-    return len(orbit) * group_order(submatrix(C, tuple(range(1, n))))
+    order = 1
+    while True:
+        n = C.n
+        # columns[i]: the (j, a_ji) with a_ji != 0, i itself included.
+        columns = [
+            [(j, C.entries[j][i]) for j in range(n) if C.entries[j][i]]
+            for i in range(n)
+        ]
+        best, peeled = _FINITE_CLOSURE_CAP, None
+        # End vertices first: their orbits are the small ones, and a small
+        # first orbit caps every later closure.
+        for i in sorted(range(n), key=lambda i: len(columns[i])):
+            omega = tuple(int(j == i) for j in range(n))
+            orbit, complete = _bounded_closure([omega], moves, best)
+            if complete and (peeled is None or len(orbit) < best):
+                best, peeled = len(orbit), i
+        if peeled is None:
+            raise ValueError(
+                f"a weight orbit exceeds the safety cap of {_FINITE_CLOSURE_CAP} elements"
+            )
+        order *= best
+        if n == 1:
+            return order
+        C = submatrix(C, tuple(j for j in range(1, n + 1) if j != peeled + 1))
 
 
 @functools.lru_cache(maxsize=None)

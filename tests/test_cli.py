@@ -134,6 +134,36 @@ def test_nc_list_refuses_groups_above_the_enumeration_cap(capsys):
     )
 
 
+def test_schur_check_on_e7_answers_with_a_witness(capsys):
+    # The highest root of E7.
+    argv = ["--type", "E7", "--json", "schur", "check", "--root", "2,3,4,3,2,1,2"]
+    code, out = _run(capsys, argv)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["answer"] == "yes"
+    assert data["certificate"][0] == [2, 3, 4, 3, 2, 1, 2]
+    assert len(data["certificate"]) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, count, cap",
+    [
+        (["--type", "E7", "schur", "verify"], 1062882, 1000000),
+        # A3 printed a truncated report with exit 2 before the refusal.
+        (["--type", "A3", "--orbit-cap", "10", "schur", "verify"], 16, 10),
+    ],
+)
+def test_schur_verify_refuses_finite_orbits_above_the_node_cap(capsys, argv, count, cap):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the Hurwitz orbit has {count} factorizations, more than the node "
+        f"cap of {cap}\n"
+    )
+
+
 def test_caps_must_be_positive(capsys):
     assert run(["--type", "A2", "--orbit-cap", "0", "roots", "list"]) == EXIT_USAGE
     capsys.readouterr()

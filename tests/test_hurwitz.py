@@ -10,6 +10,7 @@ from schur_scope.hurwitz import (
     Factorization,
     SearchOutcome,
     Ternary,
+    _full_orbit,
     _targeted_orbit_search,
     apply_braid_word,
     braid_move,
@@ -253,16 +254,47 @@ def test_normality_probe_requires_finite():
 
 
 def test_prefix_routes_cross_checked_on_all_reflections():
-    # is_prefix_of_coxeter runs the length route and the orbit route for
-    # finite types and raises on disagreement; drive it over every reflection
-    # of every finite preset up to rank 4.
-    for name in ("A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "D4", "F4"):
+    # Three routes to the prefix set of a finite type: the decided answer of
+    # is_prefix_of_coxeter (a reflection search cross-checked against
+    # Carter's rank criterion), the roots met in the full Hurwitz orbit, and
+    # the whole positive system (every reflection is a prefix, by Bessis).
+    for name in (
+        "A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4",
+        "F4", "A5", "B5", "C5", "D5",
+    ):
         C = preset(name)
+        yes = set()
         for t in weyl.reflections(C):
             verdict = is_prefix_of_coxeter(t, C)
             assert verdict.answer is not Ternary.UNKNOWN
             if verdict.answer is Ternary.YES:
                 assert verdict.factorization.parts[0] == t
+                yes.add(t.root)
+        in_orbit = {r for f in _full_orbit(C, None).factorizations for r in f.roots()}
+        assert yes == in_orbit == set(weyl.positive_real_roots(C, 1)), name
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_prefix_decided_without_the_group_table(name):
+    C = preset(name)
+    for t in weyl.reflections(C):
+        verdict = is_prefix_of_coxeter(t, C)
+        assert verdict.answer is Ternary.YES
+        assert verdict.factorization.parts[0] == t
+
+
+def test_prefix_rejects_foreign_reflection():
+    # universal:2:2's s1 is a reflection with the root (1, 0), but not A2's s1.
+    s1 = weyl.simple_reflection(preset("universal:2:2"), 1).matrix
+    with pytest.raises(ValueError, match="does not belong to this Weyl group"):
+        is_prefix_of_coxeter(s1, preset("A2"))
+
+
+def test_prefix_search_and_carter_route_must_agree(monkeypatch):
+    monkeypatch.setattr(weyl, "factor_into_reflections", lambda *args: None)
+    A3 = preset("A3")
+    with pytest.raises(ArithmeticError, match="disagree"):
+        is_prefix_of_coxeter(weyl.simple_reflection(A3, 1), A3)
 
 
 # Reference searches on Factorization nodes, one braid_move per image: the

@@ -263,6 +263,14 @@ def test_verify_conjecture_affine_with_honest_stragglers():
     assert {(0, 1, 0), (1, 0, 1)} <= set(report.prefix_roots)
 
 
+def test_verify_conjecture_refuses_finite_orbits_above_the_node_cap():
+    # The harvest walks the whole Hurwitz orbit, n! h^n / |W| tuples: 16 on A3.
+    with pytest.raises(ValueError, match="16 factorizations, more than the node cap of 15"):
+        verify_conjecture(_o("A3"), 10, node_cap=15)
+    report = verify_conjecture(_o("A3"), 10, node_cap=16)
+    assert report.sets_match and not report.truncated
+
+
 def test_report_json_shape():
     report = verify_conjecture(_o("A2"), 5)
     data = report.to_json_dict()

@@ -295,6 +295,16 @@ def test_group_order_on_reducible_submatrices(name, vertices, order):
     assert weyl.group_order(C) == len(enumerate_group(C)) == order
 
 
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_group_order_of_classical_families(family):
+    # omega_n of B_n, C_n and D_n has an orbit of 2^n or 2^(n-1) elements, past
+    # the closure cap from n = 21 on; the peeled weight must be a smaller one.
+    for n in range(4 if family == "D" else 2, 31):
+        order = 2**n * math.factorial(n)
+        expected = order // 2 if family == "D" else order
+        assert weyl.group_order(preset(f"{family}{n}")) == expected, n
+
+
 def test_enumerate_group_refuses_large_groups_and_checks_its_size(monkeypatch):
     with pytest.raises(ValueError, match="2903040 elements"):
         enumerate_group(preset("E7"))
