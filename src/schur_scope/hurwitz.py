@@ -324,8 +324,14 @@ def is_prefix_of_coxeter(
     t c draws on all of T, so finding none is a NO.  Carter's lemma gives the
     same answer independently, as rank(t c - id) = n - 1 ("Conjugacy classes
     in the Weyl group", Compositio 1972, Lemma 2), and the two are
-    cross-checked.  Infinite types report YES with a certificate or UNKNOWN,
-    never an uncertified NO.
+    cross-checked.  Rank 2 is decided too: t extends iff t c is a reflection.
+    Other infinite types report YES with a certificate or UNKNOWN, never an
+    uncertified NO.  Their certificate comes from a breadth-first search of
+    the Hurwitz orbit of the canonical factorization, on root tuples, that does
+    not expand tuples with a root taller than DEFAULT_PRUNE_MULTIPLIER times
+    the height of t; the braid word it finds is replayed by braid_move and the
+    witness must start with t.  On every type a t outside W(C) raises
+    ValueError.
     """
     t = _as_reflection(t)
     canonical = canonical_factorization(C, order)
@@ -347,6 +353,11 @@ def is_prefix_of_coxeter(
             return PrefixVerdict(Ternary.NO, None)
         return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
 
+    # A reflection of W is the reflection of its own root, which must be a
+    # real root (reflection_for_root raises ValueError otherwise).
+    if weyl.reflection_for_root(C, t.root).matrix != t.matrix:
+        raise ValueError("reflection does not belong to this Weyl group")
+
     # Rank 2 is decidable outright: t extends iff t c is itself a reflection.
     if n == 2:
         rest = weyl.factor_into_reflections(remainder, 1, ())
@@ -354,13 +365,6 @@ def is_prefix_of_coxeter(
             return PrefixVerdict(Ternary.NO, None)
         return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
 
-    # Infinite type: algebraic certificate search first, with reflection pools
-    # sized from the query root (doubled out to give headroom).
-    for bound in weyl.adaptive_pool_bounds(height(t.root)):
-        pool = weyl._reflection_pool(C, bound)
-        rest = weyl.factor_into_reflections(remainder, n - 1, pool)
-        if rest is not None:
-            return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
     # Orbit certificate search, pruned by component root height.
     height_cap = DEFAULT_PRUNE_MULTIPLIER * max(height(t.root), 1)
     outcome = _targeted_orbit_search(canonical, t, node_cap, height_cap)

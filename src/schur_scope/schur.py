@@ -78,7 +78,10 @@ def is_schur_root(
     of the Coxeter element.  YES verdicts always carry a witness factorization.
 
     Finite types (where every positive root passes, by Bessis) and rank 2 are
-    decided exactly; other infinite types may report UNKNOWN within bounds.
+    decided exactly.  On other infinite types the witness is the canonical
+    factorization moved by a braid word that a height-pruned orbit search
+    found, so it starts with the reflection of |beta|; when that search finds
+    none the answer is UNKNOWN.
     """
     t = weyl.reflection_for_root(o.cartan, positive_part(beta))
     verdict = hurwitz.is_prefix_of_coxeter(t, o.cartan, o.order, node_cap=node_cap)

@@ -284,10 +284,62 @@ def test_prefix_decided_without_the_group_table(name):
 
 
 def test_prefix_rejects_foreign_reflection():
-    # universal:2:2's s1 is a reflection with the root (1, 0), but not A2's s1.
-    s1 = weyl.simple_reflection(preset("universal:2:2"), 1).matrix
-    with pytest.raises(ValueError, match="does not belong to this Weyl group"):
-        is_prefix_of_coxeter(s1, preset("A2"))
+    # The foreign s1 is a reflection with the root (1, 0, ...), like s1 of the
+    # group asked about, but moves the other simple roots differently.  One
+    # case per branch: finite, rank-2 infinite, rank-3 infinite.
+    for foreign, name in (
+        ("universal:2:2", "A2"),
+        ("universal:2:3", "universal:2:2"),
+        ("universal:3:3", "universal:3:2"),
+    ):
+        s1 = weyl.simple_reflection(preset(foreign), 1).matrix
+        with pytest.raises(ValueError, match="does not belong to this Weyl group"):
+            is_prefix_of_coxeter(s1, preset(name))
+
+
+def _pool_route(t, C, order):
+    """The reflection-pool certificate: t c as n - 1 reflections drawn from
+    height-bounded pools, doubled out from twice the height of t."""
+    c = weyl.coxeter_element(C, order)
+    for bound in weyl.adaptive_pool_bounds(weyl.height(t.root)):
+        pool = weyl._reflection_pool(C, bound)
+        rest = weyl.factor_into_reflections(matmul(t.matrix, c), C.n - 1, pool)
+        if rest is not None:
+            return (t,) + rest
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, order, height",
+    [
+        ("universal:3:2", None, 12),
+        ("affine-A2", (1, 2, 3), 10),
+        ("affine-A2", (3, 1, 2), 10),
+        ("universal:4:2", None, 4),
+        ("universal:3:3", None, 30),
+    ],
+)
+def test_orbit_certificates_match_the_pool_route(name, order, height):
+    # The reflection-pool route, which is_prefix_of_coxeter no longer runs on
+    # infinite types, certifies exactly the roots the orbit search certifies.
+    C = preset(name)
+    c = weyl.coxeter_element(C, order)
+    orbit_yes, pool_yes = set(), set()
+    for beta in weyl.positive_real_roots(C, height):
+        t = weyl.reflection_for_root(C, beta)
+        verdict = is_prefix_of_coxeter(t, C, order)
+        if verdict.answer is Ternary.YES:
+            assert verdict.factorization.parts[0] == t
+            Factorization(verdict.factorization.parts, c)  # product check
+            orbit_yes.add(beta)
+        else:
+            assert verdict.answer is Ternary.UNKNOWN
+        witness = _pool_route(t, C, order)
+        if witness is not None:
+            Factorization(witness, c)
+            pool_yes.add(beta)
+    assert orbit_yes == pool_yes
+    assert orbit_yes  # the comparison is not vacuous
 
 
 def test_prefix_search_and_carter_route_must_agree(monkeypatch):

@@ -335,3 +335,18 @@ def test_curve_harvest_matches_matrix_keyed_reference(name, order):
                 assert _curve_root_harvest(*args) == expected, args[1:]
                 exhausted_seen.add(expected[1])
     assert exhausted_seen == {True, False}  # both truncated and complete runs
+
+
+def test_infinite_type_certificates_build_no_reflection_pool(monkeypatch):
+    # On infinite types the prefix certificate is the braid-orbit search alone.
+    def refuse(*args):
+        raise AssertionError("reflection pool built")
+
+    monkeypatch.setattr(weyl, "_reflection_pool", refuse)
+    report = verify_conjecture(_o("universal:3:2"), 12)
+    assert report.unknowns == ((1, 6, 2), (2, 6, 1))
+    assert len(report.prefix_roots) == 37
+    assert set(report.prefix_roots) <= set(report.curve_roots)
+    assert not report.truncated
+    verdict = curves.is_simple(CurveWord((2, 1, 3, 1), 2), 3)
+    assert verdict is curves.SimpleVerdict.NO_WITHIN_BOUND
