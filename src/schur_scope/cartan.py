@@ -232,7 +232,7 @@ def coxeter_number(C: CartanMatrix) -> int:
         if power == identity(C.n):
             return h
         power = matmul(power, c)
-    raise AssertionError("finite-type Coxeter element must have finite order")
+    raise ArithmeticError("finite-type Coxeter element must have finite order")
 
 
 def submatrix(C: CartanMatrix, indices: tuple[int, ...]) -> CartanMatrix:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for definitive answers, 1 for usage or validation errors, 2 when
 the result contains an unknown or truncated component, so scripts can tell
-"no" apart from "gave up".  Every handler is a thin adapter around exactly one
-core operation; --json emits the report dict with sorted keys.
+"no" apart from "gave up", and 3 when an internal self-check failed.  Every
+handler is a thin adapter around exactly one core operation; --json emits the
+report dict with sorted keys.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ DEFAULT_HEIGHT_BOUND = 20
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -389,6 +391,9 @@ def run(argv: list[str] | None = None) -> int:
     except (CartanError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(emit(payload, session.json_mode))
     return code
 

@@ -6,13 +6,12 @@ a product of generators reads the product right to left; all identities checked
 here are encoded accordingly.
 
 braid_move and apply_braid_word act on Factorization objects by conjugating
-matrices; they are the reference route.  The orbit searches instead move on
-tuples of positive roots, a reflection being determined by its root: by the
-identity t_a t_b t_a = t_{s_a(beta_b)}, the generator move sends
-(beta_a, beta_b) to (positive_part(t_a beta_b), beta_a), one matrix-vector
-product.  Each search builds the Reflection of every root it meets once, by
-making the move that first brings the root in once more with braid_move, whose
-roots must agree with the root move.
+matrices; they replay braid words.  The orbit searches instead move on tuples
+of positive roots, a reflection being determined by its root: by the identity
+t_a t_b t_a = t_{s_a(beta_b)}, the generator move sends (beta_a, beta_b) to
+(positive_part(t_a beta_b), beta_a), one matrix-vector product.  Each search
+builds the Reflection of every root it meets once, as the conjugate
+t_a t_b t_a, whose root must agree with the root move.
 """
 
 from __future__ import annotations
@@ -120,28 +119,25 @@ def word_inverse(word: BraidWord) -> BraidWord:
 
 
 class _RootTuples:
-    """Generator moves on tuples of positive roots, checked against braid_move.
+    """Generator moves on tuples of positive roots.
 
     The move at slot i sends (beta_a, beta_b) to (positive_part(t_a beta_b),
     beta_a) and its inverse sends it to (beta_b, positive_part(t_b beta_a)),
-    one matrix-vector product each.  A move that brings in a root met for the
-    first time is made once more by braid_move on the node's Factorization: its
-    roots must equal the image, and it supplies the new root's Reflection and
-    the image's Factorization.
+    one matrix-vector product each.  A root met for the first time gets its
+    Reflection by one conjugation, t_a t_b t_a or t_b t_a t_b, whose root must
+    equal the moved root.
     """
 
     def __init__(self, start: Factorization):
-        self.coxeter = start.coxeter
+        self.start = start
         self.reflections = {part.root: part for part in start.parts}
-        self.factorizations = {start.roots(): start}
 
     def factorization(self, node: RootTuple) -> Factorization:
-        """The node's Factorization, built and product-checked at most once."""
-        f = self.factorizations.get(node)
-        if f is None:
-            parts = tuple(self.reflections[root] for root in node)
-            f = self.factorizations[node] = Factorization(parts, self.coxeter)
-        return f
+        """The node's Factorization, product-checked unless it is the start."""
+        if node == self.start.roots():
+            return self.start
+        parts = tuple(self.reflections[root] for root in node)
+        return Factorization(parts, self.start.coxeter)
 
     def moves(self, node: RootTuple):
         """(letter, image) for the generator move and its inverse at every
@@ -149,25 +145,22 @@ class _RootTuples:
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
-            yield i, self._checked(node, i, False, head + (self._moved(a, b), a) + tail)
-            yield -i, self._checked(node, i, True, head + (b, self._moved(b, a)) + tail)
+            yield i, head + (self._moved(a, b), a) + tail
+            yield -i, head + (b, self._moved(b, a)) + tail
 
     def _moved(self, a: Root, b: Root) -> Root:
         """Root of t_a t_b t_a, which is s_a(beta_b) up to sign."""
-        return positive_part(matvec(self.reflections[a].matrix, b))
-
-    def _checked(self, node: RootTuple, i: int, inverse: bool, image: RootTuple) -> RootTuple:
-        slot = i if inverse else i - 1  # where the moved root lands
-        if image[slot] not in self.reflections:
-            moved = braid_move(self.factorization(node), i, inverse)
-            if moved.roots() != image:
+        t_a = self.reflections[a]
+        root = positive_part(matvec(t_a.matrix, b))
+        if root not in self.reflections:
+            t = _conjugate_reflection(t_a, self.reflections[b])
+            if t.root != root:
                 raise ArithmeticError(
-                    f"root move gives {image} but braid_move gives "
-                    f"{moved.roots()}; upstream bug"
+                    f"root move gives {root} but the conjugated reflection has "
+                    f"root {t.root}; upstream bug"
                 )
-            self.reflections[image[slot]] = moved.parts[slot]
-            self.factorizations[image] = moved
-        return image
+            self.reflections[root] = t
+        return root
 
 
 @dataclass(frozen=True)
@@ -183,10 +176,10 @@ def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orb
     """Breadth-first closure of the factorization under all generator moves.
 
     Nodes are root tuples and a move costs one matrix-vector product (see the
-    module docstring).  At most one Factorization is built per distinct tuple,
-    by braid_move where the tuple first brought in a root and from its roots
-    otherwise, so every returned factorization has had its product checked
-    against c exactly once.  They are returned sorted by roots.
+    module docstring).  A Factorization is built from its roots' reflections
+    only for each tuple returned, and the start is returned as given, so every
+    returned factorization has had its product checked against c exactly once.
+    They are returned sorted by roots.
 
     complete is True iff the closure terminated below the node cap; this always
     happens for finite types, where the orbit is the full set of reduced

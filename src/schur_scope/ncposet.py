@@ -153,7 +153,7 @@ def interval_factorization(
                         return tuple(reversed(path))
                     next_frontier.append(y)
             frontier = next_frontier
-        raise AssertionError("graded interval must contain a saturated chain")
+        raise ArithmeticError("graded interval must contain a saturated chain")
 
     steps = climb(u, w)
     prefix = climb(identity(C.n), u)

@@ -51,12 +51,13 @@ def negate(v: Root) -> Root:
 
 
 def positive_part(v: Root) -> Root:
-    """The positive vector among v and -v; rejects mixed-sign input."""
+    """The positive vector among v and -v; rejects zero and mixed-sign input."""
     if is_positive(v):
         return v
     if is_negative(v):
         return negate(v)
-    raise ValueError(f"{v} has mixed signs, so it is not a real root")
+    problem = "has mixed signs" if any(v) else "is the zero vector"
+    raise ValueError(f"{v} {problem}, so it is not a real root")
 
 
 def bilinear(C: CartanMatrix, u: Root, v: Root) -> int:

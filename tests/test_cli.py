@@ -6,6 +6,7 @@ import pytest
 
 from schur_scope import cartan, curves, hurwitz, repro, weyl
 from schur_scope.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNRESOLVED,
     EXIT_USAGE,
@@ -72,6 +73,24 @@ def test_usage_errors(capsys):
     assert run(["--type", "A2", "--cartan", "x", "roots", "list"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_zero_root_is_named_as_zero(capsys):
+    code = run(["--type", "A3", "schur", "check", "--root", "0,0,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "error: (0, 0, 0) is the zero vector, so it is not a real root\n"
+
+
+def test_failed_self_check_gives_exit_3(capsys, monkeypatch):
+    # The reflection search then disagrees with Carter's rank route.
+    monkeypatch.setattr(weyl, "factor_into_reflections", lambda *args: None)
+    code = run(["--type", "A3", "schur", "check", "--root", "1,0,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal invariant failed: ")
+    assert "disagree" in captured.err
 
 
 def test_cartan_file_input(tmp_path, capsys):

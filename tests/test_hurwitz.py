@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from schur_scope import weyl
+from schur_scope import hurwitz, weyl
 from schur_scope._matrix import matmul
 from schur_scope.cartan import preset
 from schur_scope.hurwitz import (
@@ -454,6 +454,20 @@ def test_orbit_rejects_reflection_with_wrong_root():
     )
     with pytest.raises(ArithmeticError):
         hurwitz_orbit(mislabelled)
+    with pytest.raises(ArithmeticError):
+        _targeted_orbit_search(mislabelled, s2, 10**6, None)
+
+
+def test_root_tuple_searches_make_no_braid_move(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("braid_move called inside a root-tuple search")
+
+    monkeypatch.setattr(hurwitz, "braid_move", refuse)
+    assert len(hurwitz_orbit(canonical_factorization(preset("B3")))) == ORBIT_SIZES["B3"]
+    C = preset("universal:3:2")
+    target = weyl.reflection_for_root(C, (2, 0, 1))
+    outcome = _targeted_orbit_search(canonical_factorization(C), target, 10**4, 8)
+    assert outcome.word is not None
 
 
 def test_orbit_checks_each_distinct_product_once(monkeypatch):
