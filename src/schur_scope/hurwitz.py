@@ -9,9 +9,9 @@ braid_move and apply_braid_word act on Factorization objects by conjugating
 matrices; they replay braid words.  The orbit searches instead move on tuples
 of positive roots, a reflection being determined by its root: by the identity
 t_a t_b t_a = t_{s_a(beta_b)}, the generator move sends (beta_a, beta_b) to
-(positive_part(t_a beta_b), beta_a), one matrix-vector product.  Each search
-builds the Reflection of every root it meets once, as the conjugate
-t_a t_b t_a, whose root must agree with the root move.
+(positive_part(t_a beta_b), beta_a), one matrix-vector product.  All searches
+from one start share its table of reflections, each built once per process as
+the conjugate t_a t_b t_a, whose root must agree with the root move.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class _RootTuples:
     beta_a) and its inverse sends it to (beta_b, positive_part(t_b beta_a)),
     one matrix-vector product each.  A root met for the first time gets its
     Reflection by one conjugation, t_a t_b t_a or t_b t_a t_b, whose root must
-    equal the moved root.
+    equal the moved root.  Searches share one instance per start (_root_tuples).
     """
 
     def __init__(self, start: Factorization):
@@ -148,6 +148,9 @@ class _RootTuples:
             yield i, head + (self._moved(a, b), a) + tail
             yield -i, head + (b, self._moved(b, a)) + tail
 
+    def images(self, node: RootTuple):
+        return (image for _, image in self.moves(node))
+
     def _moved(self, a: Root, b: Root) -> Root:
         """Root of t_a t_b t_a, which is s_a(beta_b) up to sign."""
         t_a = self.reflections[a]
@@ -161,6 +164,13 @@ class _RootTuples:
                 )
             self.reflections[root] = t
         return root
+
+
+@functools.lru_cache(maxsize=None)
+def _root_tuples(start: Factorization) -> _RootTuples:
+    """Keyed by the whole Factorization, so a start whose reflections carry
+    other roots gets its own table, and its searches still raise."""
+    return _RootTuples(start)
 
 
 @dataclass(frozen=True)
@@ -187,10 +197,8 @@ def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orb
     """
     if node_cap < 1:
         raise ValueError("node cap must be >= 1")
-    roots = _RootTuples(start)
-    nodes, complete = weyl._bounded_closure(
-        [start.roots()], lambda node: (image for _, image in roots.moves(node)), node_cap
-    )
+    roots = _root_tuples(start)
+    nodes, complete = weyl._bounded_closure([start.roots()], roots.images, node_cap)
     factorizations = tuple(roots.factorization(node) for node in sorted(nodes))
     return OrbitResult(factorizations, complete)
 
@@ -267,7 +275,7 @@ def _targeted_orbit_search(
         word.extend(range(-slot, 0))  # -slot, ..., -1 walks the witness to slot 1
         return tuple(word)
 
-    roots = _RootTuples(start)
+    roots = _root_tuples(start)
     first = start.roots()
     parents: dict[RootTuple, tuple[RootTuple, int] | None] = {first: None}
     if target.root in first:
@@ -334,7 +342,7 @@ def is_prefix_of_coxeter(
 
     if classify_type(C) is TypeClass.FINITE:
         pool = weyl.reflections(C)
-        if all(t.matrix != r.matrix for r in pool):
+        if t not in pool:
             raise ValueError("reflection does not belong to this Weyl group")
         rest = weyl.factor_into_reflections(remainder, n - 1, pool)
         carter = rank(mat_sub(remainder, identity(n))) == n - 1

@@ -227,42 +227,28 @@ def _curve_root_harvest(
 ) -> tuple[set[Root], bool]:
     """Positive roots of curve words reachable from the fan by braid moves.
 
-    Curve-word tuples are deduplicated by their tuples of positive roots; each
-    root tuple keeps the first curve words that reached it, and braid moves
-    act on those words.  This key is exact: a curve's loop word evaluates to
-    w s_end w^-1 = t_beta with beta = w(alpha_end), and t_beta = t_gamma iff
-    beta = +-gamma, so two word tuples have the same root tuple iff their
-    loops evaluate to the same reflection tuple.  (In the universal group
-    words are already faithful; in finite groups distinct words for the same
-    curve system evaluate identically, and harvested roots depend only on the
-    evaluation.)  Tuples with a component root taller than
-    prune_multiplier * height_bound are recorded but not expanded.
+    The walk is on root tuples, with the hurwitz._RootTuples moves (and
+    reflection table) of the canonical factorization, whose roots are the fan's
+    roots.  A braid move replaces one curve by a neighbour's loop
+    w s_end w^-1 = t_a applied to it, so the new curve's root is +-t_a(beta_b),
+    the root the tuple move computes (tests/test_properties.py::
+    test_braid_move_transforms_signed_roots).  The key is exact: t_beta =
+    t_gamma iff beta = +-gamma, so two curve-word tuples have the same root
+    tuple iff their loops evaluate to the same reflection tuple.
+    tests/test_schur.py::test_curve_harvest_matches_matrix_keyed_reference
+    compares with the curve-word walk keyed by loop matrices.  Tuples with a
+    root taller than prune_multiplier * height_bound are kept, not expanded.
     """
-    C = o.cartan
     cap = prune_multiplier * height_bound
-
-    def root(w: CurveWord) -> Root:
-        return positive_part(curves.root_of_curve(w, C))
-
-    fan = tuple(CurveWord((), k) for k in o.order)
-    start = tuple(root(w) for w in fan)
-    words_of = {start: fan}  # the first curve words reaching each tuple
-
-    def moves(node: tuple[Root, ...]):
-        # Only the conjugated word's root is new; its neighbour's just shifts.
-        for i in range(1, o.n):
-            for inverse in (False, True):
-                image = curves.braid_move_curves(words_of[node], i, inverse)
-                new = root(image[i if inverse else i - 1])
-                pair = (node[i], new) if inverse else (new, node[i - 1])
-                key = node[: i - 1] + pair + node[i + 1 :]
-                words_of.setdefault(key, image)
-                yield key
+    start = hurwitz.canonical_factorization(o.cartan, o.order)
+    roots = hurwitz._root_tuples(start)
 
     def expandable(node: tuple[Root, ...]) -> bool:
         return all(height(r) <= cap for r in node)
 
-    nodes, exhausted = weyl._bounded_closure([start], moves, node_cap, expandable)
+    nodes, exhausted = weyl._bounded_closure(
+        [start.roots()], roots.images, node_cap, expandable
+    )
     harvested = {r for node in nodes for r in node if height(r) <= height_bound}
     return harvested, exhausted
 

@@ -285,16 +285,24 @@ def test_prefix_decided_without_the_group_table(name):
 
 def test_prefix_rejects_foreign_reflection():
     # The foreign s1 is a reflection with the root (1, 0, ...), like s1 of the
-    # group asked about, but moves the other simple roots differently.  One
-    # case per branch: finite, rank-2 infinite, rank-3 infinite.
+    # group asked about, but moves the other simple roots differently.  The
+    # mislabelled s1 carries the matrix of s1 of the group asked about but
+    # the root of s2.  One case of each per branch: finite, rank-2 infinite,
+    # rank-3 infinite.
+    cases = []
     for foreign, name in (
         ("universal:2:2", "A2"),
         ("universal:2:3", "universal:2:2"),
         ("universal:3:3", "universal:3:2"),
     ):
-        s1 = weyl.simple_reflection(preset(foreign), 1).matrix
+        cases.append((weyl.simple_reflection(preset(foreign), 1).matrix, name))
+    for name in ("A3", "universal:2:2", "universal:3:2"):
+        C = preset(name)
+        s1 = weyl.simple_reflection(C, 1)
+        cases.append((weyl.Reflection(s1.matrix, weyl.simple_root(C.n, 2)), name))
+    for t, name in cases:
         with pytest.raises(ValueError, match="does not belong to this Weyl group"):
-            is_prefix_of_coxeter(s1, preset(name))
+            is_prefix_of_coxeter(t, preset(name))
 
 
 def _pool_route(t, C, order):

@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 
-from schur_scope import curves, weyl
+from schur_scope import curves, hurwitz, weyl
 from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import coxeter_number, preset
 from schur_scope.curves import CurveWord
@@ -322,13 +322,20 @@ def _matrix_keyed_harvest(o, height_bound, node_cap, prune_multiplier):
         ("universal:2:2", (2, 1)),
         ("universal:3:2", (2, 3, 1)),
         ("affine-A2", (3, 1, 2)),
+        ("universal:4:2", (3, 1, 4, 2)),
+        ("D4", (4, 2, 1, 3)),
     ],
 )
 def test_curve_harvest_matches_matrix_keyed_reference(name, order):
     o = _o(name, order)
+    # The curve-word reference is slow at rank 4, so it gets a smaller grid.
+    if o.n < 4:
+        heights, node_caps = range(4, 9), (1, 5, 50, 300, DEFAULT_NODE_CAP)
+    else:
+        heights, node_caps = (4,), (5, 300)
     exhausted_seen = set()
-    for height_bound in range(4, 9):
-        for node_cap in (1, 5, 50, 300, DEFAULT_NODE_CAP):
+    for height_bound in heights:
+        for node_cap in node_caps:
             for prune_multiplier in (1, DEFAULT_PRUNE_MULTIPLIER):
                 args = (o, height_bound, node_cap, prune_multiplier)
                 expected = _matrix_keyed_harvest(*args)
@@ -350,3 +357,31 @@ def test_infinite_type_certificates_build_no_reflection_pool(monkeypatch):
     assert not report.truncated
     verdict = curves.is_simple(CurveWord((2, 1, 3, 1), 2), 3)
     assert verdict is curves.SimpleVerdict.NO_WITHIN_BOUND
+
+
+def test_curve_harvest_moves_no_curve_words(monkeypatch):
+    # The harvest walks root tuples; curve words stay the tests' reference.
+    def refuse(*args, **kwargs):
+        raise AssertionError("curve word rewritten or evaluated")
+
+    monkeypatch.setattr(curves, "braid_move_curves", refuse)
+    monkeypatch.setattr(curves, "root_of_curve", refuse)
+    report = verify_conjecture(_o("universal:3:2"), 8)
+    assert report.sets_match and len(report.curve_roots) == 21
+    assert verify_conjecture(_o("D4")).sets_match
+
+
+def test_queries_from_one_start_share_its_reflection_table(monkeypatch):
+    # The second query meets only roots the first one already checked.  The
+    # root is an unknown, so no braid word is replayed.
+    o = _o("universal:3:2")
+    is_schur_root((1, 6, 2), o)
+    conjugations = []
+    conjugate = hurwitz._conjugate_reflection
+    monkeypatch.setattr(
+        hurwitz,
+        "_conjugate_reflection",
+        lambda a, b: (conjugations.append(b.root), conjugate(a, b))[1],
+    )
+    assert is_schur_root((1, 6, 2), o).answer is Ternary.UNKNOWN
+    assert conjugations == []
