@@ -218,8 +218,8 @@ def _cmd_schur(session: Session, args) -> tuple[dict, int]:
             "answer": verdict.answer.value,
             "certificate": (
                 None
-                if verdict.certificate is None
-                else _root_list(verdict.certificate.roots())
+                if verdict.factorization is None
+                else _root_list(verdict.factorization.roots())
             ),
         }
         return payload, _ternary_exit(verdict.answer)

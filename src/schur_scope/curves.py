@@ -185,16 +185,16 @@ def is_simple(
     """Certify that the word lies in the braid-orbit closure of the fan.
 
     Simplicity is a property of the curve, not of any particular root system,
-    so the loop is evaluated in the universal group on n generators and fed to
-    the bounded prefix search there.  YES always comes with an explicit
-    factorization found; NO_WITHIN_BOUND means the pruned search region was
-    explored completely without a witness.
+    so the curve's root is read in the universal group on n generators and fed
+    to the bounded prefix search there; its reflection is the loop's
+    evaluation there.  YES always comes with an explicit factorization found;
+    NO_WITHIN_BOUND means the pruned search region was explored completely
+    without a witness.
     """
     if cw.end > n or any(x > n for x in cw.letters):
         raise ValueError(f"word references punctures beyond {n}")
     U = universal_model(n)
-    t = reflection_of_curve(cw, U)
-    verdict = hurwitz.is_prefix_of_coxeter(t, U, node_cap=node_cap)
+    verdict = hurwitz.is_prefix_of_coxeter(root_of_curve(cw, U), U, node_cap=node_cap)
     if verdict.answer is Ternary.YES:
         return SimpleVerdict.YES
     if verdict.answer is Ternary.NO or verdict.exhausted:

@@ -228,12 +228,6 @@ def factorization_count_formula(C: CartanMatrix) -> int:
     return numerator // group_order
 
 
-def _as_reflection(t: Reflection | Matrix) -> Reflection:
-    if isinstance(t, Reflection):
-        return t
-    return Reflection(t, root_of_reflection(t))
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of a bounded targeted orbit search."""
@@ -314,36 +308,38 @@ class PrefixVerdict:
 
 
 def is_prefix_of_coxeter(
-    t: Reflection | Matrix,
+    beta: Root,
     C: CartanMatrix,
     order: tuple[int, ...] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> PrefixVerdict:
-    """Certify that t extends to a reflection factorization t r_2 ... r_n = c.
+    """Certify that the reflection t of the real root beta (either sign)
+    extends to a reflection factorization t r_2 ... r_n = c.
 
-    Finite types are decided: the search for n - 1 reflections multiplying to
-    t c draws on all of T, so finding none is a NO.  Carter's lemma gives the
-    same answer independently, as rank(t c - id) = n - 1 ("Conjugacy classes
-    in the Weyl group", Compositio 1972, Lemma 2), and the two are
-    cross-checked.  Rank 2 is decided too: t extends iff t c is a reflection.
-    Other infinite types report YES with a certificate or UNKNOWN, never an
-    uncertified NO.  Their certificate comes from a breadth-first search of
-    the Hurwitz orbit of the canonical factorization, on root tuples, that does
-    not expand tuples with a root taller than DEFAULT_PRUNE_MULTIPLIER times
-    the height of t; the braid word it finds is replayed by braid_move and the
-    witness must start with t.  On every type a t outside W(C) raises
-    ValueError.
+    t is built by weyl.reflection_for_root, so a beta that is not a real root
+    of C raises ValueError on every type.  Finite types and rank 2 are
+    decided: the search for n - 1 reflections multiplying to t c draws on all
+    of T (on rank 2 the one factor left is t c itself), so finding none is a
+    NO.  Carter's lemma gives the same answer independently, as
+    rank(t c - id) = n - 1 ("Conjugacy classes in the Weyl group", Compositio
+    1972, Lemma 2; on rank 2, t c has determinant -1, so rank 1 makes it a
+    reflection), and the two are cross-checked.  Other infinite types report
+    YES with a certificate or UNKNOWN, never an uncertified NO.  Their
+    certificate comes from a breadth-first search of the Hurwitz orbit of the
+    canonical factorization, on root tuples, that does not expand tuples with
+    a root taller than DEFAULT_PRUNE_MULTIPLIER times the height of beta; the
+    braid word it finds is replayed by braid_move and the witness must start
+    with t.
     """
-    t = _as_reflection(t)
+    t = weyl.reflection_for_root(C, beta)
     canonical = canonical_factorization(C, order)
     c = canonical.coxeter
     n = C.n
     remainder = matmul(t.matrix, c)  # t^{-1} c, reflections being involutions
 
-    if classify_type(C) is TypeClass.FINITE:
-        pool = weyl.reflections(C)
-        if t not in pool:
-            raise ValueError("reflection does not belong to this Weyl group")
+    finite = classify_type(C) is TypeClass.FINITE
+    if finite or n == 2:
+        pool = weyl.reflections(C) if finite else ()
         rest = weyl.factor_into_reflections(remainder, n - 1, pool)
         carter = rank(mat_sub(remainder, identity(n))) == n - 1
         if carter != (rest is not None):
@@ -354,20 +350,8 @@ def is_prefix_of_coxeter(
             return PrefixVerdict(Ternary.NO, None)
         return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
 
-    # A reflection of W is the reflection of its own root, which must be a
-    # real root (reflection_for_root raises ValueError otherwise).
-    if weyl.reflection_for_root(C, t.root).matrix != t.matrix:
-        raise ValueError("reflection does not belong to this Weyl group")
-
-    # Rank 2 is decidable outright: t extends iff t c is itself a reflection.
-    if n == 2:
-        rest = weyl.factor_into_reflections(remainder, 1, ())
-        if rest is None:
-            return PrefixVerdict(Ternary.NO, None)
-        return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
-
     # Orbit certificate search, pruned by component root height.
-    height_cap = DEFAULT_PRUNE_MULTIPLIER * max(height(t.root), 1)
+    height_cap = DEFAULT_PRUNE_MULTIPLIER * height(t.root)
     outcome = _targeted_orbit_search(canonical, t, node_cap, height_cap)
     if outcome.word is not None:
         witness = apply_braid_word(canonical, outcome.word)

@@ -117,7 +117,9 @@ def interval_factorization(
 ) -> IntervalFactorization:
     """Reflections t_1 ... t_m with u t_1 ... t_m = w and m = l(w) - l(u).
 
-    Found by breadth-first search inside the interval; the returned sequence is
+    Found greedily: from x, step to x t for the first reflection t with
+    l(x t) = l(x) + 1 and x t <= w.  Every such cover lies on a saturated
+    chain to w, so the climb never has to back up.  The returned sequence is
     also embedded in a full reflection factorization of c (identity to u, the
     steps, then w to c).
     """
@@ -129,31 +131,17 @@ def interval_factorization(
         raise ValueError("interval requires u <= w <= c in absolute order")
 
     def climb(lower: Matrix, upper: Matrix) -> tuple[Reflection, ...]:
-        if lower == upper:
-            return ()
-        parents: dict[Matrix, tuple[Matrix, Reflection] | None] = {lower: None}
-        frontier = [lower]
-        while frontier:
-            next_frontier = []
-            for x in frontier:
-                for t in weyl.reflections(C):
-                    y = matmul(x, t.matrix)
-                    if y in parents or table[y] != table[x] + 1:
-                        continue
-                    if not _leq_in_table(table, y, upper):
-                        continue
-                    parents[y] = (x, t)
-                    if y == upper:
-                        path = []
-                        cursor = y
-                        while parents[cursor] is not None:
-                            prev, step = parents[cursor]
-                            path.append(step)
-                            cursor = prev
-                        return tuple(reversed(path))
-                    next_frontier.append(y)
-            frontier = next_frontier
-        raise ArithmeticError("graded interval must contain a saturated chain")
+        steps = []
+        while lower != upper:
+            for t in weyl.reflections(C):
+                y = matmul(lower, t.matrix)
+                if table[y] == table[lower] + 1 and _leq_in_table(table, y, upper):
+                    break
+            else:
+                raise ArithmeticError("graded interval must contain a saturated chain")
+            steps.append(t)
+            lower = y
+        return tuple(steps)
 
     steps = climb(u, w)
     prefix = climb(identity(C.n), u)

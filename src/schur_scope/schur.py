@@ -15,7 +15,7 @@ from . import curves, hurwitz, weyl
 from ._matrix import Matrix, mat_pow, matmul, matvec
 from .cartan import CartanMatrix, TypeClass, classify_type, coxeter_number
 from .curves import CurveWord
-from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Factorization, Ternary
+from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
 from .weyl import Root, height, positive_part
 
 
@@ -63,19 +63,15 @@ def mutate(o: Orientation, which: str) -> Orientation:
     raise ValueError("which must be 'source' or 'sink'")
 
 
-@dataclass(frozen=True)
-class SchurVerdict:
-    answer: Ternary
-    certificate: Factorization | None
-
-
 def is_schur_root(
     beta: Root,
     o: Orientation,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> SchurVerdict:
-    """Certify that the reflection of |beta| starts a reflection factorization
-    of the Coxeter element.  YES verdicts always carry a witness factorization.
+) -> hurwitz.PrefixVerdict:
+    """Certify that the reflection of the real root beta (either sign) starts
+    a reflection factorization of the Coxeter element; a beta that is not a
+    real root raises ValueError.  YES verdicts always carry a witness
+    factorization.
 
     Finite types (where every positive root passes, by Bessis) and rank 2 are
     decided exactly.  On other infinite types the witness is the canonical
@@ -83,9 +79,7 @@ def is_schur_root(
     found, so it starts with the reflection of |beta|; when that search finds
     none the answer is UNKNOWN.
     """
-    t = weyl.reflection_for_root(o.cartan, positive_part(beta))
-    verdict = hurwitz.is_prefix_of_coxeter(t, o.cartan, o.order, node_cap=node_cap)
-    return SchurVerdict(verdict.answer, verdict.factorization)
+    return hurwitz.is_prefix_of_coxeter(beta, o.cartan, o.order, node_cap=node_cap)
 
 
 def schur_transversal_finite(o: Orientation) -> tuple[Root, ...]:

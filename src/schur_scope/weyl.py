@@ -136,13 +136,21 @@ def root_of_reflection(t: Matrix) -> Root:
 
 
 def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
-    """The unique reflection v -> v - (2 B(v, beta) / B(beta, beta)) beta.
+    """The reflection v -> v - <v, beta^vee> beta of a real root beta.
 
-    Raises ValueError unless beta is a real root: the candidate matrix must be
-    integral, an involution moving a rank-1 sublattice, its root must round-trip
-    to beta, and B(beta, beta) must equal some simple-root norm 2 d_i.
+    Either sign of beta is accepted; every vector that is not a real root
+    raises ValueError.  The norm tests filter first: B(beta, beta) must equal
+    some simple-root norm 2 d_i.  Then beta descends: while it is not a simple
+    root, the first simple reflection s_i with <beta, alpha_i^vee> > 0 is
+    applied.  A positive real root other than a simple root has such an i, and
+    s_i takes it to a lower positive real root (Kac, "Infinite-dimensional Lie
+    algebras", 1990, 5.1), so beta is real iff the descent reaches some
+    alpha_j, which takes at most height(beta) steps.  The descent word w gives
+    beta = w alpha_j and beta^vee = w alpha_j^vee, so every matrix entry is an
+    integer.  The matrix must give back beta (ArithmeticError otherwise).
     """
-    if len(beta) != C.n:
+    n = C.n
+    if len(beta) != n:
         raise ValueError("rank mismatch")
     beta = positive_part(beta)
     norm = bilinear(C, beta, beta)
@@ -150,20 +158,32 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
         raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
     if norm not in {2 * d for d in symmetrizer(C)}:
         raise ValueError(f"{beta} has norm {norm}, not the norm of any simple root")
-    s = symmetrized(C)
-    s_beta = tuple(sum(s[i][j] * beta[j] for j in range(C.n)) for i in range(C.n))
-    rows: list[tuple[int, ...]] = []
-    for row in range(C.n):
-        entries = []
-        for col in range(C.n):
-            moved, remainder = divmod(2 * s_beta[col] * beta[row], norm)
-            if remainder:
-                raise ValueError(f"{beta} is not a real root (non-integral reflection)")
-            entries.append((1 if row == col else 0) - moved)
-        rows.append(tuple(entries))
-    matrix = tuple(rows)
+    a = C.entries
+    v = list(beta)
+    # pairing[i] = <v, alpha_i^vee>, updated along with v.
+    pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
+    word = []
+    while sum(v) != 1:
+        i = next((i for i in range(n) if pairing[i] > 0), None)
+        if i is None or v[i] < pairing[i]:
+            raise ValueError(f"{beta} is not a real root")
+        step = pairing[i]
+        v[i] -= step
+        for k in range(n):
+            pairing[k] -= step * a[k][i]
+        word.append(i)
+    coroot = v  # v is alpha_j; alpha_j^vee has the same simple-coroot coordinates
+    for i in reversed(word):
+        coroot[i] -= sum(a[k][i] * coroot[k] for k in range(n))
+    moved = [sum(coroot[i] * a[i][col] for i in range(n)) for col in range(n)]
+    matrix = tuple(
+        tuple(int(row == col) - beta[row] * moved[col] for col in range(n))
+        for row in range(n)
+    )
     if root_of_reflection(matrix) != beta:
-        raise ValueError(f"{beta} is not a real root (not primitive for its reflection)")
+        raise ArithmeticError(
+            f"the reflection built for {beta} has another root; upstream bug"
+        )
     return Reflection(matrix, beta)
 
 
@@ -236,7 +256,7 @@ def reflections(C: CartanMatrix) -> tuple[Reflection, ...]:
     """All reflections of a finite-type group, one per positive root."""
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("full reflection set requires a finite-type matrix")
-    return tuple(reflection_for_root(C, beta) for beta in positive_real_roots(C, 1))
+    return _reflection_pool(C, 1)  # the bound is ignored on finite types
 
 
 @functools.lru_cache(maxsize=None)

@@ -56,7 +56,7 @@ def test_criterion_2_every_orbit_component_is_a_prefix():
         orbit = hurwitz.hurwitz_orbit(hurwitz.canonical_factorization(C))
         for factorization in orbit.factorizations:
             for part in factorization.parts:
-                verdict = hurwitz.is_prefix_of_coxeter(part, C)
+                verdict = hurwitz.is_prefix_of_coxeter(part.root, C)
                 assert verdict.answer is Ternary.YES, (name, part.root)
     _report(2, "every component of every orbit factorization is a prefix",
             started, 60)

@@ -101,6 +101,21 @@ def test_cartan_file_input(tmp_path, capsys):
     assert "order = 8" in out.splitlines()
 
 
+def test_non_root_on_a_cartan_file_is_refused(tmp_path, capsys):
+    # (1, 0, 1, 0, 0) has the norm of alpha_4 of this affine B4 matrix but is
+    # not a root; the orbit search alone could only answer unknown.
+    source = tmp_path / "affine-b4.txt"
+    source.write_text(
+        "5 / 2 -1 0 0 0 / -1 2 -1 0 -1 / 0 -1 2 -2 0 / 0 0 -1 2 0 / 0 -1 0 0 2",
+        encoding="utf-8",
+    )
+    code = run(["--cartan", str(source), "schur", "check", "--root", "1,0,1,0,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: (1, 0, 1, 0, 0) is not a real root\n"
+
+
 def test_json_mode_round_trips(capsys):
     for argv in (
         ["--type", "A3", "--json", "orbit", "dump"],

@@ -142,6 +142,58 @@ def test_interval_lengths_match_rank_difference():
             assert len(witness.steps) == poset.ranks[j] - poset.ranks[i]
 
 
+def _bfs_climb(lower, upper, poset):
+    """Reference: breadth-first search for a saturated chain from lower up to
+    upper, stepping by reflections in the order of weyl.reflections."""
+    table = weyl._absolute_length_table(poset.cartan)
+    parents = {lower: None}
+    frontier = [lower]
+    while frontier and upper not in parents:
+        next_frontier = []
+        for x in frontier:
+            for t in weyl.reflections(poset.cartan):
+                y = matmul(x, t.matrix)
+                if y in parents or table[y] != table[x] + 1:
+                    continue
+                if table[y] + table[matmul(inverse(y), upper)] != table[upper]:
+                    continue
+                parents[y] = (x, t)
+                next_frontier.append(y)
+        frontier = next_frontier
+    path = []
+    cursor = upper
+    while parents[cursor] is not None:
+        cursor, step = parents[cursor]
+        path.append(step)
+    return tuple(reversed(path))
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("A2", None),
+        ("B2", None),
+        ("G2", None),
+        ("A3", None),
+        ("B3", (2, 3, 1)),
+        ("C3", None),
+        ("A4", (3, 1, 4, 2)),
+        ("D4", (4, 2, 1, 3)),
+        ("B4", None),
+    ],
+)
+def test_interval_climb_matches_bfs_reference(name, order):
+    poset = enumerate_nc(preset(name), order)
+    pairs = 0
+    for i, u in enumerate(poset.elements):
+        for j, w in enumerate(poset.elements):
+            if poset.leq(i, j):
+                steps = interval_factorization(u, w, poset).steps
+                assert steps == _bfs_climb(u, w, poset), (i, j)
+                pairs += 1
+    assert pairs > len(poset.elements)
+
+
 def test_chain_counts_match_orbit_sizes():
     for name, expected in CHAIN_COUNTS.items():
         C = preset(name)
@@ -161,12 +213,12 @@ def test_atoms_are_prefix_reflections():
         for w in atoms:
             assert weyl.is_reflection(w)
             t = weyl.Reflection(w, weyl.root_of_reflection(w))
-            assert hurwitz.is_prefix_of_coxeter(t, C).answer is Ternary.YES
+            assert hurwitz.is_prefix_of_coxeter(t.root, C).answer is Ternary.YES
         # Conversely every prefix reflection is an atom.
         prefixes = {
             t.matrix
             for t in weyl.reflections(C)
-            if hurwitz.is_prefix_of_coxeter(t, C).answer is Ternary.YES
+            if hurwitz.is_prefix_of_coxeter(t.root, C).answer is Ternary.YES
         }
         assert prefixes == atoms
 

@@ -38,13 +38,13 @@ def test_orientation_validates():
 def test_is_schur_root_finite():
     verdict = is_schur_root((1, 1, 1), _o("A3"))
     assert verdict.answer is Ternary.YES
-    assert verdict.certificate.parts[0].root == (1, 1, 1)
+    assert verdict.factorization.parts[0].root == (1, 1, 1)
 
 
 def test_is_schur_root_universal_rank2():
     verdict = is_schur_root((3, 2), _o("universal:2:2"))
     assert verdict.answer is Ternary.YES
-    assert verdict.certificate.roots()[0] == (3, 2)
+    assert verdict.factorization.roots()[0] == (3, 2)
 
 
 def test_is_schur_root_mutation_example_root():
@@ -66,8 +66,8 @@ def test_certificates_revalidate():
         for beta in weyl.positive_real_roots(o.cartan, 4):
             verdict = is_schur_root(beta, o)
             assert verdict.answer is Ternary.YES
-            assert verdict.certificate.parts[0].root == beta
-            assert len(verdict.certificate.parts) == o.n
+            assert verdict.factorization.parts[0].root == beta
+            assert len(verdict.factorization.parts) == o.n
 
 
 def test_transversal_finite():

@@ -134,6 +134,39 @@ def test_reflection_for_root_validates():
         reflection_for_root(U, (1, 1))  # isotropic, not a real root
 
 
+def _vectors_up_to(n, bound):
+    """Every vector of n nonnegative integers with height <= bound."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _vectors_up_to(n - 1, bound - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    # Finite types up to the height h - 1 of the highest root, so every
+    # positive root is met; infinite types up to height 10.
+    [("B3", 5), ("B4", 7), ("C4", 7), ("F4", 11), ("G2", 5), ("D5", 7), ("E6", 11),
+     ("universal:3:2", 10), ("affine-A2", 10), ("affine-A3", 10),
+     ("universal:4:2", 10)],
+)
+def test_reflection_for_root_accepts_exactly_the_real_roots(name, bound):
+    C = preset(name)
+    accepted = set()
+    for beta in _vectors_up_to(C.n, bound):
+        if not any(beta):
+            continue
+        try:
+            t = reflection_for_root(C, beta)
+        except ValueError:
+            continue
+        assert t.root == beta and is_reflection(t.matrix)
+        accepted.add(beta)
+    assert accepted == set(positive_real_roots(C, bound))
+
+
 def test_root_of_reflection_examples():
     A3 = preset("A3")
     s2 = simple_reflection(A3, 2).matrix
@@ -371,13 +404,16 @@ def _fraction_root_of_reflection(t):
 
 
 def _fraction_reflection_for_root(C, beta):
-    """Reference: the reflection matrix built over Fractions."""
+    """Reference: membership in the root closure, then the reflection matrix
+    built over Fractions."""
     beta = weyl.positive_part(beta)
     norm = bilinear(C, beta, beta)
     if norm <= 0:
         raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
     if norm not in {2 * d for d in symmetrizer(C)}:
         raise ValueError(f"{beta} has norm {norm}, not the norm of any simple root")
+    if beta not in positive_real_roots(C, height(beta)):
+        raise ValueError(f"{beta} is not a real root")
     s = symmetrized(C)
     s_beta = [sum(s[i][j] * beta[j] for j in range(C.n)) for i in range(C.n)]
     rows = []
@@ -402,7 +438,7 @@ def _outcome(f, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "universal:3:2",
+@pytest.mark.parametrize("name", ["A3", "B3", "B4", "C3", "G2", "F4", "universal:3:2",
                                   "universal:2:3", "affine-A2"])
 def test_reflection_kernels_match_fraction_reference(name):
     C = preset(name)
