@@ -204,18 +204,6 @@ def classify_type(C: CartanMatrix) -> TypeClass:
     return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
 
 
-def _simple_reflection_matrix(C: CartanMatrix, i: int) -> Matrix:
-    """Matrix of s_i: column j is alpha_j - a_ij alpha_i (1-based i)."""
-    n = C.n
-    return tuple(
-        tuple(
-            (1 if row == col else 0) - (C.entries[i - 1][col] if row == i - 1 else 0)
-            for col in range(n)
-        )
-        for row in range(n)
-    )
-
-
 _ORDER_SEARCH_CAP = 10_000
 
 
@@ -225,8 +213,8 @@ def coxeter_number(C: CartanMatrix) -> int:
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("Coxeter number requires a finite-type matrix")
     c = identity(C.n)
-    for i in range(1, C.n + 1):
-        c = matmul(c, _simple_reflection_matrix(C, i))
+    for i, a_i in enumerate(C.entries):  # c s_i = c - (c alpha_i) (row i of C)
+        c = tuple(tuple(x - row[i] * a for x, a in zip(row, a_i)) for row in c)
     power = c
     for h in range(1, _ORDER_SEARCH_CAP + 1):
         if power == identity(C.n):

@@ -1,10 +1,10 @@
 """Command-line surface: session flags, one subcommand per core operation.
 
 Exit codes: 0 for definitive answers, 1 for usage or validation errors, 2 when
-the result contains an unknown or truncated component, so scripts can tell
-"no" apart from "gave up", and 3 when an internal self-check failed.  Every
-handler is a thin adapter around exactly one core operation; --json emits the
-report dict with sorted keys.
+the result contains an unknown or truncated component or a safety cap stopped
+the command, so scripts can tell "no" apart from "gave up", and 3 when an
+internal self-check failed.  Every handler is a thin adapter around exactly
+one core operation; --json emits the report dict with sorted keys.
 """
 
 from __future__ import annotations
@@ -391,6 +391,9 @@ def run(argv: list[str] | None = None) -> int:
     except (CartanError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a safety cap fired
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVED
     except ArithmeticError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -6,7 +6,8 @@ around the endpoint stripped into a sign, so each isotopy class of curves has
 one word (exactly one, once words are read in the universal Coxeter group,
 where the Cayley graph is a tree).  Geometry is never computed: braid moves,
 spiraling and simplicity certificates are all word rewriting plus exact
-evaluation in a Weyl group.
+evaluation in a Weyl group.  A curve's root is its word applied to the
+endpoint's simple root, and its reflection is the reflection of that root.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import enum
 from dataclasses import dataclass
 
 from . import hurwitz, weyl
-from ._matrix import Matrix, identity, matmul, matvec
 from .cartan import CartanMatrix, preset
 from .hurwitz import DEFAULT_NODE_CAP, Ternary
-from .weyl import Reflection, Root
+from .weyl import Root
 
 LoopWord = tuple[int, ...]
 
@@ -72,26 +72,17 @@ def loop_of_curve(cw: CurveWord) -> LoopWord:
     return cw.letters + (cw.end,) + tuple(reversed(cw.letters))
 
 
-def evaluate_loop(word: LoopWord, C: CartanMatrix) -> Matrix:
-    """Matrix of the group element the loop word spells."""
-    result = identity(C.n)
-    for letter in word:
-        result = matmul(result, weyl.simple_reflection(C, letter).matrix)
-    return result
-
-
 def root_of_curve(cw: CurveWord, C: CartanMatrix) -> Root:
     """sign * s_{j_1} ... s_{j_k} (alpha_end), always a real root."""
     v = weyl.simple_root(C.n, cw.end)
     for letter in reversed(cw.letters):
-        v = matvec(weyl.simple_reflection(C, letter).matrix, v)
+        v = weyl.simple_reflection(C, letter).apply(v)
     return v if cw.sign == 1 else weyl.negate(v)
 
 
-def reflection_of_curve(cw: CurveWord, C: CartanMatrix) -> Reflection:
-    """Evaluate the loop word; equals the reflection of |root_of_curve|."""
-    matrix = evaluate_loop(loop_of_curve(cw), C)
-    return Reflection(matrix, weyl.root_of_reflection(matrix))
+def reflection_of_curve(cw: CurveWord, C: CartanMatrix) -> weyl.Reflection:
+    """The reflection of the curve's root, which the loop word spells."""
+    return weyl.reflection_for_root(C, root_of_curve(cw, C))
 
 
 def fan(n: int) -> tuple[CurveWord, ...]:
@@ -186,8 +177,8 @@ def is_simple(
 
     Simplicity is a property of the curve, not of any particular root system,
     so the curve's root is read in the universal group on n generators and fed
-    to the bounded prefix search there; its reflection is the loop's
-    evaluation there.  YES always comes with an explicit factorization found;
+    to the bounded prefix search there, which builds the root's reflection.
+    YES always comes with an explicit factorization found;
     NO_WITHIN_BOUND means the pruned search region was explored completely
     without a witness.
     """

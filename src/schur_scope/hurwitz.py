@@ -5,13 +5,13 @@ A braid word is a tuple of nonzero letters, +i for the i-th generator move and
 a product of generators reads the product right to left; all identities checked
 here are encoded accordingly.
 
-braid_move and apply_braid_word act on Factorization objects by conjugating
-matrices; they replay braid words.  The orbit searches instead move on tuples
-of positive roots, a reflection being determined by its root: by the identity
-t_a t_b t_a = t_{s_a(beta_b)}, the generator move sends (beta_a, beta_b) to
-(positive_part(t_a beta_b), beta_a), one matrix-vector product.  All searches
-from one start share its table of reflections, each built once per process as
-the conjugate t_a t_b t_a, whose root must agree with the root move.
+A reflection is its root and coroot row (weyl.Reflection).  The generator
+move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
+gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a and has the coroot row
+phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0): O(n), no matrix.
+braid_move and apply_braid_word replay braid words on Factorization objects.
+The orbit searches move on tuples of positive roots, and all searches from one
+start share its table of reflections, each row built once per process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import weyl
-from ._matrix import Matrix, identity, mat_pow, mat_sub, matmul, matvec, rank
+from ._matrix import Matrix, identity, mat_pow, mat_sub, matmul, rank
 from .cartan import (
     CartanMatrix,
     TypeClass,
@@ -37,8 +37,9 @@ from .weyl import (
     Root,
     coxeter_element,
     height,
+    is_negative,
+    negate,
     positive_part,
-    root_of_reflection,
 )
 
 BraidWord = tuple[int, ...]
@@ -62,11 +63,13 @@ class Factorization:
     coxeter: Matrix
 
     def __post_init__(self):
-        product = identity(len(self.coxeter))
-        for part in self.parts:
-            product = matmul(product, part.matrix)
-        if product != self.coxeter:
-            raise ValueError("factorization product differs from the Coxeter element")
+        # t_n, ..., t_1 applied to alpha_j must give column j of c.
+        for j, column in enumerate(zip(*self.coxeter)):
+            v = tuple(int(i == j) for i in range(len(column)))
+            for part in reversed(self.parts):
+                v = part.apply(v)
+            if v != column:
+                raise ValueError("factorization product differs from the Coxeter element")
 
     @property
     def n(self) -> int:
@@ -86,9 +89,14 @@ def canonical_factorization(
 
 
 def _conjugate_reflection(a: Reflection, b: Reflection) -> Reflection:
-    """a b a^{-1}, with the root recomputed from the conjugated matrix."""
-    matrix = matmul(matmul(a.matrix, b.matrix), a.matrix)  # reflections are involutions
-    return Reflection(matrix, root_of_reflection(matrix))
+    """a b a^{-1} = t_gamma for gamma = a(beta_b), whose coroot row is
+    phi_b - phi_b(beta_a) phi_a (Kac, "Infinite-dimensional Lie algebras",
+    1990, 5.1); both are negated when gamma is negative."""
+    root, k = a.apply(b.root), b.pair(a.root)
+    coroot = tuple(x - k * y for x, y in zip(b.coroot, a.coroot))
+    if is_negative(root):
+        root, coroot = negate(root), negate(coroot)
+    return Reflection(root, coroot)
 
 
 def braid_move(f: Factorization, i: int, inverse: bool = False) -> Factorization:
@@ -123,9 +131,9 @@ class _RootTuples:
 
     The move at slot i sends (beta_a, beta_b) to (positive_part(t_a beta_b),
     beta_a) and its inverse sends it to (beta_b, positive_part(t_b beta_a)),
-    one matrix-vector product each.  A root met for the first time gets its
-    Reflection by one conjugation, t_a t_b t_a or t_b t_a t_b, whose root must
-    equal the moved root.  Searches share one instance per start (_root_tuples).
+    one coroot pairing each.  A root met for the first time gets its
+    Reflection by one conjugation, t_a t_b t_a or t_b t_a t_b, a row update.
+    Searches share one instance per start (_root_tuples).
     """
 
     def __init__(self, start: Factorization):
@@ -154,22 +162,16 @@ class _RootTuples:
     def _moved(self, a: Root, b: Root) -> Root:
         """Root of t_a t_b t_a, which is s_a(beta_b) up to sign."""
         t_a = self.reflections[a]
-        root = positive_part(matvec(t_a.matrix, b))
+        root = positive_part(t_a.apply(b))
         if root not in self.reflections:
-            t = _conjugate_reflection(t_a, self.reflections[b])
-            if t.root != root:
-                raise ArithmeticError(
-                    f"root move gives {root} but the conjugated reflection has "
-                    f"root {t.root}; upstream bug"
-                )
-            self.reflections[root] = t
+            self.reflections[root] = _conjugate_reflection(t_a, self.reflections[b])
         return root
 
 
 @functools.lru_cache(maxsize=None)
 def _root_tuples(start: Factorization) -> _RootTuples:
-    """Keyed by the whole Factorization, so a start whose reflections carry
-    other roots gets its own table, and its searches still raise."""
+    """Keyed by the whole Factorization, so starts with the same roots share
+    a table only when their coroot rows agree too."""
     return _RootTuples(start)
 
 
@@ -185,8 +187,8 @@ class OrbitResult:
 def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> OrbitResult:
     """Breadth-first closure of the factorization under all generator moves.
 
-    Nodes are root tuples and a move costs one matrix-vector product (see the
-    module docstring).  A Factorization is built from its roots' reflections
+    Nodes are root tuples and a move costs one coroot pairing (see the module
+    docstring).  A Factorization is built from its roots' reflections
     only for each tuple returned, and the start is returned as given, so every
     returned factorization has had its product checked against c exactly once.
     They are returned sorted by roots.

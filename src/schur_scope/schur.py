@@ -150,7 +150,7 @@ def c_orbit_census_finite(o: Orientation) -> tuple[tuple[Root, ...], ...]:
         seed = min(remaining, key=lambda r: (height(r), r))
         orbit = c_orbit(seed, o, step_bound=10 * coxeter_number(o.cartan))
         if not orbit.closed:
-            raise RuntimeError(f"c-orbit of {seed} did not close within 10 h steps")
+            raise ArithmeticError(f"c-orbit of {seed} did not close in 10 h steps; upstream bug")
         remaining.difference_update(orbit.roots)
         orbits.append(orbit.roots)
     return tuple(sorted(orbits))
@@ -204,8 +204,8 @@ def mutation_equivalence_check(
 ) -> bool | None:
     """Whether beta's verdict matches the verdict of s(c) beta in the
     source-mutated orientation; None when either side is unresolved."""
-    s = weyl.simple_reflection(o.cartan, o.source).matrix
-    image = matvec(s, positive_part(beta))
+    s = weyl.simple_reflection(o.cartan, o.source)
+    image = s.apply(positive_part(beta))
     before = is_schur_root(beta, o, node_cap)
     after = is_schur_root(image, mutate(o, "source"), node_cap)
     if Ternary.UNKNOWN in (before.answer, after.answer):

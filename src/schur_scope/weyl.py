@@ -1,8 +1,9 @@
-"""Faithful integer-matrix model of the Weyl group acting on the root lattice.
+"""Exact model of the Weyl group acting on the root lattice.
 
-Group elements are n x n integer matrices in the simple-root basis (column j =
-image of alpha_j), so equality is matrix equality and stays decidable even for
-infinite groups.  Roots are integer coordinate tuples; height is the L1 norm.
+Roots are integer coordinate tuples in the simple-root basis; height is the L1
+norm.  A reflection is its root and coroot row; other group elements are n x n
+integer matrices (column j = image of alpha_j), so equality stays decidable
+even for infinite groups.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import _matrix as _mat
-from ._matrix import Matrix, Vector, identity, mat_sub, matmul, matvec
+from ._matrix import Matrix, Vector, identity, mat_sub, matmul
 from .cartan import (
     CartanMatrix,
     TypeClass,
-    _simple_reflection_matrix,
     classify_type,
     submatrix,
     symmetrized,
@@ -28,10 +28,30 @@ Root = Vector
 
 @dataclass(frozen=True)
 class Reflection:
-    """A group involution moving a rank-1 sublattice, paired with its positive root."""
+    """v -> v - phi(v) beta for a real root beta, where the integer row
+    phi = coroot gives phi(v) = <v, beta^vee>; phi(beta) = 2 is checked."""
 
-    matrix: Matrix
     root: Root
+    coroot: Vector
+
+    def __post_init__(self):
+        if self.pair(self.root) != 2:
+            raise ArithmeticError(f"{self.coroot} does not pair {self.root} to 2; upstream bug")
+
+    def pair(self, v: Vector) -> int:
+        return sum(p * x for p, x in zip(self.coroot, v))
+
+    def apply(self, v: Vector) -> Vector:
+        k = self.pair(v)
+        return tuple(x - k * b for x, b in zip(v, self.root))
+
+    @functools.cached_property
+    def matrix(self) -> Matrix:
+        """id - beta phi, for finite-group tables and I/O."""
+        return tuple(
+            tuple(int(i == j) - b * p for j, p in enumerate(self.coroot))
+            for i, b in enumerate(self.root)
+        )
 
 
 def height(v: Root) -> int:
@@ -75,11 +95,11 @@ def simple_root(n: int, i: int) -> Root:
 
 @functools.lru_cache(maxsize=None)
 def simple_reflection(C: CartanMatrix, i: int) -> Reflection:
-    """s_i acting by alpha_j -> alpha_j - a_ij alpha_i."""
+    """s_i acting by alpha_j -> alpha_j - a_ij alpha_i: its coroot row is row i."""
     n = C.n
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    return Reflection(_simple_reflection_matrix(C, i), simple_root(n, i))
+    return Reflection(simple_root(n, i), C.entries[i - 1])
 
 
 def simple_reflections(C: CartanMatrix) -> tuple[Reflection, ...]:
@@ -146,8 +166,7 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     s_i takes it to a lower positive real root (Kac, "Infinite-dimensional Lie
     algebras", 1990, 5.1), so beta is real iff the descent reaches some
     alpha_j, which takes at most height(beta) steps.  The descent word w gives
-    beta = w alpha_j and beta^vee = w alpha_j^vee, so every matrix entry is an
-    integer.  The matrix must give back beta (ArithmeticError otherwise).
+    beta = w alpha_j and beta^vee = w alpha_j^vee, whence the coroot row.
     """
     n = C.n
     if len(beta) != n:
@@ -175,16 +194,8 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     coroot = v  # v is alpha_j; alpha_j^vee has the same simple-coroot coordinates
     for i in reversed(word):
         coroot[i] -= sum(a[k][i] * coroot[k] for k in range(n))
-    moved = [sum(coroot[i] * a[i][col] for i in range(n)) for col in range(n)]
-    matrix = tuple(
-        tuple(int(row == col) - beta[row] * moved[col] for col in range(n))
-        for row in range(n)
-    )
-    if root_of_reflection(matrix) != beta:
-        raise ArithmeticError(
-            f"the reflection built for {beta} has another root; upstream bug"
-        )
-    return Reflection(matrix, beta)
+    row = tuple(sum(coroot[i] * a[i][col] for i in range(n)) for col in range(n))
+    return Reflection(beta, row)
 
 
 def _bounded_closure(starts, moves, node_cap, expand=None):
@@ -232,7 +243,7 @@ def positive_real_roots(C: CartanMatrix, height_bound: int) -> tuple[Root, ...]:
 
     def moves(beta: Root):
         for g in gens:
-            image = matvec(g.matrix, beta)
+            image = g.apply(beta)
             # Only beta = alpha_i flips, and -alpha_i is recorded via pairing.
             if is_positive(image) and (unbounded or height(image) <= height_bound):
                 yield image
@@ -399,10 +410,14 @@ def factor_into_reflections(
             return () if target == identity(n) else None
         if k == 1:
             # Pool-free last step: the remaining factor is forced to be the
-            # target itself, so only reflection-hood needs checking.
-            if is_reflection(target):
-                return (Reflection(target, root_of_reflection(target)),)
-            return None
+            # target = id - beta phi itself.  root_of_reflection has checked
+            # that the columns are multiples of beta, so phi_c is exact.
+            if not is_reflection(target):
+                return None
+            beta = root_of_reflection(target)
+            p = next(i for i, x in enumerate(beta) if x)
+            row = tuple((int(p == c) - target[p][c]) // beta[p] for c in range(n))
+            return (Reflection(beta, row),)
         if not _parity_matches(target, k):
             return None
         if _mat.rank(mat_sub(target, identity(n))) > k:

@@ -93,6 +93,15 @@ def test_failed_self_check_gives_exit_3(capsys, monkeypatch):
     assert "disagree" in captured.err
 
 
+def test_safety_cap_gives_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "_FINITE_CLOSURE_CAP", 10)
+    code = run(["--type", "universal:3:2", "--height", "9", "roots", "list"])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNRESOLVED
+    assert captured.out == ""
+    assert captured.err == "error: root closure exceeded safety cap\n"
+
+
 def test_cartan_file_input(tmp_path, capsys):
     source = tmp_path / "b2.txt"
     source.write_text("2 / 2 -2 / -1 2", encoding="utf-8")

@@ -447,17 +447,16 @@ def test_targeted_search_matches_braid_move_reference(name):
 
 
 def test_orbit_rejects_reflection_with_wrong_root():
-    # The product check sees matrices only; the moved root (0, 1) then
-    # disagrees with the root (1, 1) of the conjugated matrix s1 s2 s1.
+    # A coroot row that does not pair its root to 2 is refused when built.
     A2 = preset("A2")
     s1, s2 = weyl.simple_reflections(A2)
-    mislabelled = Factorization(
-        (s1, weyl.Reflection(s2.matrix, (1, 1))), weyl.coxeter_element(A2)
-    )
     with pytest.raises(ArithmeticError):
-        hurwitz_orbit(mislabelled)
-    with pytest.raises(ArithmeticError):
-        _targeted_orbit_search(mislabelled, s2, 10**6, None)
+        weyl.Reflection((1, 1), s2.coroot)
+    # (1, 1) with the row (2, 0) pairs to 2, so it is a reflection, but not
+    # one of W(A2): the product check refuses it.
+    it = weyl.Reflection((1, 1), (2, 0))
+    with pytest.raises(ValueError):
+        Factorization((s1, it), weyl.coxeter_element(A2))
 
 
 def test_root_tuple_searches_make_no_braid_move(monkeypatch):

@@ -212,8 +212,8 @@ def test_atoms_are_prefix_reflections():
         }
         for w in atoms:
             assert weyl.is_reflection(w)
-            t = weyl.Reflection(w, weyl.root_of_reflection(w))
-            assert hurwitz.is_prefix_of_coxeter(t.root, C).answer is Ternary.YES
+            root = weyl.root_of_reflection(w)
+            assert hurwitz.is_prefix_of_coxeter(root, C).answer is Ternary.YES
         # Conversely every prefix reflection is an atom.
         prefixes = {
             t.matrix

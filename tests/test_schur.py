@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 
-from schur_scope import curves, hurwitz, weyl
+from schur_scope import curves, hurwitz, schur, weyl
 from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import coxeter_number, preset
 from schur_scope.curves import CurveWord
@@ -145,6 +145,13 @@ def test_census_finite():
         homes = [next(i for i, orb in enumerate(orbits) if beta in orb)
                  for beta in transversal]
         assert len(set(homes)) == o.n
+
+
+def test_census_raises_when_an_orbit_does_not_close(monkeypatch):
+    # A finite-type c-orbit always closes, so an open one is an internal fault.
+    monkeypatch.setattr(schur, "c_orbit", lambda *args, **kwargs: COrbit((), False))
+    with pytest.raises(ArithmeticError, match="did not close"):
+        c_orbit_census_finite(_o("A2"))
 
 
 def test_rank2_closed_forms():
