@@ -37,7 +37,6 @@ class Session:
     order: tuple[int, ...]
     orbit_cap: int
     height_bound: int
-    length_cap: int
     json_mode: bool
 
     @property
@@ -45,17 +44,17 @@ class Session:
         return Orientation(self.cartan, self.order)
 
     def validate(self) -> None:
-        if min(self.orbit_cap, self.height_bound, self.length_cap) < 1:
+        if min(self.orbit_cap, self.height_bound) < 1:
             raise ValueError("caps must be positive")
 
 
 def _env_caps() -> dict[str, int]:
-    """Parse SCHUR_SCOPE_CAPS=\"orbit=...,height=...,len=...\" overrides."""
+    """Parse SCHUR_SCOPE_CAPS=\"orbit=...,height=...\" overrides."""
     raw = os.environ.get("SCHUR_SCOPE_CAPS", "")
     caps: dict[str, int] = {}
     for chunk in filter(None, (c.strip() for c in raw.split(","))):
         key, _, value = chunk.partition("=")
-        if key.strip() not in ("orbit", "height", "len") or not value.strip().isdigit():
+        if key.strip() not in ("orbit", "height") or not value.strip().isdigit():
             raise ValueError(f"malformed SCHUR_SCOPE_CAPS entry {chunk!r}")
         caps[key.strip()] = int(value)
     return caps
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--orbit-cap", type=int, help="orbit search node cap")
     parser.add_argument("--height", type=int, help="root height bound")
-    parser.add_argument("--length-cap", type=int, help="absolute length search cap")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     sub.add_parser("roots").add_argument("action", choices=["list"])
@@ -169,7 +167,6 @@ def _build_session(args: argparse.Namespace) -> Session:
         order=order,
         orbit_cap=pick(args.orbit_cap, "orbit", DEFAULT_ORBIT_CAP),
         height_bound=pick(args.height, "height", DEFAULT_HEIGHT_BOUND),
-        length_cap=pick(args.length_cap, "len", matrix.n),
         json_mode=args.json,
     )
     session.validate()
@@ -258,7 +255,7 @@ def _cmd_nc(session: Session, args) -> tuple[dict, int]:
             raise ValueError("nc leq requires --u and --w")
         u = _parse_element(args.u, session)
         w = _parse_element(args.w, session)
-        answer = ncposet.absolute_leq(u, w, C, cap=session.length_cap)
+        answer = ncposet.absolute_leq(u, w, C)
         return {"answer": answer.value}, _ternary_exit(answer)
     poset = ncposet.enumerate_nc(C, session.order)
     if args.action == "list":

@@ -320,9 +320,10 @@ def is_prefix_of_coxeter(
 
     t is built by weyl.reflection_for_root, so a beta that is not a real root
     of C raises ValueError on every type.  Finite types and rank 2 are
-    decided: the search for n - 1 reflections multiplying to t c draws on all
-    of T (on rank 2 the one factor left is t c itself), so finding none is a
-    NO.  Carter's lemma gives the same answer independently, as
+    decided: t c is a product of n - 1 reflections iff n - 1 letters of a
+    reduced word of t c can be deleted to leave the identity (Dyer; see
+    weyl.factor_into_reflections), so a search of those deletions that finds
+    none is a NO.  Carter's lemma gives the same answer independently, as
     rank(t c - id) = n - 1 ("Conjugacy classes in the Weyl group", Compositio
     1972, Lemma 2; on rank 2, t c has determinant -1, so rank 1 makes it a
     reflection), and the two are cross-checked.  Other infinite types report
@@ -337,12 +338,10 @@ def is_prefix_of_coxeter(
     canonical = canonical_factorization(C, order)
     c = canonical.coxeter
     n = C.n
-    remainder = matmul(t.matrix, c)  # t^{-1} c, reflections being involutions
+    remainder = t.left_multiply(c)  # t^{-1} c, reflections being involutions
 
-    finite = classify_type(C) is TypeClass.FINITE
-    if finite or n == 2:
-        pool = weyl.reflections(C) if finite else ()
-        rest = weyl.factor_into_reflections(remainder, n - 1, pool)
+    if n == 2 or classify_type(C) is TypeClass.FINITE:
+        rest = weyl.factor_into_reflections(C, remainder, n - 1)
         carter = rank(mat_sub(remainder, identity(n))) == n - 1
         if carter != (rest is not None):
             raise ArithmeticError(

@@ -1,9 +1,9 @@
 """The interval below the Coxeter element in absolute order.
 
-Membership uses only the defining identity l(u) + l(u^-1 w) = l(w); for finite
-types every length comes from the cached group table, so the poset is exact.
-For infinite types only the membership test is exposed, with certified
-three-valued answers (an uncertified search result never produces a NO).
+Membership uses only the defining identity l(u) + l(u^-1 w) = l(w).  For
+finite types every length comes from the cached group table, so the poset is
+exact.  For infinite types only the membership test is exposed; absolute
+lengths are exact there too (Dyer's deletion search), so it answers YES or NO.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import weyl
 from ._matrix import Matrix, identity, inverse, matmul
 from .cartan import CartanMatrix, TypeClass, classify_type
 from .hurwitz import Factorization, Ternary
-from .weyl import Reflection, coxeter_element, length_lower_bound
+from .weyl import Reflection, coxeter_element
 
 
 def _leq_in_table(table: dict[Matrix, int], u: Matrix, w: Matrix) -> bool:
@@ -26,32 +26,21 @@ def _leq_in_table(table: dict[Matrix, int], u: Matrix, w: Matrix) -> bool:
         raise ValueError("matrix is not an element of the Weyl group") from None
 
 
-def absolute_leq(
-    u: Matrix, w: Matrix, C: CartanMatrix, cap: int | None = None
-) -> Ternary:
-    """Does l(u) + l(u^-1 w) = l(w) hold?  Exact for finite types.
+def absolute_leq(u: Matrix, w: Matrix, C: CartanMatrix) -> Ternary:
+    """Does l(u) + l(u^-1 w) = l(w) hold?  Exact on every type.
 
-    For infinite types the three lengths come from bounded searches; YES needs
-    the right-hand length to be certified minimal (it is then squeezed by
-    subadditivity), NO needs all three certified, anything else is UNKNOWN.
+    Finite types read the group table.  Otherwise l(u) and l(w) come from
+    weyl.absolute_length; l(u^-1 w) >= l(w) - l(u) by subadditivity, so
+    the identity holds iff u^-1 w is a product of exactly l(w) - l(u)
+    reflections, which one Dyer search at that count decides.
     """
     if classify_type(C) is TypeClass.FINITE:
         table = weyl._absolute_length_table(C)
         return Ternary.YES if _leq_in_table(table, u, w) else Ternary.NO
+    rest = weyl.absolute_length(C, w) - weyl.absolute_length(C, u)
     quotient = matmul(inverse(u), w)
-    lengths = {}
-    certified = {}
-    for key, m in (("u", u), ("q", quotient), ("w", w)):
-        found = weyl.absolute_length(C, m, cap)
-        if found is None:
-            return Ternary.UNKNOWN
-        lengths[key] = found
-        certified[key] = found == length_lower_bound(m)
-    if lengths["u"] + lengths["q"] == lengths["w"]:
-        return Ternary.YES if certified["w"] else Ternary.UNKNOWN
-    if all(certified.values()):
-        return Ternary.NO
-    return Ternary.UNKNOWN
+    found = weyl.factor_into_reflections(C, quotient, rest) is not None
+    return Ternary.YES if found else Ternary.NO
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,10 @@ class Reflection:
         k = self.pair(v)
         return tuple(x - k * b for x, b in zip(v, self.root))
 
+    def left_multiply(self, m: Matrix) -> Matrix:
+        """t m, column by column, without t's matrix."""
+        return tuple(zip(*(self.apply(column) for column in zip(*m))))
+
     @functools.cached_property
     def matrix(self) -> Matrix:
         """id - beta phi, for finite-group tables and I/O."""
@@ -120,16 +124,6 @@ def coxeter_element(C: CartanMatrix, order: tuple[int, ...] | None = None) -> Ma
     for i in _check_order(C, order):
         result = matmul(result, simple_reflection(C, i).matrix)
     return result
-
-
-def is_reflection(w: Matrix) -> bool:
-    """True iff w^2 = id and w - id has rank exactly 1."""
-    n = len(w)
-    if sum(w[i][i] for i in range(n)) != n - 2:
-        return False  # an involution moving rank 1 has trace n - 2
-    if matmul(w, w) != identity(n):
-        return False
-    return _mat.rank(mat_sub(w, identity(n))) == 1
 
 
 def root_of_reflection(t: Matrix) -> Root:
@@ -267,15 +261,12 @@ def reflections(C: CartanMatrix) -> tuple[Reflection, ...]:
     """All reflections of a finite-type group, one per positive root."""
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("full reflection set requires a finite-type matrix")
-    return _reflection_pool(C, 1)  # the bound is ignored on finite types
+    return _reflection_pool(C)
 
 
 @functools.lru_cache(maxsize=None)
-def _reflection_pool(C: CartanMatrix, height_bound: int) -> tuple[Reflection, ...]:
-    return tuple(
-        reflection_for_root(C, beta)
-        for beta in positive_real_roots(C, height_bound)
-    )
+def _reflection_pool(C: CartanMatrix) -> tuple[Reflection, ...]:
+    return tuple(reflection_for_root(C, beta) for beta in positive_real_roots(C, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,10 +371,6 @@ def _absolute_length_table(C: CartanMatrix) -> dict[Matrix, int]:
     return {w: _mat.rank(mat_sub(w, one)) for w in enumerate_group(C)}
 
 
-def _parity_matches(w: Matrix, k: int) -> bool:
-    return _mat.det(w) == (1 if k % 2 == 0 else -1)
-
-
 def length_lower_bound(w: Matrix) -> int:
     """rank(w - id), raised by one when determinant parity rules that value out.
 
@@ -392,95 +379,105 @@ def length_lower_bound(w: Matrix) -> int:
     On finite types the bound is exact (Carter's lemma).
     """
     r = _mat.rank(mat_sub(w, identity(len(w))))
-    return r if _parity_matches(w, r) else r + 1
+    return r if _mat.det(w) == (-1) ** r else r + 1
+
+
+_DYER_CAP = 100_000
+
+
+def _peel(C: CartanMatrix, w: Matrix):
+    """Peel right descents: while some column w' alpha_j of w' (at first w)
+    is negative, yield (j, -w' alpha_j) and replace w' by w' s_j, whose column
+    k is w' alpha_k - a_jk w' alpha_j.  An element of W ends at the identity
+    after l(w) steps; a matrix that ends elsewhere is not in W (ValueError),
+    and one that has not ended after _DYER_CAP steps raises RuntimeError.
+    """
+    n, a = C.n, C.entries
+    if len(w) != n:
+        raise ValueError("rank mismatch")
+    columns = tuple(zip(*w))
+    for _ in range(_DYER_CAP + 1):
+        j = next((j for j, column in enumerate(columns) if is_negative(column)), None)
+        if j is None:
+            if columns != identity(n):
+                raise ValueError("matrix is not an element of the Weyl group")
+            return
+        step = columns[j]
+        yield j, negate(step)
+        columns = tuple(
+            tuple(x - a[j][k] * y for x, y in zip(column, step)) if a[j][k] else column
+            for k, column in enumerate(columns)
+        )
+    raise RuntimeError(f"reduced word exceeded the safety cap of {_DYER_CAP} steps")
+
+
+def reduced_word(C: CartanMatrix, w: Matrix) -> tuple[int, ...]:
+    """(i_1, ..., i_m) with w = s_{i_1} ... s_{i_m} reduced: _peel's letters, last first."""
+    return tuple(j + 1 for j, _ in _peel(C, w))[::-1]
 
 
 def factor_into_reflections(
-    w: Matrix, count: int, pool: tuple[Reflection, ...]
+    C: CartanMatrix, w: Matrix, count: int
 ) -> tuple[Reflection, ...] | None:
-    """A product of exactly `count` pool reflections equal to w, or None.
+    """Reflections r_1, ..., r_count of W with r_1 ... r_count = w, or None.
 
-    Depth-first search pruned by the rank of w - id (a product of k reflections
-    moves a sublattice of rank at most k) and by determinant parity.
+    Dyer ("On minimal lengths of expressions of Coxeter group elements as
+    products of reflections", Proc. AMS 129, 2001): for a reduced word
+    w = s_{i_1} ... s_{i_m}, l_T(w) is the least number of letters whose
+    deletion leaves a word for the identity.  Deleting the letter at p
+    multiplies w on the left by the left inversion t_p, whose root is
+    s_{i_1} ... s_{i_{p-1}} alpha_{i_p}, and deleting p_1 < ... < p_k from
+    the right leaves t_{p_1} ... t_{p_k} w.  So the search tries
+    w = t_{p_k} ... t_{p_1}, positions in decreasing order, the order in
+    which _peel yields the roots of the t_p.  It finds an expression whenever
+    count = l_T(w) and none when count < l_T(w).  Pruned by parity
+    (det w = (-1)^l(w)) and by rank(target - id) <= k, as k reflections move
+    a sublattice of rank at most k; the last factor is looked up, not
+    searched.  More than _DYER_CAP nodes raise RuntimeError.
     """
-    n = len(w)
+    steps = list(_peel(C, w))
+    if count < 0 or (len(steps) - count) % 2:
+        return None
+    # t_p's coroot row is phi(v) = B(v, beta) / d_j, as B(beta, beta) = 2 d_j.
+    form, d = symmetrized(C), symmetrizer(C)
+    inversions = [
+        Reflection(beta, tuple(sum(x * y for x, y in zip(row, beta)) // d[j] for row in form))
+        for j, beta in steps
+    ]
+    index = {t.matrix: a for a, t in enumerate(inversions)}
+    one = identity(C.n)
+    nodes = 0
 
-    def search(target: Matrix, k: int) -> tuple[Reflection, ...] | None:
+    def search(target: Matrix, k: int, after: int) -> tuple[Reflection, ...] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _DYER_CAP:
+            raise RuntimeError(f"reflection search exceeded the safety cap of {_DYER_CAP} nodes")
         if k == 0:
-            return () if target == identity(n) else None
+            return () if target == one else None
         if k == 1:
-            # Pool-free last step: the remaining factor is forced to be the
-            # target = id - beta phi itself.  root_of_reflection has checked
-            # that the columns are multiples of beta, so phi_c is exact.
-            if not is_reflection(target):
-                return None
-            beta = root_of_reflection(target)
-            p = next(i for i, x in enumerate(beta) if x)
-            row = tuple((int(p == c) - target[p][c]) // beta[p] for c in range(n))
-            return (Reflection(beta, row),)
-        if not _parity_matches(target, k):
+            a = index.get(target, after)
+            return (inversions[a],) if a > after else None
+        if k < C.n and _mat.rank(mat_sub(target, one)) > k:
             return None
-        if _mat.rank(mat_sub(target, identity(n))) > k:
-            return None
-        for t in pool:
-            rest = search(matmul(t.matrix, target), k - 1)
+        for a in range(after + 1, len(inversions) - k + 1):
+            rest = search(inversions[a].left_multiply(target), k - 1, a)
             if rest is not None:
-                return (t,) + rest
+                return (inversions[a],) + rest
         return None
 
-    return search(w, count)
+    return search(w, count, -1)
 
 
-_ADAPTIVE_DOUBLINGS = 4
+def absolute_length(C: CartanMatrix, w: Matrix) -> int:
+    """Minimal number of reflections multiplying to w, exact on every type.
 
-
-def adaptive_pool_bounds(base: int) -> list[int]:
-    """Height bounds 2*base, 4*base, ... rounded up to powers of two so the
-    cached reflection pools are shared between queries."""
-    bounds = []
-    bound = 2
-    while bound < 2 * max(base, 1):
-        bound *= 2
-    for _ in range(_ADAPTIVE_DOUBLINGS):
-        bounds.append(bound)
-        bound *= 2
-    return bounds
-
-
-def _moved_height(w: Matrix) -> int:
-    """Largest height among the moved vectors w e_j - e_j."""
-    n = len(w)
-    return max(
-        height(tuple(w[row][j] - (1 if row == j else 0) for row in range(n)))
-        for j in range(n)
-    )
-
-
-def absolute_length(C: CartanMatrix, w: Matrix, cap: int | None = None) -> int | None:
-    """Minimal number of reflections multiplying to w; None means unknown.
-
-    Exact (and cap-free) for finite types via the cached group table.  For
-    infinite types the reflection pool is height-bounded, starting at twice the
-    tallest moved vector of w and doubling a few times; if no factorization of
-    length <= cap is found the honest answer is None, never a guess.
+    The first k = length_lower_bound(w), k + 2, ... for which
+    factor_into_reflections finds an expression (Dyer); deleting every letter
+    of a reduced word leaves the identity, so the loop ends by k = l(w).  The
+    peel of w refuses a matrix outside W (ValueError).
     """
-    if len(w) != C.n:
-        raise ValueError("rank mismatch")
-    if classify_type(C) is TypeClass.FINITE:
-        table = _absolute_length_table(C)
-        if w not in table:
-            raise ValueError("matrix is not an element of the Weyl group")
-        return table[w]
-    if cap is None:
-        cap = C.n
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if w == identity(C.n):
-        return 0
-    for k in range(length_lower_bound(w), cap + 1, 2):
-        for bound in adaptive_pool_bounds(_moved_height(w)):
-            pool = _reflection_pool(C, bound)
-            witness = factor_into_reflections(w, k, pool)
-            if witness is not None:
-                return k
-    return None
+    k = length_lower_bound(w)
+    while factor_into_reflections(C, w, k) is None:
+        k += 2
+    return k

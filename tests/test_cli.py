@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from schur_scope import cartan, curves, hurwitz, repro, weyl
+from schur_scope._matrix import matmul
 from schur_scope.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -234,11 +235,12 @@ def test_mutate_output(capsys):
 
 
 def test_env_caps_parsing(monkeypatch):
-    monkeypatch.setenv("SCHUR_SCOPE_CAPS", "orbit=500, height=9,len=2")
-    assert _env_caps() == {"orbit": 500, "height": 9, "len": 2}
-    monkeypatch.setenv("SCHUR_SCOPE_CAPS", "bogus=1")
-    with pytest.raises(ValueError):
-        _env_caps()
+    monkeypatch.setenv("SCHUR_SCOPE_CAPS", "orbit=500, height=9")
+    assert _env_caps() == {"orbit": 500, "height": 9}
+    for entry in ("bogus=1", "len=2"):  # absolute length has no cap to set
+        monkeypatch.setenv("SCHUR_SCOPE_CAPS", entry)
+        with pytest.raises(ValueError):
+            _env_caps()
 
 
 def test_env_caps_apply(monkeypatch, capsys):
@@ -323,3 +325,69 @@ def test_nc_leq_rejects_non_integer_matrix(capsys, u):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# c for the identity order, as JSON matrices.
+U32_COXETER = "[[15,10,-6],[6,3,-2],[2,2,-1]]"
+AFFINE_A2_COXETER = "[[2,1,-2],[2,0,-1],[1,1,-1]]"
+
+
+@pytest.mark.parametrize(
+    "name, c, u, answer",
+    [
+        ("universal:3:2", U32_COXETER, "1,6,2", "no"),
+        ("universal:3:2", U32_COXETER, "1,2,6", "yes"),
+        ("affine-A2", AFFINE_A2_COXETER, "11,12,11", "no"),
+    ],
+)
+def test_nc_leq_is_decided_on_infinite_types(capsys, name, c, u, answer):
+    # Absolute lengths are exact on every type (Dyer's deletion search), so
+    # t <= c is decided where the height-pruned orbit search stops short.
+    assert json.loads(c) == [list(row) for row in weyl.coxeter_element(cartan.preset(name))]
+    code, out = _run(capsys, ["--type", name, "nc", "leq", "--u", u, "--w", c])
+    assert code == EXIT_OK
+    assert out.splitlines() == [f'answer = "{answer}"']
+
+
+def test_nc_leq_refuses_minus_identity_in_an_infinite_group(capsys, monkeypatch):
+    # -id is not in the infinite dihedral group W(universal:2:3): every column
+    # stays a descent, so peeling a reduced word stops at the safety cap (set
+    # low here; at 10^5 steps the entries reach tens of thousands of digits).
+    # The old search took -t_beta, a lattice reflection outside W, as its last
+    # factor and answered yes.
+    monkeypatch.setattr(weyl, "_DYER_CAP", 50)
+    code = run(["--type", "universal:2:3", "nc", "leq", "--u", "1,0", "--w", "[[-1,0],[0,-1]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNRESOLVED
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: reduced word exceeded the safety cap of {weyl._DYER_CAP} steps\n"
+    )
+
+
+def test_nc_leq_refuses_a_diagram_rotation(capsys):
+    # Rotating the affine-A2 diagram permutes the simple roots, so the matrix
+    # has no descent and is not the identity: not in W (it used to be unknown).
+    argv = ["--type", "affine-A2", "nc", "leq", "--u", "1,0,0", "--w", "[[0,0,1],[1,0,0],[0,1,0]]"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not an element of the Weyl group\n"
+
+
+def test_reflection_search_cap_gives_exit_2(capsys, monkeypatch):
+    # c^2 on universal:4:2 has a reduced word of 8 letters, and its absolute
+    # length, 6, takes the search 24 nodes to decide.
+    c2 = "[[3573,3180,2044,-1236],[1236,1101,708,-428],[428,380,245,-148],[148,132,84,-51]]"
+    C = cartan.preset("universal:4:2")
+    c = weyl.coxeter_element(C)
+    assert json.loads(c2) == [list(row) for row in matmul(c, c)]
+    monkeypatch.setattr(weyl, "_DYER_CAP", 20)
+    code = run(["--type", "universal:4:2", "nc", "leq", "--u", "1,0,0,0", "--w", c2])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNRESOLVED
+    assert captured.out == ""
+    assert captured.err == (
+        "error: reflection search exceeded the safety cap of 20 nodes\n"
+    )

@@ -299,18 +299,6 @@ def test_prefix_refuses_non_roots_on_every_branch(C, beta):
         is_prefix_of_coxeter(beta, C)
 
 
-def _pool_route(t, C, order):
-    """The reflection-pool certificate: t c as n - 1 reflections drawn from
-    height-bounded pools, doubled out from twice the height of t."""
-    c = weyl.coxeter_element(C, order)
-    for bound in weyl.adaptive_pool_bounds(weyl.height(t.root)):
-        pool = weyl._reflection_pool(C, bound)
-        rest = weyl.factor_into_reflections(matmul(t.matrix, c), C.n - 1, pool)
-        if rest is not None:
-            return (t,) + rest
-    return None
-
-
 @pytest.mark.parametrize(
     "name, order, height",
     [
@@ -319,14 +307,17 @@ def _pool_route(t, C, order):
         ("affine-A2", (3, 1, 2), 10),
         ("universal:4:2", None, 4),
         ("universal:3:3", None, 30),
+        ("affine-A3", None, 12),
     ],
 )
 def test_orbit_certificates_match_the_pool_route(name, order, height):
-    # The reflection-pool route, which is_prefix_of_coxeter no longer runs on
-    # infinite types, certifies exactly the roots the orbit search certifies.
+    # The pool is Dyer's: the inversion reflections of a reduced word of t c,
+    # searched by weyl.factor_into_reflections, which is_prefix_of_coxeter
+    # does not run on these types.  Every orbit YES is a Dyer YES, and every
+    # root the height-pruned orbit search leaves UNKNOWN is a Dyer NO.
     C = preset(name)
     c = weyl.coxeter_element(C, order)
-    orbit_yes, pool_yes = set(), set()
+    orbit_yes, orbit_unknown, dyer_yes, dyer_no = set(), set(), set(), set()
     for beta in weyl.positive_real_roots(C, height):
         t = weyl.reflection_for_root(C, beta)
         verdict = is_prefix_of_coxeter(beta, C, order)
@@ -336,11 +327,15 @@ def test_orbit_certificates_match_the_pool_route(name, order, height):
             orbit_yes.add(beta)
         else:
             assert verdict.answer is Ternary.UNKNOWN
-        witness = _pool_route(t, C, order)
-        if witness is not None:
-            Factorization(witness, c)
-            pool_yes.add(beta)
-    assert orbit_yes == pool_yes
+            orbit_unknown.add(beta)
+        rest = weyl.factor_into_reflections(C, t.left_multiply(c), C.n - 1)
+        if rest is None:
+            dyer_no.add(beta)
+        else:
+            Factorization((t,) + rest, c)
+            dyer_yes.add(beta)
+    assert orbit_yes == dyer_yes
+    assert orbit_unknown == dyer_no
     assert orbit_yes  # the comparison is not vacuous
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schur_scope import weyl
-from schur_scope._matrix import inverse, matmul, matvec, primitive
+from schur_scope._matrix import inverse, mat_sub, matmul, matvec, primitive, rank
 from schur_scope.cartan import CartanMatrix, preset, submatrix, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
@@ -15,13 +16,18 @@ from schur_scope.weyl import (
     enumerate_real_roots,
     height,
     identity,
-    is_reflection,
     positive_real_roots,
     reflection_for_root,
     root_of_reflection,
     simple_reflection,
     simple_root,
 )
+
+def is_reflection(w):
+    """True iff w^2 = id and w - id has rank exactly 1: the matrix-level oracle."""
+    n = len(w)
+    return matmul(w, w) == identity(n) and rank(mat_sub(w, identity(n))) == 1
+
 
 PRESETS = ["A2", "B2", "G2", "A3", "B3", "universal:2:2", "universal:3:2", "affine-A2"]
 
@@ -261,6 +267,142 @@ def test_length_table_matches_reflection_bfs(name):
     assert table == _reflection_bfs_length_table(C)
     # The rank-and-parity lower bound is exact on finite types.
     assert all(weyl.length_lower_bound(w) == k for w, k in table.items())
+
+
+# Dyer's deletion search (weyl.reduced_word, weyl.factor_into_reflections)
+# against slow references built from simple-reflection matrices.
+
+
+def _word_product(C, word):
+    w = identity(C.n)
+    for i in word:
+        w = matmul(w, simple_reflection(C, i).matrix)
+    return w
+
+
+def _left_inversion_matrices(C, word):
+    """t_p = u s_{i_p} u^-1 with u = s_{i_1} ... s_{i_{p-1}}, by matmul."""
+    inversions = []
+    for p, i in enumerate(word):
+        u = _word_product(C, word[:p])
+        inversions.append(matmul(matmul(u, simple_reflection(C, i).matrix), inverse(u)))
+    return inversions
+
+
+def _short_products(C, rng, count, height_bound, longest):
+    """Products of one to three reflections of low roots, with reduced words
+    of at most `longest` letters."""
+    pool = [reflection_for_root(C, b).matrix for b in positive_real_roots(C, height_bound)]
+    found = set()
+    while len(found) < count:
+        w = identity(C.n)
+        for _ in range(rng.randint(1, 3)):
+            w = matmul(w, rng.choice(pool))
+        if len(weyl.reduced_word(C, w)) <= longest:
+            found.add(w)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "name, height_bound",
+    [("A3", 3), ("B3", 3), ("G2", 3), ("universal:3:2", 3), ("affine-A2", 3),
+     ("affine-A3", 2), ("universal:4:2", 2)],
+)
+def test_ordered_search_equals_brute_force_deletion(name, height_bound):
+    # For every count k up to l(w): the search finds w = t_{p_k} ... t_{p_1}
+    # with p_1 < ... < p_k iff some k-subset of the left inversions, taken
+    # in decreasing position, multiplies to w; and that happens iff deleting
+    # those k letters leaves a word for the identity.  What it returns is
+    # such a product: left inversions in decreasing position.
+    C = preset(name)
+    rng = random.Random(12)
+    for w in _short_products(C, rng, 10, height_bound, 9):
+        word = weyl.reduced_word(C, w)
+        inversions = _left_inversion_matrices(C, word)
+        for k in range(len(word) + 1):
+            brute = False
+            for subset in itertools.combinations(range(len(word)), k):
+                product = identity(C.n)
+                for p in reversed(subset):
+                    product = matmul(product, inversions[p])
+                kept = tuple(i for p, i in enumerate(word) if p not in subset)
+                assert (product == w) == (_word_product(C, kept) == identity(C.n))
+                brute = brute or product == w
+            found = weyl.factor_into_reflections(C, w, k)
+            assert (found is not None) == brute, (name, w, k)
+            if found is not None:
+                positions = [inversions.index(t.matrix) for t in found]
+                assert positions == sorted(set(positions), reverse=True)
+                assert len(found) == k
+                assert [t.matrix for t in found] == [
+                    reflection_for_root(C, t.root).matrix for t in found
+                ]
+                product = identity(C.n)
+                for t in found:
+                    product = matmul(product, t.matrix)
+                assert product == w
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_dyer_first_count_equals_the_length_table(name):
+    # The least k for which the deletion search succeeds is l_T(w), which
+    # the group table reads off Carter's lemma.
+    C = preset(name)
+    for w, length in weyl._absolute_length_table(C).items():
+        counts = range(len(weyl.reduced_word(C, w)) + 1)
+        first = next(k for k in counts if weyl.factor_into_reflections(C, w, k) is not None)
+        assert first == length, w
+
+
+def _coxeter_lengths(C):
+    """Breadth-first distance from the identity under w -> w s_i."""
+    gens = [g.matrix for g in weyl.simple_reflections(C)]
+    lengths = {identity(C.n): 0}
+    frontier = [identity(C.n)]
+    while frontier:
+        next_frontier = []
+        for w in frontier:
+            for g in gens:
+                image = matmul(w, g)
+                if image not in lengths:
+                    lengths[image] = lengths[w] + 1
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return lengths
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_reduced_word_is_reduced_and_multiplies_back(name):
+    C = preset(name)
+    for w, length in _coxeter_lengths(C).items():
+        word = weyl.reduced_word(C, w)
+        assert len(word) == length
+        assert _word_product(C, word) == w
+
+
+@pytest.mark.parametrize("name", ["universal:3:2", "affine-A2", "affine-A3", "universal:4:2"])
+def test_reduced_word_multiplies_back_on_infinite_types(name):
+    C = preset(name)
+    rng = random.Random(5)
+    for _ in range(30):
+        letters = [rng.randint(1, C.n) for _ in range(rng.randint(0, 12))]
+        w = _word_product(C, letters)
+        word = weyl.reduced_word(C, w)
+        assert _word_product(C, word) == w
+        assert len(word) <= len(letters) and (len(letters) - len(word)) % 2 == 0
+
+
+def test_reduced_word_refuses_matrices_outside_w(monkeypatch):
+    # A diagram rotation permutes the simple roots: no descent, not the identity.
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        weyl.reduced_word(preset("affine-A2"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    # -id has a descent at every step in an infinite group, so the peel is capped.
+    monkeypatch.setattr(weyl, "_DYER_CAP", 50)
+    with pytest.raises(RuntimeError, match="safety cap of 50 steps"):
+        weyl.reduced_word(preset("universal:2:3"), ((-1, 0), (0, -1)))
+    # In a finite group it ends at the longest element's negative, -w_0.
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        weyl.reduced_word(preset("A2"), ((-1, 0), (0, -1)))
 
 
 def test_enumerate_group_sizes():
