@@ -193,13 +193,11 @@ def _cmd_group(session: Session, args) -> tuple[dict, int]:
 
 def _cmd_orbit(session: Session, args) -> tuple[dict, int]:
     start = hurwitz.canonical_factorization(session.cartan, session.order)
-    orbit = hurwitz.hurwitz_orbit(start, node_cap=session.orbit_cap)
+    orbit = hurwitz.hurwitz_orbit(session.cartan, start, node_cap=session.orbit_cap)
     code = EXIT_OK if orbit.complete else EXIT_UNRESOLVED
     payload: dict = {"count": len(orbit), "complete": orbit.complete}
     if args.action == "dump":
-        payload["factorizations"] = [
-            _root_list(f.roots()) for f in orbit.factorizations
-        ]
+        payload["factorizations"] = [_root_list(node) for node in orbit.roots]
     return payload, code
 
 

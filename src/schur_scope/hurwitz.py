@@ -10,8 +10,12 @@ move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
 gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a and has the coroot row
 phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0): O(n), no matrix.
 braid_move and apply_braid_word replay braid words on Factorization objects.
-The orbit searches move on tuples of positive roots, and all searches from one
-start share its table of reflections, each row built once per process.
+The orbit searches move on tuples of positive roots through one table per
+Cartan matrix, which holds each root's row, checked once against an
+independent route, and the root of each pair's move.  The product of a tuple
+they reach is certified without a check per tuple: the start's product is
+checked, every row is the true reflection of its root, and
+w s_beta w^-1 = s_{w beta} makes each move keep the product.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import enum
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from . import weyl
 from ._matrix import Matrix, identity, mat_pow, mat_sub, matmul, rank
@@ -31,6 +36,7 @@ from .cartan import (
     coxeter_exponent,
     coxeter_number,
     submatrix,
+    symmetrized,
 )
 from .weyl import (
     Reflection,
@@ -126,72 +132,120 @@ def word_inverse(word: BraidWord) -> BraidWord:
     return tuple(-x for x in reversed(word))
 
 
-class _RootTuples:
-    """Generator moves on tuples of positive roots.
+class _ReflectionTable:
+    """The reflections of W(C) that the orbit searches meet, and their moves.
 
-    The move at slot i sends (beta_a, beta_b) to (positive_part(t_a beta_b),
-    beta_a) and its inverse sends it to (beta_b, positive_part(t_b beta_a)),
-    one coroot pairing each.  A root met for the first time gets its
-    Reflection by one conjugation, t_a t_b t_a or t_b t_a t_b, a row update.
-    Searches share one instance per start (_root_tuples).
+    reflections maps a positive real root to its Reflection.  A row enters
+    once, checked against a route independent of the one that made it: a
+    start part must equal weyl.reflection_for_root of its root, and a row
+    made by _conjugate_reflection must be phi_gamma = 2B(., gamma) /
+    B(gamma, gamma), read off the symmetrized form.  A mismatch raises
+    ArithmeticError.  pairs maps (beta_a, beta_b) to the root of
+    t_a t_b t_a, so a pair met again costs one lookup.
+
+    The move at slot i sends (beta_a, beta_b) to (root of t_a t_b t_a,
+    beta_a) and its inverse sends it to (beta_b, root of t_b t_a t_b).  Every
+    row is the reflection s_gamma of W(C), and w s_beta w^-1 = s_{w beta}
+    (Kac 5.1), so each move keeps the product of the tuple.  The start's
+    product check therefore proves the product of every tuple reached from
+    it, and no tuple is checked again.  Searches share one table per Cartan
+    matrix (_root_tuples).
     """
 
-    def __init__(self, start: Factorization):
-        self.start = start
-        self.reflections = {part.root: part for part in start.parts}
+    def __init__(self, C: CartanMatrix):
+        self.cartan = C
+        self.form = symmetrized(C)
+        self.reflections: dict[Root, Reflection] = {}
+        self.pairs: dict[tuple[Root, Root], Root] = {}
 
-    def factorization(self, node: RootTuple) -> Factorization:
-        """The node's Factorization, product-checked unless it is the start."""
-        if node == self.start.roots():
-            return self.start
-        parts = tuple(self.reflections[root] for root in node)
-        return Factorization(parts, self.start.coxeter)
+    def admit(self, start: Factorization) -> RootTuple:
+        """The start's roots, once each part is found to be the reflection
+        of W(C) that weyl.reflection_for_root builds for its root."""
+        for part in start.parts:
+            row = self.reflections.get(part.root)
+            if row is None:
+                row = weyl.reflection_for_root(self.cartan, part.root)
+                self.reflections[row.root] = row
+            if row != part:
+                raise ArithmeticError(
+                    f"start part {part} is not the reflection of its root in W(C)"
+                )
+        return start.roots()
+
+    def factorization(self, node: RootTuple, coxeter: Matrix) -> Factorization:
+        """The node's Factorization, product-checked again."""
+        return Factorization(tuple(self.reflections[root] for root in node), coxeter)
 
     def moves(self, node: RootTuple):
         """(letter, image) for the generator move and its inverse at every
         slot, in the order +1, -1, +2, -2, ...; the same moves braid_move makes."""
+        pairs = self.pairs
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
-            yield i, head + (self._moved(a, b), a) + tail
-            yield -i, head + (b, self._moved(b, a)) + tail
+            yield i, head + (pairs.get((a, b)) or self._moved(a, b), a) + tail
+            yield -i, head + (b, pairs.get((b, a)) or self._moved(b, a)) + tail
 
     def images(self, node: RootTuple):
         return (image for _, image in self.moves(node))
 
     def _moved(self, a: Root, b: Root) -> Root:
-        """Root of t_a t_b t_a, which is s_a(beta_b) up to sign."""
+        """Root of t_a t_b t_a, which is t_a(beta_b) up to sign."""
         t_a = self.reflections[a]
         root = positive_part(t_a.apply(b))
         if root not in self.reflections:
-            self.reflections[root] = _conjugate_reflection(t_a, self.reflections[b])
+            row = _conjugate_reflection(t_a, self.reflections[b])
+            # B(v, gamma) is column gamma of the form; phi_gamma(v) must be
+            # 2 B(v, gamma) / B(gamma, gamma).
+            column = [sum(map(mul, line, root)) for line in self.form]
+            norm = sum(map(mul, root, column))
+            if row.root != root or any(
+                2 * x != p * norm for x, p in zip(column, row.coroot)
+            ):
+                raise ArithmeticError(
+                    f"conjugated row {row} is not the reflection of {root}; upstream bug"
+                )
+            self.reflections[root] = row
+        self.pairs[a, b] = root
         return root
 
 
 @functools.lru_cache(maxsize=None)
-def _root_tuples(start: Factorization) -> _RootTuples:
-    """Keyed by the whole Factorization, so starts with the same roots share
-    a table only when their coroot rows agree too."""
-    return _RootTuples(start)
+def _root_tuples(C: CartanMatrix) -> _ReflectionTable:
+    """One table per Cartan matrix, shared by every start and search on C."""
+    return _ReflectionTable(C)
 
 
 @dataclass(frozen=True)
 class OrbitResult:
-    factorizations: tuple[Factorization, ...]
+    """The root tuples of an orbit, sorted, and whether its closure finished."""
+
+    roots: tuple[RootTuple, ...]
     complete: bool
+    coxeter: Matrix
+    table: _ReflectionTable = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.factorizations)
+        return len(self.roots)
+
+    @property
+    def factorizations(self) -> tuple[Factorization, ...]:
+        """Each tuple's Factorization, built and product-checked on every read."""
+        return tuple(self.table.factorization(node, self.coxeter) for node in self.roots)
 
 
-def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> OrbitResult:
-    """Breadth-first closure of the factorization under all generator moves.
+def hurwitz_orbit(
+    C: CartanMatrix, start: Factorization, node_cap: int = DEFAULT_NODE_CAP
+) -> OrbitResult:
+    """Breadth-first closure of a factorization of W(C) under all generator
+    moves, on root tuples, returned sorted.
 
-    Nodes are root tuples and a move costs one coroot pairing (see the module
-    docstring).  A Factorization is built from its roots' reflections
-    only for each tuple returned, and the start is returned as given, so every
-    returned factorization has had its product checked against c exactly once.
-    They are returned sorted by roots.
+    No Factorization is built per node.  The product of every tuple is
+    certified by the start's product check, by the table's one checked row
+    per root, and by w s_beta w^-1 = s_{w beta}, which makes each move keep
+    the product (see _ReflectionTable).  A start part that is not the
+    reflection of its root in W(C) is refused (ArithmeticError, or
+    ValueError for a vector that is not a real root).
 
     complete is True iff the closure terminated below the node cap; this always
     happens for finite types, where the orbit is the full set of reduced
@@ -199,17 +253,16 @@ def hurwitz_orbit(start: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orb
     """
     if node_cap < 1:
         raise ValueError("node cap must be >= 1")
-    roots = _root_tuples(start)
-    nodes, complete = weyl._bounded_closure([start.roots()], roots.images, node_cap)
-    factorizations = tuple(roots.factorization(node) for node in sorted(nodes))
-    return OrbitResult(factorizations, complete)
+    table = _root_tuples(C)
+    nodes, complete = weyl._bounded_closure([table.admit(start)], table.images, node_cap)
+    return OrbitResult(tuple(sorted(nodes)), complete, start.coxeter, table)
 
 
 @functools.lru_cache(maxsize=None)
 def _full_orbit(C: CartanMatrix, order: tuple[int, ...] | None) -> OrbitResult:
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("unbounded orbit closure requires a finite-type matrix")
-    result = hurwitz_orbit(canonical_factorization(C, order))
+    result = hurwitz_orbit(C, canonical_factorization(C, order))
     if not result.complete:
         raise RuntimeError("finite-type orbit closure hit the node cap")
     return result
@@ -240,6 +293,7 @@ class SearchOutcome:
 
 
 def _targeted_orbit_search(
+    C: CartanMatrix,
     start: Factorization,
     target: Reflection,
     node_cap: int,
@@ -271,8 +325,8 @@ def _targeted_orbit_search(
         word.extend(range(-slot, 0))  # -slot, ..., -1 walks the witness to slot 1
         return tuple(word)
 
-    roots = _root_tuples(start)
-    first = start.roots()
+    table = _root_tuples(C)
+    first = table.admit(start)
     parents: dict[RootTuple, tuple[RootTuple, int] | None] = {first: None}
     if target.root in first:
         return SearchOutcome(finish(first), True, 1)
@@ -280,7 +334,7 @@ def _targeted_orbit_search(
     exhausted = True
     while queue:
         node = queue.popleft()
-        for letter, image in roots.moves(node):
+        for letter, image in table.moves(node):
             if image in parents:
                 continue
             parents[image] = (node, letter)
@@ -353,7 +407,7 @@ def is_prefix_of_coxeter(
 
     # Orbit certificate search, pruned by component root height.
     height_cap = DEFAULT_PRUNE_MULTIPLIER * height(t.root)
-    outcome = _targeted_orbit_search(canonical, t, node_cap, height_cap)
+    outcome = _targeted_orbit_search(C, canonical, t, node_cap, height_cap)
     if outcome.word is not None:
         witness = apply_braid_word(canonical, outcome.word)
         if witness.parts[0] != t:

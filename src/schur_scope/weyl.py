@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from . import _matrix as _mat
 from ._matrix import Matrix, Vector, identity, mat_sub, matmul
@@ -39,7 +40,7 @@ class Reflection:
             raise ArithmeticError(f"{self.coroot} does not pair {self.root} to 2; upstream bug")
 
     def pair(self, v: Vector) -> int:
-        return sum(p * x for p, x in zip(self.coroot, v))
+        return sum(map(mul, self.coroot, v))
 
     def apply(self, v: Vector) -> Vector:
         k = self.pair(v)

@@ -41,7 +41,7 @@ def test_criterion_1_factorization_count_table():
     started = time.monotonic()
     for name, expected in ORBIT_TABLE.items():
         C = preset(name)
-        orbit = hurwitz.hurwitz_orbit(hurwitz.canonical_factorization(C))
+        orbit = hurwitz.hurwitz_orbit(C, hurwitz.canonical_factorization(C))
         assert orbit.complete, name
         assert len(orbit) == expected, name
         assert hurwitz.factorization_count_formula(C) == expected, name
@@ -53,7 +53,7 @@ def test_criterion_2_every_orbit_component_is_a_prefix():
     started = time.monotonic()
     for name in ("A2", "B2", "G2", "A3", "B3"):
         C = preset(name)
-        orbit = hurwitz.hurwitz_orbit(hurwitz.canonical_factorization(C))
+        orbit = hurwitz.hurwitz_orbit(C, hurwitz.canonical_factorization(C))
         for factorization in orbit.factorizations:
             for part in factorization.parts:
                 verdict = hurwitz.is_prefix_of_coxeter(part.root, C)

@@ -142,9 +142,8 @@ def test_json_mode_round_trips(capsys):
 
 def test_cli_is_thin_adapter_over_core(capsys):
     code, out = _run(capsys, ["--type", "A3", "--json", "orbit", "count"])
-    orbit = hurwitz.hurwitz_orbit(
-        hurwitz.canonical_factorization(cartan.preset("A3")), node_cap=10**6
-    )
+    A3 = cartan.preset("A3")
+    orbit = hurwitz.hurwitz_orbit(A3, hurwitz.canonical_factorization(A3), node_cap=10**6)
     expected = emit({"count": len(orbit), "complete": orbit.complete}, True)
     assert out.strip() == expected.strip()
 

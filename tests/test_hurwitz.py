@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import deque
 
@@ -112,30 +113,32 @@ def test_braid_relations_on_random_factorizations():
 
 def test_orbit_sizes_and_completeness():
     for name, size in ORBIT_SIZES.items():
-        orbit = hurwitz_orbit(canonical_factorization(preset(name)))
+        C = preset(name)
+        orbit = hurwitz_orbit(C, canonical_factorization(C))
         assert orbit.complete
         assert len(orbit) == size
 
 
 def test_orbit_respects_node_cap():
     U = preset("universal:2:2")
-    orbit = hurwitz_orbit(canonical_factorization(U), node_cap=25)
+    orbit = hurwitz_orbit(U, canonical_factorization(U), node_cap=25)
     assert not orbit.complete
     assert len(orbit) <= 25
 
 
 def test_orbit_deterministic():
     A3 = preset("A3")
-    first = hurwitz_orbit(canonical_factorization(A3))
-    second = hurwitz_orbit(canonical_factorization(A3))
+    first = hurwitz_orbit(A3, canonical_factorization(A3))
+    second = hurwitz_orbit(A3, canonical_factorization(A3))
     assert first.factorizations == second.factorizations
 
 
 def test_orbit_size_is_order_independent():
     # Coxeter elements of different orders are conjugate, so their
     # factorization orbits have the same size.
-    assert len(hurwitz_orbit(canonical_factorization(preset("A3"), (3, 1, 2)))) == 16
-    assert len(hurwitz_orbit(canonical_factorization(preset("B3"), (2, 1, 3)))) == 27
+    A3, B3 = preset("A3"), preset("B3")
+    assert len(hurwitz_orbit(A3, canonical_factorization(A3, (3, 1, 2)))) == 16
+    assert len(hurwitz_orbit(B3, canonical_factorization(B3, (2, 1, 3)))) == 27
 
 
 def test_count_formula():
@@ -149,7 +152,7 @@ def test_count_formula():
 def test_orbit_matches_formula():
     for name in ORBIT_SIZES:
         C = preset(name)
-        assert len(hurwitz_orbit(canonical_factorization(C))) == (
+        assert len(hurwitz_orbit(C, canonical_factorization(C))) == (
             factorization_count_formula(C)
         )
 
@@ -183,7 +186,7 @@ def test_prefix_yes_for_all_orbit_components():
     # reflection-by-reflection in the route cross-check test below.
     for name in ("A2", "B2", "G2", "A3", "B3", "A4", "D4"):
         C = preset(name)
-        for f in hurwitz_orbit(canonical_factorization(C)).factorizations:
+        for f in hurwitz_orbit(C, canonical_factorization(C)).factorizations:
             for part in f.parts:
                 assert is_prefix_of_coxeter(part.root, C).answer is Ternary.YES
 
@@ -412,13 +415,21 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
         ("A3", 10**6),
         ("B3", 10**6),
         ("B4", 10**6),
+        ("A4", 10**6),
+        ("C3", 10**6),
+        ("D4", 10**6),
+        ("F4", 10**6),
+        ("D5", 10**6),
         ("universal:3:2", 25),
         ("universal:3:2", 200),
+        ("affine-A2", 150),
+        ("universal:4:2", 150),
     ],
 )
 def test_orbit_matches_braid_move_reference(name, node_cap):
-    start = canonical_factorization(preset(name))
-    orbit = hurwitz_orbit(start, node_cap=node_cap)
+    C = preset(name)
+    start = canonical_factorization(C)
+    orbit = hurwitz_orbit(C, start, node_cap=node_cap)
     assert (orbit.factorizations, orbit.complete) == _reference_orbit(start, node_cap)
 
 
@@ -430,7 +441,7 @@ def test_targeted_search_matches_braid_move_reference(name):
     for node_cap, height_cap in ((3, 2), (8, 4), (60, 8)):
         for beta in weyl.positive_real_roots(C, 6):
             target = weyl.reflection_for_root(C, beta)
-            outcome = _targeted_orbit_search(start, target, node_cap, height_cap)
+            outcome = _targeted_orbit_search(C, start, target, node_cap, height_cap)
             reference = _reference_targeted_search(start, target, node_cap, height_cap)
             assert outcome == reference, (beta, node_cap, height_cap)
             if outcome.word is not None:
@@ -459,22 +470,129 @@ def test_root_tuple_searches_make_no_braid_move(monkeypatch):
         raise AssertionError("braid_move called inside a root-tuple search")
 
     monkeypatch.setattr(hurwitz, "braid_move", refuse)
-    assert len(hurwitz_orbit(canonical_factorization(preset("B3")))) == ORBIT_SIZES["B3"]
+    B3 = preset("B3")
+    assert len(hurwitz_orbit(B3, canonical_factorization(B3))) == ORBIT_SIZES["B3"]
     C = preset("universal:3:2")
     target = weyl.reflection_for_root(C, (2, 0, 1))
-    outcome = _targeted_orbit_search(canonical_factorization(C), target, 10**4, 8)
+    outcome = _targeted_orbit_search(C, canonical_factorization(C), target, 10**4, 8)
     assert outcome.word is not None
 
 
-def test_orbit_checks_each_distinct_product_once(monkeypatch):
-    start = canonical_factorization(preset("B3"))
+def test_orbit_builds_no_factorization_and_conjugates_each_pair_once(monkeypatch):
+    B3 = preset("B3")
+    start = canonical_factorization(B3)
+    # A fresh table, so that this closure meets every root for the first time.
+    monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
+    checked, conjugated, applied = [], [], []
+    check = Factorization.__post_init__
+    conjugate = hurwitz._conjugate_reflection
+    apply = weyl.Reflection.apply
+    monkeypatch.setattr(
+        Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
+    )
+    monkeypatch.setattr(
+        hurwitz,
+        "_conjugate_reflection",
+        lambda a, b: (conjugated.append((a.root, b.root)), conjugate(a, b))[1],
+    )
+    orbit = hurwitz_orbit(B3, start)
+    assert len(orbit) == ORBIT_SIZES["B3"]
+    # The start was checked when it was built, before the closure; no node is.
+    assert checked == []
+    # One conjugation per root that is not a start root, no pair twice.
+    table = hurwitz._root_tuples(B3)
+    assert len(conjugated) == len(set(conjugated)) == len(table.reflections) - B3.n
+    # A second closure on the same table finds every pair memoized.
+    monkeypatch.setattr(
+        weyl.Reflection, "apply", lambda t, v: (applied.append(v), apply(t, v))[1]
+    )
+    assert hurwitz_orbit(B3, start) == orbit
+    assert applied == [] and len(conjugated) == len(table.reflections) - B3.n
+
+
+def test_orbit_factorizations_are_each_product_checked(monkeypatch):
+    D4 = preset("D4")
+    orbit = hurwitz_orbit(D4, canonical_factorization(D4))
     checked = []
     check = Factorization.__post_init__
     monkeypatch.setattr(
         Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
     )
-    orbit = hurwitz_orbit(start)
-    # The start was checked when it was built; every other tuple exactly once.
-    others = [f.roots() for f in orbit.factorizations if f != start]
-    assert len(others) == len(orbit) - 1
-    assert sorted(checked) == sorted(others)
+    factorizations = orbit.factorizations
+    assert checked == [f.roots() for f in factorizations] == list(orbit.roots)
+
+
+def _without_correction(a, b):
+    """The row update with the phi_b(beta_a) phi_a term dropped."""
+    root, coroot = a.apply(b.root), b.coroot
+    if weyl.is_negative(root):
+        root, coroot = weyl.negate(root), weyl.negate(coroot)
+    return weyl.Reflection(root, coroot)
+
+
+def _without_sign_flip(a, b):
+    """The row update with a negative gamma kept as it is."""
+    k = b.pair(a.root)
+    coroot = tuple(x - k * y for x, y in zip(b.coroot, a.coroot))
+    return weyl.Reflection(a.apply(b.root), coroot)
+
+
+_CONJUGATE = hurwitz._conjugate_reflection
+
+
+def _with_stray_row(a, b):
+    """The right row plus (gamma_2, -gamma_1, 0, ...), which vanishes on
+    gamma: the pairing check of Reflection cannot see it, the form can."""
+    t = _CONJUGATE(a, b)
+    g = t.root
+    stray = (g[1], -g[0]) + (0,) * (len(g) - 2)
+    return weyl.Reflection(g, tuple(x + y for x, y in zip(t.coroot, stray)))
+
+
+# The sign flip matters only for a root first met as a negative image.  No
+# A3 orbit meets one, so that mutant leaves every A3 row right; B3 meets one
+# from the order (2, 1, 3).
+@pytest.mark.parametrize(
+    "mutant, starts, refusal",
+    [
+        (_without_correction, [("A3", None), ("B3", None), ("G2", None)], "does not pair"),
+        (_without_sign_flip, [("B3", (2, 1, 3)), ("G2", None), ("G2", (2, 1))], "not the"),
+        (_with_stray_row, [("A3", None), ("B3", None), ("G2", None)], "not the"),
+    ],
+    ids=["without-correction", "without-sign-flip", "stray-row"],
+)
+def test_corrupted_row_update_is_refused(monkeypatch, mutant, starts, refusal):
+    from schur_scope import cli
+
+    monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
+    monkeypatch.setattr(hurwitz, "_conjugate_reflection", mutant)
+    for name, order in starts:
+        hurwitz._root_tuples.cache_clear()
+        C = preset(name)
+        with pytest.raises(ArithmeticError, match=refusal):
+            hurwitz_orbit(C, canonical_factorization(C, order))
+    hurwitz._root_tuples.cache_clear()
+    argv = ["--type", "B3", "--order", "2,1,3", "orbit", "count"]
+    assert cli.run(argv) == cli.EXIT_INTERNAL
+
+
+def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():
+    # s_1 written with the negated root and row is the same map, so the
+    # product check passes; the table refuses it.
+    A2 = preset("A2")
+    s1, s2 = weyl.simple_reflections(A2)
+    flipped = weyl.Reflection(weyl.negate(s1.root), weyl.negate(s1.coroot))
+    start = Factorization((flipped, s2), weyl.coxeter_element(A2))
+    with pytest.raises(ArithmeticError):
+        hurwitz_orbit(A2, start)
+    # On B2, row 1 is (2, -2), so (2alpha_1, (1, -1)) is s_1 again; 2alpha_1
+    # is not a root.
+    B2 = preset("B2")
+    s1, s2 = weyl.simple_reflections(B2)
+    assert s1.coroot == (2, -2)
+    doubled = weyl.Reflection((2, 0), (1, -1))
+    with pytest.raises(ValueError, match="not the norm"):
+        hurwitz_orbit(B2, Factorization((doubled, s2), weyl.coxeter_element(B2)))
+    # A start of another Cartan matrix: s_2 of A3 is not s_2 of B3.
+    with pytest.raises(ArithmeticError):
+        hurwitz_orbit(preset("B3"), canonical_factorization(preset("A3")))

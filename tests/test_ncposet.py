@@ -199,7 +199,7 @@ def test_chain_counts_match_orbit_sizes():
     for name, expected in CHAIN_COUNTS.items():
         C = preset(name)
         poset = enumerate_nc(C)
-        orbit = hurwitz.hurwitz_orbit(hurwitz.canonical_factorization(C))
+        orbit = hurwitz.hurwitz_orbit(C, hurwitz.canonical_factorization(C))
         assert maximal_chain_count(poset) == len(orbit) == expected
 
 

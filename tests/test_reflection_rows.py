@@ -35,13 +35,19 @@ def _matrix_product(parts):
 def test_table_rows_give_the_reflection_matrices(name):
     C = preset(name)
     start = canonical_factorization(C)
-    hurwitz_orbit(start, NODE_CAP)
-    table = hurwitz._root_tuples(start).reflections
+    hurwitz_orbit(C, start, NODE_CAP)
+    rows = hurwitz._root_tuples(C)
+    table = rows.reflections
     assert len(table) > C.n
     for root, t in table.items():
         assert t.root == root
         assert t.matrix == weyl.reflection_for_root(C, root).matrix
         assert weyl.root_of_reflection(t.matrix) == root
+    # Each memoized move is the root of the conjugated matrix.
+    assert rows.pairs
+    for (a, b), root in rows.pairs.items():
+        conjugated = matmul(matmul(table[a].matrix, table[b].matrix), table[a].matrix)
+        assert weyl.root_of_reflection(conjugated) == root
 
 
 def _conjugate_matrices(a, b):
@@ -78,7 +84,7 @@ def test_braid_words_match_the_matrix_replay():
 @pytest.mark.parametrize("name", PRESETS)
 def test_row_product_check_agrees_with_matmul(name):
     C = preset(name)
-    orbit = hurwitz_orbit(canonical_factorization(C), NODE_CAP)
+    orbit = hurwitz_orbit(C, canonical_factorization(C), NODE_CAP)
     kinds = set()
     for f in orbit.factorizations:
         assert _matrix_product(f.parts) == f.coxeter
