@@ -255,8 +255,8 @@ def _cmd_nc(session: Session, args) -> tuple[dict, int]:
         w = _parse_element(args.w, session)
         answer = ncposet.absolute_leq(u, w, C)
         return {"answer": answer.value}, _ternary_exit(answer)
-    poset = ncposet.enumerate_nc(C, session.order)
     if args.action == "list":
+        poset = ncposet.enumerate_nc(C, session.order)
         payload = {
             "size": len(poset.elements),
             "nodes": _nc_nodes(poset),
@@ -275,7 +275,7 @@ def _cmd_nc(session: Session, args) -> tuple[dict, int]:
         if args.w
         else weyl.coxeter_element(C, session.order)
     )
-    witness = ncposet.interval_factorization(u, w, poset)
+    witness = ncposet.interval_factorization(u, w, C, session.order)
     payload = {
         "steps": _root_list(t.root for t in witness.steps),
         "full_factorization": _root_list(witness.full.roots()),

@@ -1,9 +1,10 @@
 """The interval below the Coxeter element in absolute order.
 
-Membership uses only the defining identity l(u) + l(u^-1 w) = l(w).  For
-finite types every length comes from the cached group table, so the poset is
-exact.  For infinite types only the membership test is exposed; absolute
-lengths are exact there too (Dyer's deletion search), so it answers YES or NO.
+Membership uses only the defining identity l(u) + l(u^-1 w) = l(w).  Every
+absolute length, and so every order test, comes from Dyer's deletion search
+(weyl.absolute_length and weyl.factor_into_reflections), exact on every type.
+Only enumerate_nc, which lists the whole poset of a finite type, reads the
+cached group table.
 """
 
 from __future__ import annotations
@@ -17,30 +18,23 @@ from .hurwitz import Factorization, Ternary
 from .weyl import Reflection, coxeter_element
 
 
-def _leq_in_table(table: dict[Matrix, int], u: Matrix, w: Matrix) -> bool:
-    """l(u) + l(u^-1 w) = l(w), every length read from a finite group's table."""
+def _below(C: CartanMatrix, u: Matrix, w: Matrix, length_u: int, length_w: int) -> bool:
+    """u <= w, given l(u) and l(w): l(u^-1 w) >= l(w) - l(u) by
+    subadditivity, so the identity holds iff u^-1 w is a product of exactly
+    l(w) - l(u) reflections, which one Dyer search at that count decides."""
     quotient = matmul(inverse(u), w)
-    try:
-        return table[u] + table[quotient] == table[w]
-    except KeyError:
-        raise ValueError("matrix is not an element of the Weyl group") from None
+    return weyl.factor_into_reflections(C, quotient, length_w - length_u) is not None
 
 
 def absolute_leq(u: Matrix, w: Matrix, C: CartanMatrix) -> Ternary:
     """Does l(u) + l(u^-1 w) = l(w) hold?  Exact on every type.
 
-    Finite types read the group table.  Otherwise l(u) and l(w) come from
-    weyl.absolute_length; l(u^-1 w) >= l(w) - l(u) by subadditivity, so
-    the identity holds iff u^-1 w is a product of exactly l(w) - l(u)
-    reflections, which one Dyer search at that count decides.
+    l(w) and l(u) come from weyl.absolute_length, whose peel refuses a matrix
+    outside W (ValueError); then one Dyer search decides (see _below).
     """
-    if classify_type(C) is TypeClass.FINITE:
-        table = weyl._absolute_length_table(C)
-        return Ternary.YES if _leq_in_table(table, u, w) else Ternary.NO
-    rest = weyl.absolute_length(C, w) - weyl.absolute_length(C, u)
-    quotient = matmul(inverse(u), w)
-    found = weyl.factor_into_reflections(C, quotient, rest) is not None
-    return Ternary.YES if found else Ternary.NO
+    length_w = weyl.absolute_length(C, w)
+    length_u = weyl.absolute_length(C, u)
+    return Ternary.YES if _below(C, u, w, length_u, length_w) else Ternary.NO
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,10 @@ class NCPoset:
         return self.cartan.n
 
     def leq(self, i: int, j: int) -> bool:
-        """Order relation between element indices via the defining identity."""
-        table = weyl._absolute_length_table(self.cartan)
-        return _leq_in_table(table, self.elements[i], self.elements[j])
+        """Order relation between element indices: one Dyer search, with the
+        ranks as the lengths."""
+        u, w = self.elements[i], self.elements[j]
+        return _below(self.cartan, u, w, self.ranks[i], self.ranks[j])
 
 
 def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPoset:
@@ -78,7 +73,9 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     order = weyl._check_order(C, order)
     c = coxeter_element(C, order)
     table = weyl._absolute_length_table(C)
-    members = [w for w in weyl.enumerate_group(C) if _leq_in_table(table, w, c)]
+    members = [
+        w for w in weyl.enumerate_group(C) if table[w] + table[matmul(inverse(w), c)] == table[c]
+    ]
     members.sort(key=lambda w: (table[w], w))
     ranks = tuple(table[w] for w in members)
     index = {w: i for i, w in enumerate(members)}
@@ -102,39 +99,43 @@ class IntervalFactorization:
 
 
 def interval_factorization(
-    u: Matrix, w: Matrix, poset: NCPoset
+    u: Matrix, w: Matrix, C: CartanMatrix, order: tuple[int, ...] | None = None
 ) -> IntervalFactorization:
     """Reflections t_1 ... t_m with u t_1 ... t_m = w and m = l(w) - l(u).
 
-    Found greedily: from x, step to x t for the first reflection t with
-    l(x t) = l(x) + 1 and x t <= w.  Every such cover lies on a saturated
-    chain to w, so the climb never has to back up.  The returned sequence is
-    also embedded in a full reflection factorization of c (identity to u, the
-    steps, then w to c).
+    Found greedily: from x, step to x t for the first reflection t of
+    weyl.reflections with l(x t) = l(x) + 1 and x t <= w.  Every such cover
+    lies on a saturated chain to w, so the climb never has to back up.  With
+    q = x^-1 w and m = l(q), that test is l(t q) = m - 1 (subadditivity gives
+    the rest), one Dyer search per candidate.  The returned sequence is also
+    embedded in a full reflection factorization of c for the given order
+    (identity to u, the steps, then w to c).
     """
-    C = poset.cartan
-    table = weyl._absolute_length_table(C)
-    c = coxeter_element(C, poset.order)
-
-    if not (_leq_in_table(table, u, w) and _leq_in_table(table, w, c)):
+    if classify_type(C) is not TypeClass.FINITE:
+        raise ValueError("interval factorization requires a finite-type matrix")
+    c = coxeter_element(C, order)
+    length_u, length_w = weyl.absolute_length(C, u), weyl.absolute_length(C, w)
+    length_c = weyl.absolute_length(C, c)
+    if not (_below(C, u, w, length_u, length_w) and _below(C, w, c, length_w, length_c)):
         raise ValueError("interval requires u <= w <= c in absolute order")
 
-    def climb(lower: Matrix, upper: Matrix) -> tuple[Reflection, ...]:
+    def climb(lower: Matrix, upper: Matrix, m: int) -> tuple[Reflection, ...]:
+        q = matmul(inverse(lower), upper)
         steps = []
-        while lower != upper:
+        while m:
             for t in weyl.reflections(C):
-                y = matmul(lower, t.matrix)
-                if table[y] == table[lower] + 1 and _leq_in_table(table, y, upper):
+                rest = t.left_multiply(q)
+                if weyl.factor_into_reflections(C, rest, m - 1) is not None:
                     break
             else:
                 raise ArithmeticError("graded interval must contain a saturated chain")
             steps.append(t)
-            lower = y
+            q, m = rest, m - 1
         return tuple(steps)
 
-    steps = climb(u, w)
-    prefix = climb(identity(C.n), u)
-    suffix = climb(w, c)
+    steps = climb(u, w, length_w - length_u)
+    prefix = climb(identity(C.n), u, length_u)
+    suffix = climb(w, c, length_c - length_w)
     full = Factorization(prefix + steps + suffix, c)
     return IntervalFactorization(steps, full)
 

@@ -127,18 +127,25 @@ def coxeter_element(C: CartanMatrix, order: tuple[int, ...] | None = None) -> Ma
     return result
 
 
+def _moved_direction(m: Matrix) -> Vector | None:
+    """The primitive vector along m's first column that differs from the
+    identity's, or None for the identity.  For a reflection t_beta,
+    t_beta - id = -beta phi, so this is +-beta."""
+    for j, column in enumerate(zip(*m)):
+        moved = tuple(x - (i == j) for i, x in enumerate(column))
+        if any(moved):
+            return _mat.primitive(moved)
+    return None
+
+
 def root_of_reflection(t: Matrix) -> Root:
     """The primitive positive generator of the image lattice of t - id."""
     n = len(t)
-    moved = mat_sub(t, identity(n))
-    columns = [tuple(moved[row][col] for row in range(n)) for col in range(n)]
-    generator: Root | None = None
-    for col in columns:
-        if any(col):
-            generator = _mat.primitive(col)
-            break
+    generator = _moved_direction(t)
     if generator is None:
         raise ValueError("identity matrix is not a reflection")
+    moved = mat_sub(t, identity(n))
+    columns = [tuple(moved[row][col] for row in range(n)) for col in range(n)]
     # Every column must be an integer multiple of the generator (rank 1).
     pivot = next(i for i, x in enumerate(generator) if x)
     for col in columns:
@@ -433,11 +440,21 @@ def factor_into_reflections(
     which _peel yields the roots of the t_p.  It finds an expression whenever
     count = l_T(w) and none when count < l_T(w).  Pruned by parity
     (det w = (-1)^l(w)) and by rank(target - id) <= k, as k reflections move
-    a sublattice of rank at most k; the last factor is looked up, not
-    searched.  More than _DYER_CAP nodes raise RuntimeError.
+    a sublattice of rank at most k.  The last factor is looked up by the root
+    _moved_direction reads off the target, not searched.  More than _DYER_CAP
+    nodes raise RuntimeError.  The rank test runs on w before the peel, so a
+    count it rules out costs no reduced word; only then does the peel refuse a
+    matrix outside W (ValueError).
     """
+    one = identity(C.n)
+
+    def moves_too_much(target: Matrix, k: int) -> bool:
+        return k < C.n and _mat.rank(mat_sub(target, one)) > k
+
+    if count < 0 or moves_too_much(w, count):
+        return None
     steps = list(_peel(C, w))
-    if count < 0 or (len(steps) - count) % 2:
+    if (len(steps) - count) % 2:
         return None
     # t_p's coroot row is phi(v) = B(v, beta) / d_j, as B(beta, beta) = 2 d_j.
     form, d = symmetrized(C), symmetrizer(C)
@@ -445,8 +462,7 @@ def factor_into_reflections(
         Reflection(beta, tuple(sum(x * y for x, y in zip(row, beta)) // d[j] for row in form))
         for j, beta in steps
     ]
-    index = {t.matrix: a for a, t in enumerate(inversions)}
-    one = identity(C.n)
+    index = {t.root: a for a, t in enumerate(inversions)}
     nodes = 0
 
     def search(target: Matrix, k: int, after: int) -> tuple[Reflection, ...] | None:
@@ -457,9 +473,14 @@ def factor_into_reflections(
         if k == 0:
             return () if target == one else None
         if k == 1:
-            a = index.get(target, after)
-            return (inversions[a],) if a > after else None
-        if k < C.n and _mat.rank(mat_sub(target, one)) > k:
+            beta = _moved_direction(target)
+            if beta is not None and is_negative(beta):
+                beta = negate(beta)
+            a = index.get(beta, after)
+            if a > after and inversions[a].left_multiply(target) == one:
+                return (inversions[a],)
+            return None
+        if moves_too_much(target, k):
             return None
         for a in range(after + 1, len(inversions) - k + 1):
             rest = search(inversions[a].left_multiply(target), k - 1, a)

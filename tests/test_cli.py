@@ -177,6 +177,65 @@ def test_nc_list_refuses_groups_above_the_enumeration_cap(capsys):
     )
 
 
+def _json_matrix(m) -> str:
+    return json.dumps([list(row) for row in m])
+
+
+def test_nc_leq_answers_on_e7_and_e8(capsys):
+    # Dyer's search answers without enumerating W (2.9 and 697 million elements).
+    code, out = _run(capsys, ["--type", "E7", "nc", "leq", "--u", "1,0,0,0,0,0,0", "--w", "1,0,0,0,0,0,0"])
+    assert code == EXIT_OK
+    assert out.splitlines() == ['answer = "yes"']
+    c = _json_matrix(weyl.coxeter_element(cartan.preset("E8")))
+    for u, w, answer in (("0,0,0,0,0,0,0,1", c, "yes"), (c, "0,0,0,0,0,0,0,1", "no")):
+        code, out = _run(capsys, ["--type", "E8", "nc", "leq", "--u", u, "--w", w])
+        assert code == EXIT_OK
+        assert out.splitlines() == [f'answer = "{answer}"']
+
+
+def test_nc_chain_on_e8_climbs_to_the_coxeter_element(capsys):
+    code, out = _run(capsys, ["--type", "E8", "--json", "nc", "chain"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    E8 = cartan.preset("E8")
+    assert len(payload["steps"]) == 8
+    assert payload["full_factorization"] == payload["steps"]  # from 1 to c
+    product = weyl.identity(8)
+    for root in payload["steps"]:
+        product = matmul(product, weyl.reflection_for_root(E8, tuple(root)).matrix)
+    assert product == weyl.coxeter_element(E8)
+
+
+def test_nc_chain_refuses_infinite_types(capsys):
+    code = run(["--type", "universal:3:2", "nc", "chain"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: interval factorization requires a finite-type matrix\n"
+
+
+A3_FLIP = "[[0,0,1],[0,1,0],[1,0,0]]"  # the diagram automorphism 1 <-> 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A2", "nc", "leq", "--u", "[[-1,0],[0,-1]]", "--w", "1,0"],
+        ["--type", "A2", "nc", "chain", "--u", "[[-1,0],[0,-1]]"],
+        ["--type", "A3", "nc", "leq", "--u", "1,0,0", "--w", A3_FLIP],
+        ["--type", "A3", "nc", "chain", "--w", A3_FLIP],
+    ],
+)
+def test_nc_refuses_finite_non_members(capsys, argv):
+    # -1 is not in W(A2), and the A3 flip permutes the simple roots: peeling
+    # a reduced word stops short of the identity.
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not an element of the Weyl group\n"
+
+
 def test_schur_check_on_e7_answers_with_a_witness(capsys):
     # The highest root of E7.
     argv = ["--type", "E7", "--json", "schur", "check", "--root", "2,3,4,3,2,1,2"]

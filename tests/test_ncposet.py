@@ -40,6 +40,41 @@ def test_absolute_leq_infinite_certified():
     assert absolute_leq(tall, c, U) is Ternary.YES
 
 
+def _table_leq(C, u, w):
+    """Reference: the defining identity with every length read from the group table."""
+    table = weyl._absolute_length_table(C)
+    return table[u] + table[matmul(inverse(u), w)] == table[w]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+def test_absolute_leq_matches_table_on_all_pairs(name):
+    C = preset(name)
+    group = sorted(weyl.enumerate_group(C))
+    for u in group:
+        for w in group:
+            assert (absolute_leq(u, w, C) is Ternary.YES) == _table_leq(C, u, w), (u, w)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_absolute_leq_matches_table_below_coxeter(name):
+    C = preset(name)
+    c = weyl.coxeter_element(C)
+    members = 0
+    for u in sorted(weyl.enumerate_group(C)):
+        below = absolute_leq(u, c, C) is Ternary.YES
+        assert below == _table_leq(C, u, c), u
+        members += below
+    assert members == len(enumerate_nc(C).elements)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4"])
+def test_poset_leq_matches_table(name):
+    poset = enumerate_nc(preset(name))
+    for i, u in enumerate(poset.elements):
+        for j, w in enumerate(poset.elements):
+            assert poset.leq(i, j) == _table_leq(poset.cartan, u, w), (i, j)
+
+
 def test_length_lower_bound_certifies_coxeter():
     for name in ("A3", "universal:2:2", "universal:3:2", "affine-A2"):
         C = preset(name)
@@ -103,34 +138,32 @@ def test_nc_grading_and_covers():
 
 def test_interval_factorization_examples():
     A3 = preset("A3")
-    poset = enumerate_nc(A3)
     c = weyl.coxeter_element(A3)
     s2 = weyl.simple_reflection(A3, 2).matrix
 
-    trivial = interval_factorization(s2, s2, poset)
+    trivial = interval_factorization(s2, s2, A3)
     assert trivial.steps == ()
 
-    witness = interval_factorization(s2, c, poset)
+    witness = interval_factorization(s2, c, A3)
     assert len(witness.steps) == 2
     product = s2
     for t in witness.steps:
         product = matmul(product, t.matrix)
     assert product == c
 
-    bottom_to_top = interval_factorization(weyl.identity(3), c, poset)
+    bottom_to_top = interval_factorization(weyl.identity(3), c, A3)
     assert len(bottom_to_top.steps) == 3
     assert len(bottom_to_top.full.parts) == 3  # also a full factorization of c
 
 
 def test_interval_factorization_rejects_incomparable():
     A2 = preset("A2")
-    poset = enumerate_nc(A2)
     c = weyl.coxeter_element(A2)
     s1 = weyl.simple_reflection(A2, 1).matrix
     with pytest.raises(ValueError):
-        interval_factorization(c, s1, poset)
+        interval_factorization(c, s1, A2)
     with pytest.raises(ValueError):
-        interval_factorization(((-1, 0), (0, -1)), c, poset)  # not in W(A2)
+        interval_factorization(((-1, 0), (0, -1)), c, A2)  # not in W(A2)
 
 
 def test_interval_lengths_match_rank_difference():
@@ -139,7 +172,7 @@ def test_interval_lengths_match_rank_difference():
         for j, w in enumerate(poset.elements):
             if not poset.leq(i, j):
                 continue
-            witness = interval_factorization(u, w, poset)
+            witness = interval_factorization(u, w, poset.cartan, poset.order)
             assert len(witness.steps) == poset.ranks[j] - poset.ranks[i]
 
 
@@ -189,7 +222,7 @@ def test_interval_climb_matches_bfs_reference(name, order):
     for i, u in enumerate(poset.elements):
         for j, w in enumerate(poset.elements):
             if poset.leq(i, j):
-                steps = interval_factorization(u, w, poset).steps
+                steps = interval_factorization(u, w, poset.cartan, order).steps
                 assert steps == _bfs_climb(u, w, poset), (i, j)
                 pairs += 1
     assert pairs > len(poset.elements)

@@ -405,6 +405,16 @@ def test_reduced_word_refuses_matrices_outside_w(monkeypatch):
         weyl.reduced_word(preset("A2"), ((-1, 0), (0, -1)))
 
 
+def test_reflection_search_rank_test_runs_before_the_peel():
+    # -1 is not in W(A2).  At count 1 the rank test rules it out, as
+    # rank(-1 - id) = 2 > 1, before a reduced word is peeled; at count 2 the
+    # peel runs and refuses it.
+    A2, minus = preset("A2"), ((-1, 0), (0, -1))
+    assert weyl.factor_into_reflections(A2, minus, 1) is None
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        weyl.factor_into_reflections(A2, minus, 2)
+
+
 def test_enumerate_group_sizes():
     assert len(enumerate_group(preset("A2"))) == 6
     assert len(enumerate_group(preset("B2"))) == 8
