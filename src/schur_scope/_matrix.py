@@ -10,6 +10,7 @@ integer coefficients and divide only where the division is exact.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul, sub
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -24,9 +25,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if len(b) != n:
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -36,7 +35,7 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:

@@ -162,6 +162,7 @@ def symmetrizer(C: CartanMatrix) -> tuple[int, ...]:
     return result
 
 
+@functools.lru_cache(maxsize=None)
 def symmetrized(C: CartanMatrix) -> Matrix:
     """The symmetric matrix S with S_ij = d_i a_ij."""
     d = symmetrizer(C)

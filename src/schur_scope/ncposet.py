@@ -67,24 +67,33 @@ class NCPoset:
 
 
 def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPoset:
-    """Filter the full group by the membership identity and grade by length."""
+    """Filter the full group by the membership identity and grade by length.
+
+    w <= c iff l(w) + l(w^-1 c) = l(c).  Since l(x) = l(x^-1) and
+    (w^-1 c)^-1 = c^-1 w, the filter reads l(c^-1 w) from the table, so c is
+    inverted once and no member is.  u < w is a cover iff w = u t for a
+    reflection t and l(w) = l(u) + 1; as u t u^-1 is a reflection too,
+    {u t : t in T} = {t u : t in T}, so the covers of u are found as t u, a
+    rank-one row update of u with no matrix of t.
+    """
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("poset enumeration requires a finite-type matrix")
     order = weyl._check_order(C, order)
     c = coxeter_element(C, order)
+    c_inverse = inverse(c)
     table = weyl._absolute_length_table(C)
+    length_c = table[c]
     members = [
-        w for w in weyl.enumerate_group(C) if table[w] + table[matmul(inverse(w), c)] == table[c]
+        w for w in weyl.enumerate_group(C) if table[w] + table[matmul(c_inverse, w)] == length_c
     ]
     members.sort(key=lambda w: (table[w], w))
     ranks = tuple(table[w] for w in members)
     index = {w: i for i, w in enumerate(members)}
-    # u < w is a cover iff w = u t for a reflection t and l(w) = l(u) + 1.
     covers = sorted(
         (i, j)
         for i, u in enumerate(members)
         for t in weyl.reflections(C)
-        if (j := index.get(matmul(u, t.matrix))) is not None
+        if (j := index.get(t.left_multiply(u))) is not None
         and ranks[j] == ranks[i] + 1
     )
     return NCPoset(C, order, tuple(members), ranks, tuple(covers))

@@ -47,8 +47,15 @@ class Reflection:
         return tuple(x - k * b for x, b in zip(v, self.root))
 
     def left_multiply(self, m: Matrix) -> Matrix:
-        """t m, column by column, without t's matrix."""
-        return tuple(zip(*(self.apply(column) for column in zip(*m))))
+        """t m = m - beta (phi m), row by row, without t's matrix: with the
+        row k = phi m, row i becomes row_i - beta_i k, and a row with
+        beta_i = 0 is reused as it is."""
+        coroot = self.coroot
+        k = [sum(map(mul, coroot, column)) for column in zip(*m)]
+        return tuple(
+            tuple([x - b * y for x, y in zip(row, k)]) if b else row
+            for b, row in zip(self.root, m)
+        )
 
     @functools.cached_property
     def matrix(self) -> Matrix:

@@ -1,10 +1,23 @@
 """The integer (fraction-free) kernels of _matrix against the Gaussian
-elimination over Fractions that they replaced, kept here as the reference."""
+elimination over Fractions that they replaced, and matmul and mat_sub against
+the entrywise loops, kept here as the references."""
 
 import random
 from fractions import Fraction
 
-from schur_scope._matrix import det, identity, inverse, matmul, rank
+import pytest
+
+from schur_scope._matrix import det, identity, inverse, mat_sub, matmul, rank
+
+
+def _triple_loop_product(a, b):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(row) for row in out)
 
 
 def _fraction_det(a):
@@ -157,3 +170,26 @@ def test_inverse_matches_fraction_reference():
             assert matmul(a, result) == identity(len(a))
             seen.add("integral")
     assert seen == {"integral", "matrix is singular", "inverse is not an integer matrix"}
+
+
+def test_matmul_matches_triple_loop_reference():
+    rng = random.Random(14)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        bound = rng.choice((1, 3, 10**6))
+        a = _random_matrix(rng, n, n, bound)
+        b = _random_matrix(rng, n, n, bound)
+        assert matmul(a, b) == _triple_loop_product(a, b), (a, b)
+    with pytest.raises(ValueError):
+        matmul(identity(2), identity(3))
+
+
+def test_mat_sub_matches_entrywise_reference():
+    rng = random.Random(16)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        a = _random_matrix(rng, n, n, 10**6)
+        b = _random_matrix(rng, n, n, 10**6)
+        assert mat_sub(a, b) == tuple(
+            tuple(a[i][j] - b[i][j] for j in range(n)) for i in range(n)
+        )

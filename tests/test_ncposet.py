@@ -14,7 +14,14 @@ from schur_scope.ncposet import (
 from schur_scope.weyl import length_lower_bound
 from test_weyl import is_reflection
 
-NC_SIZES = {"A2": 5, "B2": 6, "A3": 14, "A4": 42}
+# Rank profiles of NC(W, c); the sizes are the W-Catalan numbers 5, 6, 14, 42, 833.
+NC_RANK_COUNTS = {
+    "A2": (1, 3, 1),
+    "B2": (1, 4, 1),
+    "A3": (1, 6, 6, 1),
+    "A4": (1, 10, 20, 10, 1),
+    "E6": (1, 36, 204, 351, 204, 36, 1),
+}
 CHAIN_COUNTS = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27}
 
 
@@ -110,10 +117,38 @@ def test_covers_match_pairwise_reference(name, order):
     assert poset.covers == _pairwise_covers(poset)
 
 
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("A2", None),
+        ("B2", None),
+        ("G2", None),
+        ("A3", None),
+        ("B3", None),
+        ("A4", (3, 1, 4, 2)),
+        ("D4", (4, 2, 1, 3)),
+    ],
+)
+def test_members_match_per_element_filter(name, order):
+    """The c^-1 w filter keeps what the per-element filter l(w) + l(w^-1 c) =
+    l(c) keeps, with w^-1 computed for every w."""
+    C = preset(name)
+    c = weyl.coxeter_element(C, order)
+    table = weyl._absolute_length_table(C)
+    members = sorted(
+        (w for w in weyl.enumerate_group(C) if _table_leq(C, w, c)),
+        key=lambda w: (table[w], w),
+    )
+    poset = enumerate_nc(C, order)
+    assert poset.elements == tuple(members)
+    assert poset.ranks == tuple(table[w] for w in members)
+
+
 def test_nc_sizes():
-    for name, size in NC_SIZES.items():
+    for name, counts in NC_RANK_COUNTS.items():
         poset = enumerate_nc(preset(name))
-        assert len(poset.elements) == size
+        assert tuple(poset.ranks.count(r) for r in range(poset.n + 1)) == counts
+        assert len(poset.elements) == sum(counts)
 
 
 def test_nc_requires_finite():

@@ -1,6 +1,6 @@
 """Reflections as a root and a coroot row, cross-checked against the matrix
-route they replaced: conjugated matrices, root_of_reflection, and the product
-of n matrices.
+route they replaced: conjugated matrices, root_of_reflection, the product of
+n matrices, and the row update t m against the matrix product.
 
 B3, C3, G2 and F4 are valued types, where the coroot row of a root is not its
 transpose, so a row update that mixed the two would show there.
@@ -103,3 +103,24 @@ def test_row_product_check_agrees_with_matmul(name):
     # orthogonal real roots; the other presets meet such adjacent pairs.
     orthogonal = name not in ("G2", "affine-A2", "universal:3:2")
     assert kinds == ({"accepted", "rejected"} if orthogonal else {"rejected"})
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4", "E6"])
+def test_left_multiply_matches_matmul(name):
+    """t m = m - beta (phi m) by rows equals t.matrix times m, on group
+    elements and on random integer matrices; a root with a zero coordinate
+    takes the path that reuses that row of m."""
+    C = preset(name)
+    rng = random.Random(15)
+    reused = 0
+    for t in weyl.reflections(C):
+        samples = [weyl.coxeter_element(C), t.matrix]
+        samples += [
+            tuple(tuple(rng.randint(-9, 9) for _ in range(C.n)) for _ in range(C.n))
+            for _ in range(20)
+        ]
+        for m in samples:
+            product = t.left_multiply(m)
+            assert product == matmul(t.matrix, m), (t, m)
+            reused += sum(row is old for row, old in zip(product, m))
+    assert reused
