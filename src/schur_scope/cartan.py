@@ -76,18 +76,30 @@ class CartanMatrix:
         return self.entries[i - 1][j - 1]
 
 
+def components(entries: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The connected components, as sorted 0-based vertex tuples, of the
+    graph with an edge i-j whenever a_ij != 0."""
+    n = len(entries)
+    found: list[tuple[int, ...]] = []
+    left = set(range(n))
+    while left:
+        start = min(left)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if j not in seen and i != j and entries[i][j] != 0:
+                    seen.add(j)
+                    frontier.append(j)
+        found.append(tuple(sorted(seen)))
+        left -= seen
+    return tuple(found)
+
+
 def is_irreducible(entries: Matrix) -> bool:
     """Connectivity of the graph with an edge i-j whenever a_ij != 0."""
-    n = len(entries)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and i != j and entries[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+    return len(components(entries)) == 1
 
 
 def parse_cartan(text: str, labels: tuple[str, ...] | None = None) -> CartanMatrix:

@@ -10,12 +10,14 @@ move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
 gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a and has the coroot row
 phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0): O(n), no matrix.
 braid_move and apply_braid_word replay braid words on Factorization objects.
-The orbit searches move on tuples of positive roots through one table per
-Cartan matrix, which holds each root's row, checked once against an
-independent route, and the root of each pair's move.  The product of a tuple
-they reach is certified without a check per tuple: the start's product is
-checked, every row is the true reflection of its root, and
-w s_beta w^-1 = s_{w beta} makes each move keep the product.
+The orbit searches move on tuples of small-int root ids through one table per
+Cartan matrix, which interns each positive root once, with its height, and
+memoizes the root id of each id pair's move.  A root's row is made when the
+root first acts in a move, not when it is first met, and is checked then,
+once, against an independent route.  The product of a tuple they reach is
+certified without a check per tuple: the start's product is checked, every
+row is the true reflection of its root, and w s_beta w^-1 = s_{w beta} makes
+each move keep the product.  Callers get roots back, never ids.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .weyl import (
 
 BraidWord = tuple[int, ...]
 RootTuple = tuple[Root, ...]
+IdTuple = tuple[int, ...]  # a search node: root ids of a _ReflectionTable
 
 DEFAULT_NODE_CAP = 10**6
 DEFAULT_PRUNE_MULTIPLIER = 4
@@ -135,13 +138,23 @@ def word_inverse(word: BraidWord) -> BraidWord:
 class _ReflectionTable:
     """The reflections of W(C) that the orbit searches meet, and their moves.
 
-    reflections maps a positive real root to its Reflection.  A row enters
-    once, checked against a route independent of the one that made it: a
-    start part must equal weyl.reflection_for_root of its root, and a row
-    made by _conjugate_reflection must be phi_gamma = 2B(., gamma) /
-    B(gamma, gamma), read off the symmetrized form.  A mismatch raises
-    ArithmeticError.  pairs maps (beta_a, beta_b) to the root of
-    t_a t_b t_a, so a pair met again costs one lookup.
+    The searches move on nodes that are tuples of small-int root ids; the id
+    format stays inside this module, and callers get roots back (harvest,
+    hurwitz_orbit).  The table interns each positive real root once, with its
+    height: roots[g] and heights[g] for id g, ids[root] for a root.  pairs
+    maps an id pair (a, b) to the id of the root of t_a t_b t_a, so a pair
+    met again costs one lookup.
+
+    reflections maps an id to its Reflection, made when the root first acts
+    as t_a in a move, not when it is first met (or when a Factorization needs
+    it; most roots a pruned search meets never act).  A root met
+    through a move keeps the pair (a, b) that first made it (origins[g]), and
+    its row is _conjugate_reflection of that pair's rows, checked against a
+    route independent of the one that made it: phi_gamma = 2B(., gamma) /
+    B(gamma, gamma), read off the symmetrized form.  A start root or a search
+    target has no such pair; its row is weyl.reflection_for_root's, and a
+    start part must equal its root's row.  A mismatch raises ArithmeticError.
+    So every row is checked before a move or a product uses it.
 
     The move at slot i sends (beta_a, beta_b) to (root of t_a t_b t_a,
     beta_a) and its inverse sends it to (beta_b, root of t_b t_a t_b).  Every
@@ -155,59 +168,108 @@ class _ReflectionTable:
     def __init__(self, C: CartanMatrix):
         self.cartan = C
         self.form = symmetrized(C)
-        self.reflections: dict[Root, Reflection] = {}
-        self.pairs: dict[tuple[Root, Root], Root] = {}
+        self.roots: list[Root] = []
+        self.heights: list[int] = []
+        self.ids: dict[Root, int] = {}
+        self.origins: list[tuple[int, int] | None] = []
+        self.reflections: dict[int, Reflection] = {}
+        self.pairs: dict[tuple[int, int], int] = {}
 
-    def admit(self, start: Factorization) -> RootTuple:
-        """The start's roots, once each part is found to be the reflection
-        of W(C) that weyl.reflection_for_root builds for its root."""
-        for part in start.parts:
-            row = self.reflections.get(part.root)
-            if row is None:
-                row = weyl.reflection_for_root(self.cartan, part.root)
-                self.reflections[row.root] = row
-            if row != part:
+    def intern(self, root: Root, origin: tuple[int, int] | None = None) -> int:
+        """The id of a positive root; a root met first is stored with its
+        height and the pair whose move made it (None for a start root or a
+        target)."""
+        g = self.ids.get(root)
+        if g is None:
+            g = self.ids[root] = len(self.roots)
+            self.roots.append(root)
+            self.heights.append(height(root))
+            self.origins.append(origin)
+        return g
+
+    def admit(self, start: Factorization) -> IdTuple:
+        """The start's node, once each part is found to be its root's row."""
+        node = tuple(self.intern(part.root) for part in start.parts)
+        for g, part in zip(node, start.parts):
+            if self.reflection(g) != part:
                 raise ArithmeticError(
                     f"start part {part} is not the reflection of its root in W(C)"
                 )
-        return start.roots()
+        return node
+
+    def roots_of(self, node: IdTuple) -> RootTuple:
+        return tuple(self.roots[g] for g in node)
 
     def factorization(self, node: RootTuple, coxeter: Matrix) -> Factorization:
-        """The node's Factorization, product-checked again."""
-        return Factorization(tuple(self.reflections[root] for root in node), coxeter)
+        """The Factorization of a root tuple the table has met, product-checked
+        again."""
+        return Factorization(tuple(self.reflection(self.ids[r]) for r in node), coxeter)
 
-    def moves(self, node: RootTuple):
+    def reflection(self, g: int) -> Reflection:
+        """The row of root id g, made and checked on first use.  The rows of
+        its pair have acted before, unless a search stopped at its witness
+        between the two moves of a slot."""
+        row = self.reflections.get(g)
+        if row is None:
+            origin = self.origins[g]
+            if origin is None:
+                row = weyl.reflection_for_root(self.cartan, self.roots[g])
+            else:
+                a, b = map(self.reflection, origin)
+                row = self._checked(self.roots[g], _conjugate_reflection(a, b))
+            self.reflections[g] = row
+        return row
+
+    def _checked(self, root: Root, row: Reflection) -> Reflection:
+        """row, once it is found to be phi_gamma = 2B(., gamma) / B(gamma, gamma)
+        for gamma = root; B(v, gamma) is column gamma of the form."""
+        column = [sum(map(mul, line, root)) for line in self.form]
+        norm = sum(map(mul, root, column))
+        if row.root != root or any(
+            2 * x != p * norm for x, p in zip(column, row.coroot)
+        ):
+            raise ArithmeticError(
+                f"conjugated row {row} is not the reflection of {root}; upstream bug"
+            )
+        return row
+
+    def moves(self, node: IdTuple):
         """(letter, image) for the generator move and its inverse at every
         slot, in the order +1, -1, +2, -2, ...; the same moves braid_move makes."""
         pairs = self.pairs
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
-            yield i, head + (pairs.get((a, b)) or self._moved(a, b), a) + tail
-            yield -i, head + (b, pairs.get((b, a)) or self._moved(b, a)) + tail
+            g = pairs.get((a, b))
+            yield i, head + (self._moved(a, b) if g is None else g, a) + tail
+            g = pairs.get((b, a))
+            yield -i, head + (b, self._moved(b, a) if g is None else g) + tail
 
-    def images(self, node: RootTuple):
+    def images(self, node: IdTuple):
         return (image for _, image in self.moves(node))
 
-    def _moved(self, a: Root, b: Root) -> Root:
-        """Root of t_a t_b t_a, which is t_a(beta_b) up to sign."""
-        t_a = self.reflections[a]
-        root = positive_part(t_a.apply(b))
-        if root not in self.reflections:
-            row = _conjugate_reflection(t_a, self.reflections[b])
-            # B(v, gamma) is column gamma of the form; phi_gamma(v) must be
-            # 2 B(v, gamma) / B(gamma, gamma).
-            column = [sum(map(mul, line, root)) for line in self.form]
-            norm = sum(map(mul, root, column))
-            if row.root != root or any(
-                2 * x != p * norm for x, p in zip(column, row.coroot)
-            ):
-                raise ArithmeticError(
-                    f"conjugated row {row} is not the reflection of {root}; upstream bug"
-                )
-            self.reflections[root] = row
-        self.pairs[a, b] = root
-        return root
+    def _moved(self, a: int, b: int) -> int:
+        """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign."""
+        root = positive_part(self.reflection(a).apply(self.roots[b]))
+        g = self.pairs[a, b] = self.intern(root, (a, b))
+        return g
+
+    def harvest(
+        self, start: Factorization, node_cap: int, expand_height: int, keep_height: int
+    ) -> tuple[set[Root], bool]:
+        """Roots no taller than keep_height in the tuples of the closure of
+        start, and whether it finished below node_cap.  Tuples with a root
+        taller than expand_height are kept, not expanded."""
+        heights = self.heights
+
+        def expandable(node: IdTuple) -> bool:
+            return all(heights[g] <= expand_height for g in node)
+
+        nodes, complete = weyl._bounded_closure(
+            [self.admit(start)], self.images, node_cap, expandable
+        )
+        kept = {g for node in nodes for g in node if heights[g] <= keep_height}
+        return {self.roots[g] for g in kept}, complete
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,12 +300,12 @@ def hurwitz_orbit(
     C: CartanMatrix, start: Factorization, node_cap: int = DEFAULT_NODE_CAP
 ) -> OrbitResult:
     """Breadth-first closure of a factorization of W(C) under all generator
-    moves, on root tuples, returned sorted.
+    moves, on root-id tuples, returned as sorted root tuples.
 
     No Factorization is built per node.  The product of every tuple is
     certified by the start's product check, by the table's one checked row
-    per root, and by w s_beta w^-1 = s_{w beta}, which makes each move keep
-    the product (see _ReflectionTable).  A start part that is not the
+    per root that acts, and by w s_beta w^-1 = s_{w beta}, which makes each
+    move keep the product (see _ReflectionTable).  A start part that is not the
     reflection of its root in W(C) is refused (ArithmeticError, or
     ValueError for a vector that is not a real root).
 
@@ -255,7 +317,8 @@ def hurwitz_orbit(
         raise ValueError("node cap must be >= 1")
     table = _root_tuples(C)
     nodes, complete = weyl._bounded_closure([table.admit(start)], table.images, node_cap)
-    return OrbitResult(tuple(sorted(nodes)), complete, start.coxeter, table)
+    roots = sorted(map(table.roots_of, nodes))
+    return OrbitResult(tuple(roots), complete, start.coxeter, table)
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,8 +362,8 @@ def _targeted_orbit_search(
     node_cap: int,
     height_cap: int | None,
 ) -> SearchOutcome:
-    """BFS over root tuples for a factorization containing the target as a
-    component, matched by its root.
+    """BFS over root-id tuples for a factorization containing the target as
+    a component, matched by the id of its root.
 
     Tuples with any component root taller than height_cap are not expanded;
     that is sound for reporting found-witnesses, never for claiming absence.
@@ -308,12 +371,7 @@ def _targeted_orbit_search(
     front) when found.
     """
 
-    def admissible(node: RootTuple) -> bool:
-        if height_cap is None:
-            return True
-        return all(height(r) <= height_cap for r in node)
-
-    def finish(node: RootTuple) -> BraidWord:
+    def finish(node: IdTuple) -> BraidWord:
         word: list[int] = []
         cursor = node
         while parents[cursor] is not None:
@@ -321,14 +379,16 @@ def _targeted_orbit_search(
             word.append(letter)
             cursor = parent
         word.reverse()
-        slot = node.index(target.root)
+        slot = node.index(goal)
         word.extend(range(-slot, 0))  # -slot, ..., -1 walks the witness to slot 1
         return tuple(word)
 
     table = _root_tuples(C)
+    heights = table.heights
     first = table.admit(start)
-    parents: dict[RootTuple, tuple[RootTuple, int] | None] = {first: None}
-    if target.root in first:
+    goal = table.intern(target.root)
+    parents: dict[IdTuple, tuple[IdTuple, int] | None] = {first: None}
+    if goal in first:
         return SearchOutcome(finish(first), True, 1)
     queue = deque([first])
     exhausted = True
@@ -338,9 +398,9 @@ def _targeted_orbit_search(
             if image in parents:
                 continue
             parents[image] = (node, letter)
-            if target.root in image:
+            if goal in image:
                 return SearchOutcome(finish(image), False, len(parents))
-            if not admissible(image):
+            if height_cap is not None and any(heights[g] > height_cap for g in image):
                 continue
             if len(parents) >= node_cap:
                 exhausted = False
@@ -383,7 +443,7 @@ def is_prefix_of_coxeter(
     reflection), and the two are cross-checked.  Other infinite types report
     YES with a certificate or UNKNOWN, never an uncertified NO.  Their
     certificate comes from a breadth-first search of the Hurwitz orbit of the
-    canonical factorization, on root tuples, that does not expand tuples with
+    canonical factorization, on root-id tuples, that does not expand tuples with
     a root taller than DEFAULT_PRUNE_MULTIPLIER times the height of beta; the
     braid word it finds is replayed by braid_move and the witness must start
     with t.

@@ -221,9 +221,10 @@ def _curve_root_harvest(
 ) -> tuple[set[Root], bool]:
     """Positive roots of curve words reachable from the fan by braid moves.
 
-    The walk is on root tuples, with the moves of the reflection table of
-    o.cartan (hurwitz._root_tuples), from the canonical factorization, whose
-    roots are the fan's roots.  A braid move replaces one curve by a
+    The walk is the closure of the canonical factorization, whose roots are
+    the fan's roots, under the moves of the reflection table of o.cartan
+    (hurwitz._root_tuples), which walks tuples of root ids and returns the
+    roots (_ReflectionTable.harvest).  A braid move replaces one curve by a
     neighbour's loop w s_end w^-1 = t_a applied to it, so the new curve's
     root is +-t_a(beta_b), the root the tuple move computes
     (tests/test_properties.py::test_braid_move_transforms_signed_roots).
@@ -234,18 +235,10 @@ def _curve_root_harvest(
     compares with the curve-word walk keyed by loop matrices.  Tuples with a
     root taller than prune_multiplier * height_bound are kept, not expanded.
     """
-    cap = prune_multiplier * height_bound
     start = hurwitz.canonical_factorization(o.cartan, o.order)
-    table = hurwitz._root_tuples(o.cartan)
-
-    def expandable(node: tuple[Root, ...]) -> bool:
-        return all(height(r) <= cap for r in node)
-
-    nodes, exhausted = weyl._bounded_closure(
-        [table.admit(start)], table.images, node_cap, expandable
+    return hurwitz._root_tuples(o.cartan).harvest(
+        start, node_cap, prune_multiplier * height_bound, height_bound
     )
-    harvested = {r for node in nodes for r in node if height(r) <= height_bound}
-    return harvested, exhausted
 
 
 @dataclass(frozen=True)

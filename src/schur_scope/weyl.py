@@ -19,6 +19,7 @@ from .cartan import (
     CartanMatrix,
     TypeClass,
     classify_type,
+    components,
     submatrix,
     symmetrized,
     symmetrizer,
@@ -400,17 +401,42 @@ def length_lower_bound(w: Matrix) -> int:
 _DYER_CAP = 100_000
 
 
+@functools.lru_cache(maxsize=None)
+def _fundamental_sets(C: CartanMatrix) -> tuple[tuple[int, ...], ...]:
+    """The diagram components S with sum_{j in S} a_ij <= 0 for every i in S.
+
+    Their indicator u_S pairs to <u_S, alpha_i^vee> <= 0 with every simple
+    coroot (off S, a_ij <= 0 already), so u_S lies in Kac's fundamental set K
+    of imaginary roots ("Infinite-dimensional Lie algebras", 1990, ch. 5) and
+    w u_S >= u_S >= 0 for every w in W: along a reduced word
+    w = s_{i_1} ... s_{i_m}, w u = u - sum_p <u, alpha_{i_p}^vee> beta_p, where
+    beta_p = s_{i_1} ... s_{i_{p-1}} alpha_{i_p} is a positive root.
+    Finite-type components have no such S.
+    """
+    a = C.entries
+    return tuple(
+        S for S in components(a) if all(sum(a[i][j] for j in S) <= 0 for i in S)
+    )
+
+
 def _peel(C: CartanMatrix, w: Matrix):
     """Peel right descents: while some column w' alpha_j of w' (at first w)
     is negative, yield (j, -w' alpha_j) and replace w' by w' s_j, whose column
     k is w' alpha_k - a_jk w' alpha_j.  An element of W ends at the identity
     after l(w) steps; a matrix that ends elsewhere is not in W (ValueError),
     and one that has not ended after _DYER_CAP steps raises RuntimeError.
+    Before any step, w u_S = sum_{j in S} w alpha_j must be non-negative for
+    each S of _fundamental_sets; a matrix that fails is not in W
+    (ValueError), so -id of an infinite group is refused at once.  The test
+    is necessary only, and the cap stays.
     """
     n, a = C.n, C.entries
     if len(w) != n:
         raise ValueError("rank mismatch")
     columns = tuple(zip(*w))
+    for S in _fundamental_sets(C):
+        if any(x < 0 for x in map(sum, zip(*(columns[j] for j in S)))):
+            raise ValueError("matrix is not an element of the Weyl group")
     for _ in range(_DYER_CAP + 1):
         j = next((j for j, column in enumerate(columns) if is_negative(column)), None)
         if j is None:

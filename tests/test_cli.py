@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from schur_scope import cartan, curves, hurwitz, repro, weyl
-from schur_scope._matrix import matmul
+from schur_scope._matrix import mat_pow, matmul
 from schur_scope.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -409,12 +409,21 @@ def test_nc_leq_is_decided_on_infinite_types(capsys, name, c, u, answer):
 
 def test_nc_leq_refuses_minus_identity_in_an_infinite_group(capsys, monkeypatch):
     # -id is not in the infinite dihedral group W(universal:2:3): every column
-    # stays a descent, so peeling a reduced word stops at the safety cap (set
-    # low here; at 10^5 steps the entries reach tens of thousands of digits).
-    # The old search took -t_beta, a lattice reflection outside W, as its last
-    # factor and answered yes.
+    # stays a descent, but it sends alpha_1 + alpha_2, which every element of
+    # W keeps non-negative, to its negative, so it is refused before a reduced
+    # word is peeled.  The old search took -t_beta, a lattice reflection
+    # outside W, as its last factor and answered yes.
     monkeypatch.setattr(weyl, "_DYER_CAP", 50)
     code = run(["--type", "universal:2:3", "nc", "leq", "--u", "1,0", "--w", "[[-1,0],[0,-1]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not an element of the Weyl group\n"
+    # c^30, of length 60, is in W: peeling it stops at the safety cap (set low
+    # here; at 10^5 steps the entries reach tens of thousands of digits).
+    U = cartan.preset("universal:2:3")
+    power = json.dumps(mat_pow(weyl.coxeter_element(U), 30))
+    code = run(["--type", "universal:2:3", "nc", "leq", "--u", "1,0", "--w", power])
     captured = capsys.readouterr()
     assert code == EXIT_UNRESOLVED
     assert captured.out == ""

@@ -37,7 +37,8 @@ def test_table_rows_give_the_reflection_matrices(name):
     start = canonical_factorization(C)
     hurwitz_orbit(C, start, NODE_CAP)
     rows = hurwitz._root_tuples(C)
-    table = rows.reflections
+    # Ids to roots, each row built (and checked) through the table.
+    table = {root: rows.reflection(g) for g, root in enumerate(rows.roots)}
     assert len(table) > C.n
     for root, t in table.items():
         assert t.root == root
@@ -45,7 +46,8 @@ def test_table_rows_give_the_reflection_matrices(name):
         assert weyl.root_of_reflection(t.matrix) == root
     # Each memoized move is the root of the conjugated matrix.
     assert rows.pairs
-    for (a, b), root in rows.pairs.items():
+    for ids, moved in rows.pairs.items():
+        (a, b), root = map(rows.roots.__getitem__, ids), rows.roots[moved]
         conjugated = matmul(matmul(table[a].matrix, table[b].matrix), table[a].matrix)
         assert weyl.root_of_reflection(conjugated) == root
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schur_scope import weyl
-from schur_scope._matrix import inverse, mat_sub, matmul, matvec, primitive, rank
+from schur_scope._matrix import inverse, mat_pow, mat_sub, matmul, matvec, primitive, rank
 from schur_scope.cartan import CartanMatrix, preset, submatrix, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
@@ -392,14 +392,36 @@ def test_reduced_word_multiplies_back_on_infinite_types(name):
         assert len(word) <= len(letters) and (len(letters) - len(word)) % 2 == 0
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["universal:2:3", "universal:3:2", "universal:3:3", "universal:4:2",
+     "affine-A1", "affine-A2", "affine-A4"],
+)
+def test_fundamental_set_test_refuses_no_element_of_w(name):
+    # 300 random words on each of these presets, 2 100 in all: the peel's
+    # w u_S >= 0 test is live on every one of them and passes every element.
+    C = preset(name)
+    assert weyl._fundamental_sets(C)
+    rng = random.Random(7)
+    for _ in range(300):
+        w = _word_product(C, [rng.randint(1, C.n) for _ in range(rng.randint(0, 16))])
+        assert _word_product(C, weyl.reduced_word(C, w)) == w
+
+
 def test_reduced_word_refuses_matrices_outside_w(monkeypatch):
     # A diagram rotation permutes the simple roots: no descent, not the identity.
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
         weyl.reduced_word(preset("affine-A2"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-    # -id has a descent at every step in an infinite group, so the peel is capped.
+    # c^30 has length 60 in the infinite dihedral group, so its peel stops at
+    # the cap of 50 steps.
     monkeypatch.setattr(weyl, "_DYER_CAP", 50)
+    U = preset("universal:2:3")
     with pytest.raises(RuntimeError, match="safety cap of 50 steps"):
-        weyl.reduced_word(preset("universal:2:3"), ((-1, 0), (0, -1)))
+        weyl.reduced_word(U, mat_pow(coxeter_element(U), 30))
+    # -id has a descent at every step there, but it sends alpha_1 + alpha_2,
+    # which W keeps non-negative, to its negative: refused before the peel.
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        weyl.reduced_word(U, ((-1, 0), (0, -1)))
     # In a finite group it ends at the longest element's negative, -w_0.
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
         weyl.reduced_word(preset("A2"), ((-1, 0), (0, -1)))
