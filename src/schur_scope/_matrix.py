@@ -28,6 +28,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
+# No library code calls matvec, but perfbench/tracer.py wraps it by name.
 def matvec(a: Matrix, v: Vector) -> Vector:
     if len(a) != len(v):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(v)}")
@@ -36,19 +37,6 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    if k < 0:
-        return mat_pow(inverse(a), -k)
-    result = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = matmul(result, base)
-        base = matmul(base, base)
-        k >>= 1
-    return result
 
 
 def det(a: Matrix) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._matrix import Matrix, identity, matmul
+from ._matrix import Matrix
 
 
 class CartanError(ValueError):
@@ -183,15 +183,6 @@ def symmetrized(C: CartanMatrix) -> Matrix:
     )
 
 
-def coxeter_exponent(C: CartanMatrix, i: int, j: int) -> int | None:
-    """Order m_ij of s_i s_j, keyed on a_ij * a_ji; None means infinite."""
-    if i == j:
-        raise ValueError("coxeter_exponent requires i != j")
-    product = C.entry(i, j) * C.entry(j, i)
-    table = {0: 2, 1: 3, 2: 4, 3: 6}
-    return table.get(product)  # >= 4 falls through to None
-
-
 @functools.lru_cache(maxsize=None)
 def classify_type(C: CartanMatrix) -> TypeClass:
     """Finite / affine / indefinite by one exact elimination of the symmetrized
@@ -215,25 +206,6 @@ def classify_type(C: CartanMatrix) -> TypeClass:
             for j in range(k + 1, len(a)):
                 other[j] -= factor * row[j]
     return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
-
-
-_ORDER_SEARCH_CAP = 10_000
-
-
-@functools.lru_cache(maxsize=None)
-def coxeter_number(C: CartanMatrix) -> int:
-    """Multiplicative order of the Coxeter element matrix (finite type only)."""
-    if classify_type(C) is not TypeClass.FINITE:
-        raise ValueError("Coxeter number requires a finite-type matrix")
-    c = identity(C.n)
-    for i, a_i in enumerate(C.entries):  # c s_i = c - (c alpha_i) (row i of C)
-        c = tuple(tuple(x - row[i] * a for x, a in zip(row, a_i)) for row in c)
-    power = c
-    for h in range(1, _ORDER_SEARCH_CAP + 1):
-        if power == identity(C.n):
-            return h
-        power = matmul(power, c)
-    raise ArithmeticError("finite-type Coxeter element must have finite order")
 
 
 def submatrix(C: CartanMatrix, indices: tuple[int, ...]) -> CartanMatrix:

@@ -1,17 +1,17 @@
 """Command-line surface: session flags, one subcommand per core operation.
 
-Exit codes: 0 for definitive answers, 1 for usage or validation errors, 2 when
-the result contains an unknown or truncated component or a safety cap stopped
-the command, so scripts can tell "no" apart from "gave up", and 3 when an
-internal self-check failed.  Every handler is a thin adapter around exactly
-one core operation; --json emits the report dict with sorted keys.
+Exit codes: 0 for definitive answers (and --help), 1 for usage or validation
+errors, argparse's own included, 2 when the result contains an unknown or
+truncated component or a safety cap stopped the command, so scripts can tell
+"no" apart from "gave up", and 3 when an internal self-check failed.  Every
+handler is a thin adapter around exactly one core operation; --json emits the
+report dict with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,18 +46,6 @@ class Session:
     def validate(self) -> None:
         if min(self.orbit_cap, self.height_bound) < 1:
             raise ValueError("caps must be positive")
-
-
-def _env_caps() -> dict[str, int]:
-    """Parse SCHUR_SCOPE_CAPS=\"orbit=...,height=...\" overrides."""
-    raw = os.environ.get("SCHUR_SCOPE_CAPS", "")
-    caps: dict[str, int] = {}
-    for chunk in filter(None, (c.strip() for c in raw.split(","))):
-        key, _, value = chunk.partition("=")
-        if key.strip() not in ("orbit", "height") or not value.strip().isdigit():
-            raise ValueError(f"malformed SCHUR_SCOPE_CAPS entry {chunk!r}")
-        caps[key.strip()] = int(value)
-    return caps
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -102,8 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cartan", help="file with a Cartan matrix in text form")
     parser.add_argument("--order", help="Coxeter order as a permutation, e.g. 2,1,3")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument("--orbit-cap", type=int, help="orbit search node cap")
-    parser.add_argument("--height", type=int, help="root height bound")
+    parser.add_argument(
+        "--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit search node cap"
+    )
+    parser.add_argument(
+        "--height", type=int, default=DEFAULT_HEIGHT_BOUND, help="root height bound"
+    )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     sub.add_parser("roots").add_argument("action", choices=["list"])
@@ -155,18 +147,11 @@ def _build_session(args: argparse.Namespace) -> Session:
     order = tuple(range(1, matrix.n + 1))
     if args.order:
         order = _parse_csv_ints(args.order, "order")
-    caps = _env_caps()
-
-    def pick(flag_value, env_key, default):
-        if flag_value is not None:
-            return flag_value
-        return caps.get(env_key, default)
-
     session = Session(
         cartan=matrix,
         order=order,
-        orbit_cap=pick(args.orbit_cap, "orbit", DEFAULT_ORBIT_CAP),
-        height_bound=pick(args.height, "height", DEFAULT_HEIGHT_BOUND),
+        orbit_cap=args.orbit_cap,
+        height_bound=args.height,
         json_mode=args.json,
     )
     session.validate()
@@ -376,7 +361,10 @@ def emit(payload: dict, json_mode: bool) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

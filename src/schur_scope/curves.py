@@ -85,6 +85,9 @@ def reflection_of_curve(cw: CurveWord, C: CartanMatrix) -> weyl.Reflection:
     return weyl.reflection_for_root(C, root_of_curve(cw, C))
 
 
+# No command reaches fan, braid_move_curves or apply_braid_word_curves yet:
+# they are kept for the curve words that `schur verify` is to carry as
+# certificates, and perfbench/tracer.py wraps braid_move_curves by name.
 def fan(n: int) -> tuple[CurveWord, ...]:
     """The n straight curves to the punctures; they present (s_1, ..., s_n)."""
     if n < 1:

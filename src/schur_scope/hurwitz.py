@@ -2,8 +2,7 @@
 
 A braid word is a tuple of nonzero letters, +i for the i-th generator move and
 -i for its inverse, applied left to right.  Under that convention the word for
-a product of generators reads the product right to left; all identities checked
-here are encoded accordingly.
+a product of generators reads the product right to left.
 
 A reflection is its root and coroot row (weyl.Reflection).  The generator
 move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
@@ -30,16 +29,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import weyl
-from ._matrix import Matrix, identity, mat_pow, mat_sub, matmul, rank
-from .cartan import (
-    CartanMatrix,
-    TypeClass,
-    classify_type,
-    coxeter_exponent,
-    coxeter_number,
-    submatrix,
-    symmetrized,
-)
+from ._matrix import Matrix, identity, mat_sub, rank
+from .cartan import CartanMatrix, TypeClass, classify_type, symmetrized
 from .weyl import (
     Reflection,
     Root,
@@ -129,10 +120,6 @@ def apply_braid_word(f: Factorization, word: BraidWord) -> Factorization:
             raise ValueError(f"braid letter {letter} out of range for {f.n} strands")
         f = braid_move(f, abs(letter), inverse=letter < 0)
     return f
-
-
-def word_inverse(word: BraidWord) -> BraidWord:
-    return tuple(-x for x in reversed(word))
 
 
 class _ReflectionTable:
@@ -336,7 +323,7 @@ def factorization_count_formula(C: CartanMatrix) -> int:
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("counting formula requires a finite-type matrix")
     n = C.n
-    h = coxeter_number(C)
+    h = weyl.coxeter_number(C)
     group_order = weyl.group_order(C)
     numerator = math.factorial(n) * h**n
     if numerator % group_order:
@@ -481,96 +468,7 @@ def is_prefix_of_coxeter(
 def stabilizer_check(
     word: BraidWord, C: CartanMatrix, order: tuple[int, ...] | None = None
 ) -> bool:
-    """True iff the braid word fixes the canonical factorization componentwise."""
+    """True iff the braid word fixes the canonical factorization componentwise
+    (the `braid stab` command)."""
     start = canonical_factorization(C, order)
     return apply_braid_word(start, word).parts == start.parts
-
-
-def full_twist_identity_check(
-    C: CartanMatrix, order: tuple[int, ...] | None = None, k: int = 1
-) -> bool:
-    """Check that the k-fold full twist conjugates every component by c^k.
-
-    The full twist is the n-th power of the descending generator product; its
-    word under the left-to-right convention is (1, 2, ..., n-1) per copy.
-    """
-    n = C.n
-    start = canonical_factorization(C, order)
-    word: BraidWord = tuple(range(1, n)) * (n * abs(k))
-    if k < 0:
-        word = word_inverse(word)
-    twisted = apply_braid_word(start, word)
-    ck = mat_pow(start.coxeter, k)
-    ck_inv = mat_pow(start.coxeter, -k)
-    return tuple(p.matrix for p in twisted.parts) == tuple(
-        matmul(matmul(ck, part.matrix), ck_inv) for part in start.parts
-    )
-
-
-@dataclass(frozen=True)
-class StabilizerWord:
-    """A braid word known to fix the canonical tuple, with its provenance range."""
-
-    word: BraidWord
-    label: str
-
-
-def standard_stabilizer_words(
-    C: CartanMatrix, order: tuple[int, ...] | None = None
-) -> tuple[tuple[StabilizerWord, ...], tuple[str, ...]]:
-    """Catalogue of stabilizer words from index-range subdiagram twists.
-
-    For vertices i..j of the ordered diagram, the (j - i + 1)-st power of the
-    descending generator block raised to the order of the subdiagram Coxeter
-    element fixes the tuple.  Sub-ranges whose Coxeter element has infinite
-    order are skipped and reported in the diagnostics list.
-    """
-    order = weyl._check_order(C, order)
-    n = C.n
-    words: list[StabilizerWord] = []
-    skipped: list[str] = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            indices = tuple(order[k - 1] for k in range(i, j + 1))
-            sub = submatrix(C, indices)
-            if classify_type(sub) is not TypeClass.FINITE:
-                skipped.append(f"vertices {i}..{j}: subdiagram is not finite type")
-                continue
-            h_sub = coxeter_number(sub)
-            block = tuple(range(i, j))  # ascending letters act as the descending product
-            words.append(
-                StabilizerWord(block * ((j - i + 1) * h_sub), f"block twist {i}..{j}")
-            )
-    # Adjacent-pair powers sigma_i^m for finite m = m(order_i, order_{i+1}).
-    for i in range(1, n):
-        m = coxeter_exponent(C, order[i - 1], order[i])
-        if m is None:
-            skipped.append(f"adjacent pair {i},{i + 1}: infinite braid exponent")
-            continue
-        words.append(StabilizerWord((i,) * m, f"adjacent power sigma_{i}^{m}"))
-    return tuple(words), tuple(skipped)
-
-
-@dataclass(frozen=True)
-class NormalityWitness:
-    stabilizing: BraidWord
-    conjugator: BraidWord
-
-
-def normality_probe(
-    C: CartanMatrix, order: tuple[int, ...] | None = None
-) -> NormalityWitness | None:
-    """Search for a stabilizer word whose conjugate by a single generator is not
-    a stabilizer, witnessing that the stabilizer subgroup is not normal."""
-    if classify_type(C) is not TypeClass.FINITE:
-        raise ValueError("normality probe requires a finite-type matrix")
-    candidates, _ = standard_stabilizer_words(C, order)
-    for candidate in candidates:
-        if not stabilizer_check(candidate.word, C, order):
-            continue  # tested, not assumed
-        for g in range(1, C.n):
-            for sign in (1, -1):
-                conjugated = (-sign * g,) + candidate.word + (sign * g,)
-                if not stabilizer_check(conjugated, C, order):
-                    return NormalityWitness(candidate.word, (sign * g,))
-    return None

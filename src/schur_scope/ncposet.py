@@ -147,75 +147,3 @@ def interval_factorization(
     suffix = climb(w, c, length_c - length_w)
     full = Factorization(prefix + steps + suffix, c)
     return IntervalFactorization(steps, full)
-
-
-def maximal_chain_count(p: NCPoset) -> int:
-    """Number of saturated bottom-to-top chains, by dynamic programming."""
-    counts = [0] * len(p.elements)
-    counts[0] = 1
-    by_rank = sorted(range(len(p.elements)), key=lambda i: p.ranks[i])
-    incoming: dict[int, list[int]] = {}
-    for lo, hi in p.covers:
-        incoming.setdefault(hi, []).append(lo)
-    for i in by_rank:
-        if p.ranks[i] == 0:
-            continue
-        counts[i] = sum(counts[j] for j in incoming.get(i, ()))
-    return counts[len(p.elements) - 1]
-
-
-@dataclass(frozen=True)
-class PosetReport:
-    rank_counts: tuple[int, ...]
-    self_dual_rank_function: bool
-    maximal_chains: int
-    is_lattice: bool
-    atom_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank_counts": list(self.rank_counts),
-            "self_dual_rank_function": self.self_dual_rank_function,
-            "maximal_chains": self.maximal_chains,
-            "is_lattice": self.is_lattice,
-            "atom_count": self.atom_count,
-        }
-
-
-def poset_properties(p: NCPoset) -> PosetReport:
-    """Aggregate order-theoretic checks: rank generating function and its
-    palindromicity, chain count, meet/join existence, atom count."""
-    size = len(p.elements)
-    n = p.n
-    rank_counts = [0] * (n + 1)
-    for r in p.ranks:
-        rank_counts[r] += 1
-    leq = [[p.leq(i, j) for j in range(size)] for i in range(size)]
-
-    def unique_extreme(candidates: list[int], upper: bool) -> bool:
-        if not candidates:
-            return False
-        for z in candidates:
-            if all(leq[x][z] if upper else leq[z][x] for x in candidates):
-                return True
-        return False
-
-    lattice = True
-    for i in range(size):
-        for j in range(i + 1, size):
-            lower = [k for k in range(size) if leq[k][i] and leq[k][j]]
-            upper = [k for k in range(size) if leq[i][k] and leq[j][k]]
-            if not unique_extreme(lower, upper=True) or not unique_extreme(
-                upper, upper=False
-            ):
-                lattice = False
-                break
-        if not lattice:
-            break
-    return PosetReport(
-        rank_counts=tuple(rank_counts),
-        self_dual_rank_function=rank_counts == rank_counts[::-1],
-        maximal_chains=maximal_chain_count(p),
-        is_lattice=lattice,
-        atom_count=rank_counts[1] if n >= 1 else 0,
-    )

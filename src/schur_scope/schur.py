@@ -1,4 +1,4 @@
-"""Schur-root certification and the orientation structure theory.
+"""Schur-root certification for an orientation of a Cartan matrix.
 
 An orientation is a Cartan matrix plus a permutation fixing the Coxeter
 element; sink/source mutation is rotation of that permutation.  The flagship
@@ -8,15 +8,13 @@ the reflection route coincide with the roots harvested from simple-curve words.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import curves, hurwitz, weyl
-from ._matrix import Matrix, mat_pow, matmul, matvec
-from .cartan import CartanMatrix, TypeClass, classify_type, coxeter_number
+from .cartan import CartanMatrix, TypeClass, classify_type
 from .curves import CurveWord
 from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
-from .weyl import Root, height, positive_part
+from .weyl import Root, height
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,6 @@ class Orientation:
     def sink(self) -> int:
         """Index of the last simple reflection of c."""
         return self.order[-1]
-
-
-@functools.lru_cache(maxsize=None)
-def coxeter_matrix(o: Orientation) -> Matrix:
-    return weyl.coxeter_element(o.cartan, o.order)
 
 
 def mutate(o: Orientation, which: str) -> Orientation:
@@ -83,134 +76,15 @@ def is_schur_root(
 
 
 def schur_transversal_finite(o: Orientation) -> tuple[Root, ...]:
-    """The roots s_{o1} ... s_{o(k-1)} alpha_{ok}, one per c-orbit."""
+    """The roots s_{o1} ... s_{o(k-1)} alpha_{ok}, one per c-orbit.  No command
+    calls it yet; it is kept as the start of the planned spiral route of
+    `schur verify` on finite types."""
     if classify_type(o.cartan) is not TypeClass.FINITE:
         raise ValueError("finite transversal requires a finite-type matrix")
     return tuple(
         curves.root_of_curve(CurveWord(o.order[: k - 1], o.order[k - 1]), o.cartan)
         for k in range(1, o.n + 1)
     )
-
-
-def schur_transversal_affine(o: Orientation) -> tuple[tuple[CurveWord, Root], ...]:
-    """The 2n words s_{o1}..s_{o(k-1)} alpha_{ok} and s_{on}..s_{o(k+1)} alpha_{ok},
-    each paired with the root it evaluates to."""
-    if classify_type(o.cartan) is not TypeClass.AFFINE:
-        raise ValueError("affine transversal requires an affine-type matrix")
-    words = [CurveWord(o.order[: k - 1], o.order[k - 1]) for k in range(1, o.n + 1)]
-    words += [
-        CurveWord(tuple(reversed(o.order[k:])), o.order[k - 1])
-        for k in range(1, o.n + 1)
-    ]
-    return tuple((w, curves.root_of_curve(w, o.cartan)) for w in words)
-
-
-@dataclass(frozen=True)
-class COrbit:
-    roots: tuple[Root, ...]
-    closed: bool
-
-
-def c_orbit(beta: Root, o: Orientation, step_bound: int = 100) -> COrbit:
-    """{c^k beta : |k| <= step_bound}, with cycle detection.
-
-    closed means a cycle was found (always, for finite types); otherwise the
-    truncated two-sided walk is returned in walk order.
-    """
-    if step_bound < 1:
-        raise ValueError("step bound must be >= 1")
-    c = coxeter_matrix(o)
-    forward = [beta]
-    x = beta
-    for _ in range(step_bound):
-        x = matvec(c, x)
-        if x == beta:
-            return COrbit(tuple(forward), True)
-        forward.append(x)
-    c_inv = mat_pow(c, -1)
-    backward = []
-    x = beta
-    for _ in range(step_bound):
-        x = matvec(c_inv, x)
-        backward.append(x)
-    return COrbit(tuple(reversed(backward)) + tuple(forward), False)
-
-
-def c_orbit_census_finite(o: Orientation) -> tuple[tuple[Root, ...], ...]:
-    """Partition of all real roots into c-orbits (finite type).
-
-    Each orbit is listed in cycle order from its smallest member; the orbits
-    are sorted by smallest member.  There are exactly n of them, of size h.
-    """
-    if classify_type(o.cartan) is not TypeClass.FINITE:
-        raise ValueError("census requires a finite-type matrix")
-    remaining = set(weyl.enumerate_real_roots(o.cartan, 1))
-    orbits = []
-    while remaining:
-        seed = min(remaining, key=lambda r: (height(r), r))
-        orbit = c_orbit(seed, o, step_bound=10 * coxeter_number(o.cartan))
-        if not orbit.closed:
-            raise ArithmeticError(f"c-orbit of {seed} did not close in 10 h steps; upstream bug")
-        remaining.difference_update(orbit.roots)
-        orbits.append(orbit.roots)
-    return tuple(sorted(orbits))
-
-
-def rank2_closed_forms_check(o: Orientation, exponent_range: int = 5) -> bool:
-    """Exhaustively check the rank-2 orbit formulas and conjugation identities.
-
-    For |e| <= range: the 2e-th generator power conjugates the pair by c^e; the
-    (2k+1)-st powers produce (c^k s1 s2 s1 c^-k, c^k s1 c^-k) and the negative
-    odd powers (c^-k s2 c^k, c^-k s2 s1 s2 c^k); plus s1 s2 s1 = c s2 c^-1 and
-    s2 s1 s2 = c^-1 s1 c.  All by direct matrix computation.
-    """
-    if o.n != 2:
-        raise ValueError("rank-2 check requires a rank-2 matrix")
-    if exponent_range < 1:
-        raise ValueError("range must be >= 1")
-    C = o.cartan
-    s1 = weyl.simple_reflection(C, o.order[0]).matrix
-    s2 = weyl.simple_reflection(C, o.order[1]).matrix
-    c = coxeter_matrix(o)
-    start = hurwitz.canonical_factorization(C, o.order)
-
-    def conj(power: int, m: Matrix) -> Matrix:
-        return matmul(matmul(mat_pow(c, power), m), mat_pow(c, -power))
-
-    def tuple_after(power: int) -> tuple[Matrix, Matrix]:
-        word = (1,) * abs(power) if power >= 0 else (-1,) * (-power)
-        moved = hurwitz.apply_braid_word(start, word)
-        return moved.parts[0].matrix, moved.parts[1].matrix
-
-    s121 = matmul(matmul(s1, s2), s1)
-    s212 = matmul(matmul(s2, s1), s2)
-    if s121 != conj(1, s2) or s212 != conj(-1, s1):
-        return False
-    for e in range(-exponent_range, exponent_range + 1):
-        if tuple_after(2 * e) != (conj(e, s1), conj(e, s2)):
-            return False
-    for k in range(0, exponent_range + 1):
-        if tuple_after(2 * k + 1) != (conj(k, s121), conj(k, s1)):
-            return False
-        if tuple_after(-(2 * k + 1)) != (conj(-k, s2), conj(-k, s212)):
-            return False
-    return True
-
-
-def mutation_equivalence_check(
-    beta: Root,
-    o: Orientation,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> bool | None:
-    """Whether beta's verdict matches the verdict of s(c) beta in the
-    source-mutated orientation; None when either side is unresolved."""
-    s = weyl.simple_reflection(o.cartan, o.source)
-    image = s.apply(positive_part(beta))
-    before = is_schur_root(beta, o, node_cap)
-    after = is_schur_root(image, mutate(o, "source"), node_cap)
-    if Ternary.UNKNOWN in (before.answer, after.answer):
-        return None
-    return before.answer == after.answer
 
 
 def _curve_root_harvest(

@@ -60,7 +60,7 @@ class Reflection:
 
     @functools.cached_property
     def matrix(self) -> Matrix:
-        """id - beta phi, for finite-group tables and I/O."""
+        """id - beta phi, read only at the CLI boundary (cli._parse_element)."""
         return tuple(
             tuple(int(i == j) - b * p for j, p in enumerate(self.coroot))
             for i, b in enumerate(self.root)
@@ -128,11 +128,16 @@ def _check_order(C: CartanMatrix, order: tuple[int, ...] | None) -> tuple[int, .
 
 
 def coxeter_element(C: CartanMatrix, order: tuple[int, ...] | None = None) -> Matrix:
-    """Product s_{order(1)} ... s_{order(n)}; default order is 1, 2, ..., n."""
-    result = identity(C.n)
+    """Product s_{order(1)} ... s_{order(n)}; default order is 1, 2, ..., n.
+
+    Built by column updates: s_i = id - alpha_i (row i of C), so
+    c s_i = c - (c alpha_i) (row i of C), with no matrix of s_i.
+    """
+    c = identity(C.n)
     for i in _check_order(C, order):
-        result = matmul(result, simple_reflection(C, i).matrix)
-    return result
+        a_i = C.entries[i - 1]
+        c = tuple(tuple([x - row[i - 1] * a for x, a in zip(row, a_i)]) for row in c)
+    return c
 
 
 def _moved_direction(m: Matrix) -> Vector | None:
@@ -339,6 +344,23 @@ def group_order(C: CartanMatrix) -> int:
         C = submatrix(C, tuple(j for j in range(1, n + 1) if j != peeled + 1))
 
 
+_ORDER_SEARCH_CAP = 10_000
+
+
+@functools.lru_cache(maxsize=None)
+def coxeter_number(C: CartanMatrix) -> int:
+    """Multiplicative order h of the Coxeter element (finite type only)."""
+    if classify_type(C) is not TypeClass.FINITE:
+        raise ValueError("Coxeter number requires a finite-type matrix")
+    c, one = coxeter_element(C), identity(C.n)
+    power = c
+    for h in range(1, _ORDER_SEARCH_CAP + 1):
+        if power == one:
+            return h
+        power = matmul(power, c)
+    raise ArithmeticError("finite-type Coxeter element must have finite order")
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
     """All elements of a finite-type group: the closure of the identity under
@@ -453,7 +475,9 @@ def _peel(C: CartanMatrix, w: Matrix):
 
 
 def reduced_word(C: CartanMatrix, w: Matrix) -> tuple[int, ...]:
-    """(i_1, ..., i_m) with w = s_{i_1} ... s_{i_m} reduced: _peel's letters, last first."""
+    """(i_1, ..., i_m) with w = s_{i_1} ... s_{i_m} reduced: _peel's letters,
+    last first.  No command calls it; it is _peel's public form, through
+    which the tests check the peel."""
     return tuple(j + 1 for j, _ in _peel(C, w))[::-1]
 
 

@@ -9,19 +9,19 @@ import json
 import time
 
 from schur_scope import curves, hurwitz, repro, weyl
-from schur_scope.cartan import coxeter_number, preset
+from schur_scope.cartan import preset
 from schur_scope.curves import CurveWord, SimpleVerdict
 from schur_scope.hurwitz import Ternary
-from schur_scope.ncposet import enumerate_nc, maximal_chain_count
+from schur_scope.ncposet import enumerate_nc
 from schur_scope.schur import (
     Orientation,
-    c_orbit_census_finite,
     is_schur_root,
-    mutation_equivalence_check,
-    rank2_closed_forms_check,
     schur_transversal_finite,
     verify_conjecture,
 )
+from test_hurwitz import full_twist_sides, standard_stabilizer_words
+from test_ncposet import maximal_chain_count
+from test_schur import c_orbit_census_finite, mutation_verdicts, rank2_closed_forms
 
 ORBIT_TABLE = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27, "A4": 125, "D4": 162}
 
@@ -81,7 +81,8 @@ def test_criterion_3_conjecture_desk_verification():
 def test_criterion_4_rank2_closed_forms_and_universal_schur():
     started = time.monotonic()
     for name in ("A2", "B2", "G2", "universal:2:2"):
-        assert rank2_closed_forms_check(_orientation(name), 5), name
+        for moved, closed_form in rank2_closed_forms(_orientation(name), 5):
+            assert moved == closed_form, name
     U = _orientation("universal:2:2")
     for beta in weyl.positive_real_roots(U.cartan, 20):
         assert is_schur_root(beta, U).answer is Ternary.YES, beta
@@ -94,7 +95,7 @@ def test_criterion_5_finite_orbit_census():
     for name in ("A2", "A3", "B2", "B3", "D4"):
         o = _orientation(name)
         orbits = c_orbit_census_finite(o)
-        h = coxeter_number(o.cartan)
+        h = weyl.coxeter_number(o.cartan)
         assert len(orbits) == o.n, name
         assert all(len(orbit) == h for orbit in orbits), name
         assert sum(len(orbit) for orbit in orbits) == o.n * h, name
@@ -115,14 +116,14 @@ def test_criterion_6_stabilizers_and_full_twist():
     assert hurwitz.stabilizer_check((1, 2) * 12, preset("A3"))
     for name in ("A3", "B3"):
         C = preset(name)
-        words, skipped = hurwitz.standard_stabilizer_words(C)
+        words, skipped = standard_stabilizer_words(C)
         assert not skipped, name
-        for entry in words:
-            assert hurwitz.stabilizer_check(entry.word, C), (name, entry.label)
+        for word, label in words:
+            assert hurwitz.stabilizer_check(word, C), (name, label)
     for name in ("A3", "universal:3:2"):
-        C = preset(name)
         for k in (-2, -1, 1, 2):
-            assert hurwitz.full_twist_identity_check(C, k=k), (name, k)
+            twisted, conjugated = full_twist_sides(preset(name), k)
+            assert twisted == conjugated, (name, k)
     _report(6, "subdiagram twists stabilize and full twists conjugate by "
                "coxeter powers", started, None)
 
@@ -130,11 +131,9 @@ def test_criterion_6_stabilizers_and_full_twist():
 def test_criterion_7_mutation_equivalence():
     started = time.monotonic()
     A3 = _orientation("A3")
-    for beta in weyl.positive_real_roots(A3.cartan, 20):
-        assert mutation_equivalence_check(beta, A3) is True, beta
-    U = _orientation("universal:3:2")
-    for beta in weyl.positive_real_roots(U.cartan, 6):
-        assert mutation_equivalence_check(beta, U) is True, beta
+    for o, height_bound in ((A3, 20), (_orientation("universal:3:2"), 6)):
+        for beta in weyl.positive_real_roots(o.cartan, height_bound):
+            assert mutation_verdicts(beta, o) == (Ternary.YES, Ternary.YES), beta
     fixture = repro.reproduce("example-3.6")
     assert fixture.ok, fixture.differences
     _report(7, "schur verdicts agree across source mutation, fixture included",

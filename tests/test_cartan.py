@@ -11,18 +11,25 @@ from schur_scope.cartan import (
     CartanMatrix,
     TypeClass,
     classify_type,
-    coxeter_exponent,
-    coxeter_number,
     parse_cartan,
     preset,
     submatrix,
     symmetrized,
     symmetrizer,
 )
+from schur_scope.weyl import coxeter_number
 
 FINITE_PRESETS_RANK_LE_4 = [
     "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3", "A4", "B4", "C4", "D4", "F4",
 ]
+
+
+def coxeter_exponent(C, i, j):
+    """Order m_ij of s_i s_j, keyed on a_ij a_ji; None means infinite.  The
+    stabilizer words of the braid tests import it from here."""
+    if i == j:
+        raise ValueError("coxeter_exponent requires i != j")
+    return {0: 2, 1: 3, 2: 4, 3: 6}.get(C.entry(i, j) * C.entry(j, i))
 
 
 def test_parse_a2():

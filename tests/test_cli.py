@@ -1,22 +1,21 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from schur_scope import cartan, curves, hurwitz, repro, weyl
-from schur_scope._matrix import mat_pow, matmul
+from schur_scope._matrix import matmul
 from schur_scope.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNRESOLVED,
     EXIT_USAGE,
-    _env_caps,
     emit,
     render_curve_svg,
     run,
 )
 from schur_scope.curves import CurveWord
+from test_matrix import mat_pow
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,6 +72,12 @@ def test_usage_errors(capsys):
     assert run(["--type", "A2", "--order", "2,2", "roots", "list"]) == EXIT_USAGE
     assert run(["--type", "A2", "--cartan", "x", "roots", "list"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
+    # argparse's own errors: a missing required option, an unknown command and
+    # an unknown option; --help is not an error.
+    assert run(["--type", "A2", "braid", "apply"]) == EXIT_USAGE
+    assert run(["--type", "A2", "frobnicate"]) == EXIT_USAGE
+    assert run(["--type", "A2", "orbit", "count", "--bogus"]) == EXIT_USAGE
+    assert run(["--help"]) == EXIT_OK
     capsys.readouterr()
 
 
@@ -290,22 +295,6 @@ def test_mutate_output(capsys):
     code, out = _run(capsys, ["--type", "A3", "mutate", "source"])
     assert code == EXIT_OK
     assert "order = [2, 3, 1]" in out.splitlines()
-
-
-def test_env_caps_parsing(monkeypatch):
-    monkeypatch.setenv("SCHUR_SCOPE_CAPS", "orbit=500, height=9")
-    assert _env_caps() == {"orbit": 500, "height": 9}
-    for entry in ("bogus=1", "len=2"):  # absolute length has no cap to set
-        monkeypatch.setenv("SCHUR_SCOPE_CAPS", entry)
-        with pytest.raises(ValueError):
-            _env_caps()
-
-
-def test_env_caps_apply(monkeypatch, capsys):
-    monkeypatch.setenv("SCHUR_SCOPE_CAPS", "height=2")
-    code, out = _run(capsys, ["--type", "A3", "roots", "list"])
-    assert code == EXIT_OK
-    assert "height_bound = 2" in out.splitlines()
 
 
 def test_repro_fixtures_all_ok(capsys):

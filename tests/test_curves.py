@@ -21,6 +21,7 @@ from schur_scope.curves import (
     root_of_curve,
     spiral,
 )
+from test_matrix import mat_pow
 
 PRESETS = ["A2", "B2", "A3", "B3", "universal:2:2", "universal:3:2"]
 
@@ -206,8 +207,6 @@ def test_spiral_realizes_coxeter_powers():
             )
             k = rng.randint(-3, 3)
             expected = root_of_curve(cw, C)
-            from schur_scope._matrix import mat_pow
-
             expected = matvec(mat_pow(c, k), expected)
             order = tuple(range(1, C.n + 1))
             assert root_of_curve(spiral(cw, order, k), C) == expected

@@ -6,7 +6,7 @@ import pytest
 
 from schur_scope import hurwitz, weyl
 from schur_scope._matrix import matmul
-from schur_scope.cartan import CartanMatrix, preset
+from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset, submatrix
 from schur_scope.hurwitz import (
     Factorization,
     SearchOutcome,
@@ -17,14 +17,12 @@ from schur_scope.hurwitz import (
     braid_move,
     canonical_factorization,
     factorization_count_formula,
-    full_twist_identity_check,
     hurwitz_orbit,
     is_prefix_of_coxeter,
-    normality_probe,
     stabilizer_check,
-    standard_stabilizer_words,
-    word_inverse,
 )
+from test_cartan import coxeter_exponent
+from test_matrix import mat_pow
 
 ORBIT_SIZES = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27, "A4": 125, "D4": 162}
 AFFINE_B4 = CartanMatrix((
@@ -34,6 +32,62 @@ AFFINE_B4 = CartanMatrix((
     (0, 0, -1, 2, 0),
     (0, -1, 0, 0, 2),
 ))
+
+
+def word_inverse(word):
+    return tuple(-x for x in reversed(word))
+
+
+def standard_stabilizer_words(C):
+    """(word, label) pairs that fix the canonical tuple, and the ranges skipped.
+
+    For vertices i..j, the ascending block (i, ..., j - 1), which acts as the
+    descending generator product, raised to (j - i + 1) h_sub, where h_sub is
+    the Coxeter number of the subdiagram; sub-ranges of infinite type are
+    skipped.  Then sigma_i^m for each adjacent pair with finite m = m_{i,i+1}.
+    """
+    words, skipped = [], []
+    for i in range(1, C.n):
+        for j in range(i + 1, C.n + 1):
+            sub = submatrix(C, tuple(range(i, j + 1)))
+            if classify_type(sub) is not TypeClass.FINITE:
+                skipped.append(f"vertices {i}..{j}: subdiagram is not finite type")
+                continue
+            block = tuple(range(i, j)) * ((j - i + 1) * weyl.coxeter_number(sub))
+            words.append((block, f"block twist {i}..{j}"))
+    for i in range(1, C.n):
+        m = coxeter_exponent(C, i, i + 1)
+        if m is None:
+            skipped.append(f"adjacent pair {i},{i + 1}: infinite braid exponent")
+        else:
+            words.append(((i,) * m, f"adjacent power sigma_{i}^{m}"))
+    return words, skipped
+
+
+def full_twist_sides(C, k):
+    """The parts' matrices after the k-fold full twist, (1, ..., n-1) repeated
+    n |k| times (inverted for k < 0), and the canonical parts' matrices
+    conjugated by c^k: the identity says the two are equal."""
+    start = canonical_factorization(C)
+    word = tuple(range(1, C.n)) * (C.n * abs(k))
+    twisted = apply_braid_word(start, word if k >= 0 else word_inverse(word))
+    ck, ck_inverse = mat_pow(start.coxeter, k), mat_pow(start.coxeter, -k)
+    conjugated = [matmul(matmul(ck, part.matrix), ck_inverse) for part in start.parts]
+    return [part.matrix for part in twisted.parts], conjugated
+
+
+def normality_witness(C):
+    """(stabilizing word, generator letter g) with g^-1 word g not a stabilizer,
+    witnessing that the stabilizer subgroup is not normal, or None."""
+    if classify_type(C) is not TypeClass.FINITE:
+        raise ValueError("normality probe requires a finite-type matrix")
+    for word, _ in standard_stabilizer_words(C)[0]:
+        if not stabilizer_check(word, C):
+            continue  # tested, not assumed
+        for letter in (x for g in range(1, C.n) for x in (g, -g)):
+            if not stabilizer_check((-letter,) + word + (letter,), C):
+                return word, letter
+    return None
 
 
 def _random_factorization(C, rng, moves=8):
@@ -203,8 +257,8 @@ def test_standard_stabilizer_words_pass():
         C = preset(name)
         words, skipped = standard_stabilizer_words(C)
         assert not skipped
-        for entry in words:
-            assert stabilizer_check(entry.word, C), entry.label
+        for word, label in words:
+            assert stabilizer_check(word, C), label
 
 
 def test_standard_stabilizer_words_skip_non_finite():
@@ -214,12 +268,10 @@ def test_standard_stabilizer_words_skip_non_finite():
 
 
 def test_full_twist_identity():
-    A3 = preset("A3")
-    for k in (-2, -1, 0, 1, 2):
-        assert full_twist_identity_check(A3, k=k)
-    U = preset("universal:3:2")
-    for k in (-2, -1, 1, 2):
-        assert full_twist_identity_check(U, k=k)
+    for name, powers in (("A3", (-2, -1, 0, 1, 2)), ("universal:3:2", (-2, -1, 1, 2))):
+        for k in powers:
+            twisted, conjugated = full_twist_sides(preset(name), k)
+            assert twisted == conjugated, (name, k)
 
 
 def test_word_inverse_cancels():
@@ -232,27 +284,23 @@ def test_word_inverse_cancels():
 
 
 def test_normality_probe_a3_witness():
-    witness = normality_probe(preset("A3"))
-    assert witness is not None
     A3 = preset("A3")
-    assert stabilizer_check(witness.stabilizing, A3)
-    conjugated = (
-        word_inverse(witness.conjugator) + witness.stabilizing + witness.conjugator
-    )
-    assert not stabilizer_check(conjugated, A3)
+    word, letter = normality_witness(A3)
+    assert stabilizer_check(word, A3)
+    assert not stabilizer_check((-letter,) + word + (letter,), A3)
 
 
 def test_normality_probe_a2_not_found():
-    assert normality_probe(preset("A2")) is None
+    assert normality_witness(preset("A2")) is None
 
 
 def test_normality_probe_b3_witness():
-    assert normality_probe(preset("B3")) is not None
+    assert normality_witness(preset("B3")) is not None
 
 
 def test_normality_probe_requires_finite():
     with pytest.raises(ValueError):
-        normality_probe(preset("universal:3:2"))
+        normality_witness(preset("universal:3:2"))
 
 
 def test_prefix_routes_cross_checked_on_all_reflections():

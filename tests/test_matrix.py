@@ -10,6 +10,19 @@ import pytest
 from schur_scope._matrix import det, identity, inverse, mat_sub, matmul, rank
 
 
+def mat_pow(a, k):
+    """a^k by repeated squaring; a negative k powers the inverse.  The tests
+    that take powers of c import it from here."""
+    if k < 0:
+        return mat_pow(inverse(a), -k)
+    result = identity(len(a))
+    while k:
+        if k & 1:
+            result = matmul(result, a)
+        a, k = matmul(a, a), k >> 1
+    return result
+
+
 def _triple_loop_product(a, b):
     n = len(a)
     out = [[0] * n for _ in range(n)]

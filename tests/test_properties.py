@@ -7,7 +7,7 @@ with `pytest tests/test_properties.py`.
 import random
 
 from schur_scope import hurwitz, weyl
-from schur_scope._matrix import mat_pow, matmul, matvec
+from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import preset
 from schur_scope.curves import (
     braid_move_curves,
@@ -18,6 +18,7 @@ from schur_scope.curves import (
     root_of_curve,
     spiral,
 )
+from test_matrix import mat_pow
 
 PRESETS = ["A2", "B2", "G2", "A3", "B3", "universal:2:2", "universal:3:2", "affine-A2"]
 CASES = 100

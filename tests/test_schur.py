@@ -2,30 +2,102 @@ from collections import deque
 
 import pytest
 
-from schur_scope import curves, hurwitz, schur, weyl
-from schur_scope._matrix import matmul, matvec
-from schur_scope.cartan import coxeter_number, preset
+from schur_scope import curves, hurwitz, weyl
+from schur_scope._matrix import inverse, matmul, matvec
+from schur_scope.cartan import preset
 from schur_scope.curves import CurveWord
 from schur_scope.hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
 from schur_scope.schur import (
-    COrbit,
     Orientation,
     _curve_root_harvest,
-    c_orbit,
-    c_orbit_census_finite,
     is_schur_root,
     mutate,
-    mutation_equivalence_check,
-    rank2_closed_forms_check,
-    schur_transversal_affine,
     schur_transversal_finite,
     verify_conjecture,
 )
+from test_matrix import mat_pow
 
 
 def _o(name, order=None):
     C = preset(name)
     return Orientation(C, order or tuple(range(1, C.n + 1)))
+
+
+def schur_transversal_affine(o):
+    """The 2n words s_{o1}..s_{o(k-1)} alpha_{ok} and s_{on}..s_{o(k+1)} alpha_{ok},
+    each paired with the root it evaluates to."""
+    ks = range(1, o.n + 1)
+    words = [CurveWord(o.order[: k - 1], o.order[k - 1]) for k in ks]
+    words += [CurveWord(tuple(reversed(o.order[k:])), o.order[k - 1]) for k in ks]
+    return tuple((w, curves.root_of_curve(w, o.cartan)) for w in words)
+
+
+def c_orbit(beta, o, step_bound=100):
+    """(roots, closed): the walk beta, c beta, c^2 beta, ... until it returns to
+    beta (closed, always on finite types), or else c^k beta for |k| <= step_bound
+    in walk order."""
+    c = weyl.coxeter_element(o.cartan, o.order)
+    forward, x = [beta], beta
+    for _ in range(step_bound):
+        x = matvec(c, x)
+        if x == beta:
+            return tuple(forward), True
+        forward.append(x)
+    c_inverse, backward, x = inverse(c), [], beta
+    for _ in range(step_bound):
+        x = matvec(c_inverse, x)
+        backward.append(x)
+    return tuple(reversed(backward)) + tuple(forward), False
+
+
+def c_orbit_census_finite(o):
+    """The c-orbits of all real roots of a finite type, each in cycle order from
+    its smallest member, sorted by that member."""
+    remaining = set(weyl.enumerate_real_roots(o.cartan, 1))
+    orbits = []
+    while remaining:
+        seed = min(remaining, key=lambda r: (weyl.height(r), r))
+        roots, closed = c_orbit(seed, o, step_bound=10 * weyl.coxeter_number(o.cartan))
+        if not closed:
+            raise ArithmeticError(f"c-orbit of {seed} did not close in 10 h steps")
+        remaining.difference_update(roots)
+        orbits.append(roots)
+    return tuple(sorted(orbits))
+
+
+def rank2_closed_forms(o, exponent_range):
+    """(braid-moved pair, closed form) matrix pairs on rank 2, for |e| <= range:
+    s1 s2 s1 = c s2 c^-1 and s2 s1 s2 = c^-1 s1 c; the 2e-th generator power
+    conjugates the pair by c^e; the (2k+1)-st power gives
+    (c^k s1 s2 s1 c^-k, c^k s1 c^-k) and the -(2k+1)-st (c^-k s2 c^k,
+    c^-k s2 s1 s2 c^k)."""
+    C = o.cartan
+    s1, s2 = (weyl.simple_reflection(C, i).matrix for i in o.order)
+    c = weyl.coxeter_element(C, o.order)
+    start = hurwitz.canonical_factorization(C, o.order)
+
+    def conj(power, m):
+        return matmul(matmul(mat_pow(c, power), m), mat_pow(c, -power))
+
+    def moved(power):
+        word = (1,) * power if power >= 0 else (-1,) * -power
+        return tuple(part.matrix for part in hurwitz.apply_braid_word(start, word).parts)
+
+    s121, s212 = matmul(matmul(s1, s2), s1), matmul(matmul(s2, s1), s2)
+    yield s121, conj(1, s2)
+    yield s212, conj(-1, s1)
+    for e in range(-exponent_range, exponent_range + 1):
+        yield moved(2 * e), (conj(e, s1), conj(e, s2))
+    for k in range(exponent_range + 1):
+        yield moved(2 * k + 1), (conj(k, s121), conj(k, s1))
+        yield moved(-(2 * k + 1)), (conj(-k, s2), conj(-k, s212))
+
+
+def mutation_verdicts(beta, o):
+    """The Schur verdicts of beta in o and of s_source(beta) in the
+    source-mutated orientation."""
+    image = weyl.simple_reflection(o.cartan, o.source).apply(beta)
+    return is_schur_root(beta, o).answer, is_schur_root(image, mutate(o, "source")).answer
 
 
 def test_orientation_validates():
@@ -87,8 +159,6 @@ def test_transversal_affine():
     aff1 = schur_transversal_affine(_o("affine-A1"))
     words1 = {(cw.letters, cw.end): root for cw, root in aff1}
     assert words1[((1,), 2)] == (2, 1)  # beta_2 = s1 alpha_2
-    with pytest.raises(ValueError):
-        schur_transversal_affine(_o("A2"))
 
 
 def test_affine_transversal_certified_and_disjoint():
@@ -99,36 +169,36 @@ def test_affine_transversal_certified_and_disjoint():
         beta = weyl.positive_part(root)
         assert weyl.height(beta) <= 15
         assert is_schur_root(beta, o).answer is Ternary.YES
-        orbit = c_orbit(beta, o, step_bound=6)
-        assert not orbit.closed  # the transversal orbits are infinite
-        orbits.append(set(orbit.roots))
+        roots, closed = c_orbit(beta, o, step_bound=6)
+        assert not closed  # the transversal orbits are infinite
+        orbits.append(set(roots))
     for i in range(len(orbits)):
         for j in range(i + 1, len(orbits)):
             assert not (orbits[i] & orbits[j])
 
 
 def test_c_orbit_a2():
-    orbit = c_orbit((1, 0), _o("A2"))
-    assert orbit.closed
-    assert set(orbit.roots) == {(1, 0), (0, 1), (-1, -1)}
-    assert len(orbit.roots) == 3
+    roots, closed = c_orbit((1, 0), _o("A2"))
+    assert closed
+    assert set(roots) == {(1, 0), (0, 1), (-1, -1)}
+    assert len(roots) == 3
 
 
 def test_c_orbit_size_is_h_in_finite_types():
     for name in ("A2", "B2", "G2", "A3"):
         o = _o(name)
-        h = coxeter_number(o.cartan)
+        h = weyl.coxeter_number(o.cartan)
         for beta in weyl.enumerate_real_roots(o.cartan, 1):
-            orbit = c_orbit(beta, o)
-            assert orbit.closed
-            assert len(orbit.roots) == h
+            roots, closed = c_orbit(beta, o)
+            assert closed
+            assert len(roots) == h
 
 
 def test_c_orbit_universal_open():
-    orbit = c_orbit((1, 0), _o("universal:2:2"), step_bound=3)
-    assert not orbit.closed
-    assert (3, 2) in orbit.roots and (-1, -2) in orbit.roots
-    assert len(orbit.roots) == 7
+    roots, closed = c_orbit((1, 0), _o("universal:2:2"), step_bound=3)
+    assert not closed
+    assert (3, 2) in roots and (-1, -2) in roots
+    assert len(roots) == 7
 
 
 def test_census_finite():
@@ -136,7 +206,7 @@ def test_census_finite():
     for name, n_orbits in expected.items():
         o = _o(name)
         orbits = c_orbit_census_finite(o)
-        h = coxeter_number(o.cartan)
+        h = weyl.coxeter_number(o.cartan)
         assert len(orbits) == n_orbits == o.n
         assert all(len(orbit) == h for orbit in orbits)
         covered = {root for orbit in orbits for root in orbit}
@@ -149,17 +219,17 @@ def test_census_finite():
 
 def test_census_raises_when_an_orbit_does_not_close(monkeypatch):
     # A finite-type c-orbit always closes, so an open one is an internal fault.
-    monkeypatch.setattr(schur, "c_orbit", lambda *args, **kwargs: COrbit((), False))
+    monkeypatch.setitem(globals(), "c_orbit", lambda *args, **kwargs: ((), False))
     with pytest.raises(ArithmeticError, match="did not close"):
         c_orbit_census_finite(_o("A2"))
 
 
 def test_rank2_closed_forms():
-    for name in ("A2", "B2", "G2", "universal:2:2"):
-        assert rank2_closed_forms_check(_o(name), 5)
-    assert rank2_closed_forms_check(_o("universal:2:3"), 3)
-    with pytest.raises(ValueError):
-        rank2_closed_forms_check(_o("A3"), 3)
+    for name, exponent_range in (
+        ("A2", 5), ("B2", 5), ("G2", 5), ("universal:2:2", 5), ("universal:2:3", 3)
+    ):
+        for moved, closed_form in rank2_closed_forms(_o(name), exponent_range):
+            assert moved == closed_form, name
 
 
 def test_mutate_rotations():
@@ -173,26 +243,24 @@ def test_mutate_rotations():
 
 
 def test_mutated_coxeter_is_conjugate():
-    from schur_scope.schur import coxeter_matrix
-
-    o = _o("A3")
+    o, mutated = _o("A3"), mutate(_o("A3"), "source")
     s = weyl.simple_reflection(o.cartan, o.source).matrix
-    expected = matmul(matmul(s, coxeter_matrix(o)), s)
-    assert coxeter_matrix(mutate(o, "source")) == expected
+    expected = matmul(matmul(s, weyl.coxeter_element(o.cartan, o.order)), s)
+    assert weyl.coxeter_element(mutated.cartan, mutated.order) == expected
 
 
 def test_mutation_equivalence_examples():
     o = _o("A3")
     beta = curves.root_of_curve(CurveWord((2, 3), 2), o.cartan)
-    assert mutation_equivalence_check(beta, o) is True
+    assert mutation_verdicts(beta, o) == (Ternary.YES, Ternary.YES)
     for root in weyl.positive_real_roots(o.cartan, 10):
-        assert mutation_equivalence_check(root, o) is True
+        assert mutation_verdicts(root, o) == (Ternary.YES, Ternary.YES)
 
 
 def test_mutation_equivalence_universal():
     o = _o("universal:3:2")
     for root in weyl.positive_real_roots(o.cartan, 6):
-        assert mutation_equivalence_check(root, o) is True
+        assert mutation_verdicts(root, o) == (Ternary.YES, Ternary.YES)
 
 
 def test_schur_set_mutation_invariance_a3():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schur_scope import weyl
-from schur_scope._matrix import inverse, mat_pow, mat_sub, matmul, matvec, primitive, rank
+from schur_scope._matrix import inverse, mat_sub, matmul, matvec, primitive, rank
 from schur_scope.cartan import CartanMatrix, preset, submatrix, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
@@ -22,6 +22,7 @@ from schur_scope.weyl import (
     simple_reflection,
     simple_root,
 )
+from test_matrix import mat_pow
 
 def is_reflection(w):
     """True iff w^2 = id and w - id has rank exactly 1: the matrix-level oracle."""
@@ -99,14 +100,31 @@ def test_inverse_roundtrip():
 def test_coxeter_element_variants():
     rank1 = preset("A1")
     assert coxeter_element(rank1) == ((-1,),)
-    A3 = preset("A3")
-    expected = matmul(
-        matmul(simple_reflection(A3, 2).matrix, simple_reflection(A3, 1).matrix),
-        simple_reflection(A3, 3).matrix,
-    )
-    assert coxeter_element(A3, (2, 1, 3)) == expected
     with pytest.raises(ValueError):
-        coxeter_element(A3, (1, 1, 2))
+        coxeter_element(preset("A3"), (1, 1, 2))
+
+
+def test_coxeter_element_equals_the_product_of_reflection_matrices():
+    # The column updates against the product of the simple reflections'
+    # matrices over the order, the route they replaced.
+    def product(C, order):
+        result = identity(C.n)
+        for i in order:
+            result = matmul(result, simple_reflection(C, i).matrix)
+        return result
+
+    rng = random.Random(17)
+    cases = [
+        (name, order)
+        for name in ("A3", "B3", "C3", "G2", "F4", "D4", "affine-A2", "universal:3:2")
+        for order in itertools.permutations(range(1, preset(name).n + 1))
+    ]
+    for name in ("D5", "E6"):
+        n = preset(name).n
+        cases += [(name, tuple(rng.sample(range(1, n + 1), n))) for _ in range(5)]
+    for name, order in cases:
+        C = preset(name)
+        assert coxeter_element(C, order) == product(C, order), (name, order)
 
 
 def test_is_reflection():
