@@ -2,8 +2,8 @@
 
 A CartanMatrix is the single source of truth for a session: it fixes the rank,
 the simple-reflection action on the root lattice and the symmetrized bilinear
-form.  Everything here is exact integer (or Fraction) arithmetic; type
-classification is one elimination of that form, never floating point.
+form.  Everything here is exact integer arithmetic; type classification is
+one elimination of that form, never floating point.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import enum
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from collections import namedtuple
+from math import gcd
 
 from ._matrix import Matrix
 
@@ -37,9 +36,8 @@ class TypeClass(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Symmetrizable generalized Cartan matrix with optional vertex labels.
+class CartanMatrix(namedtuple("CartanMatrix", "entries")):
+    """Symmetrizable generalized Cartan matrix.
 
     Stored row-major: entry(i, j) with 1-based indices is a_ij.  Construction
     checks the diagonal, the sign pattern and symmetrizability; connectivity is
@@ -47,25 +45,24 @@ class CartanMatrix:
     because index-range submatrices of a connected diagram may be disconnected.
     """
 
-    entries: Matrix
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+    def __new__(cls, entries: Matrix):
+        self = tuple.__new__(cls, (entries,))
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
             raise CartanError("format", "matrix must be square and non-empty")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise CartanError("diagonal", f"a[{i + 1}][{i + 1}] must be 2")
         for i, j in itertools.combinations(range(n), 2):
-            aij, aji = self.entries[i][j], self.entries[j][i]
+            aij, aji = entries[i][j], entries[j][i]
             if aij > 0 or aji > 0:
                 raise CartanError("sign", f"off-diagonal a[{i + 1}][{j + 1}] must be <= 0")
             if (aij == 0) != (aji == 0):
                 raise CartanError("sign", f"a[{i + 1}][{j + 1}] = 0 requires a[{j + 1}][{i + 1}] = 0")
-        if self.labels is not None and len(self.labels) != n:
-            raise CartanError("format", "label count must match rank")
         symmetrizer(self)  # raises CartanError("symmetrizability") when none exists
+        return self
 
     @property
     def n(self) -> int:
@@ -102,7 +99,7 @@ def is_irreducible(entries: Matrix) -> bool:
     return len(components(entries)) == 1
 
 
-def parse_cartan(text: str, labels: tuple[str, ...] | None = None) -> CartanMatrix:
+def parse_cartan(text: str) -> CartanMatrix:
     """Parse the documented text format: first token n, then n*n integers.
 
     Rows may be separated by newlines or '/'; all whitespace is equivalent.
@@ -124,7 +121,7 @@ def parse_cartan(text: str, labels: tuple[str, ...] | None = None) -> CartanMatr
     entries = tuple(
         tuple(values[1 + i * n + j] for j in range(n)) for i in range(n)
     )
-    matrix = CartanMatrix(entries, labels)
+    matrix = CartanMatrix(entries)
     if not is_irreducible(entries):
         raise CartanError("irreducibility", "matrix graph is not connected")
     return matrix
@@ -134,16 +131,18 @@ def parse_cartan(text: str, labels: tuple[str, ...] | None = None) -> CartanMatr
 def symmetrizer(C: CartanMatrix) -> tuple[int, ...]:
     """Componentwise-minimal positive integer d with d_i a_ij = d_j a_ji.
 
-    Computed by propagating ratios along graph edges, one connected component
-    at a time, then clearing denominators and dividing out common factors.
+    Computed by propagating d_j = d_i a_ij / a_ji along graph edges, one
+    connected component at a time, in integers: where that ratio is not
+    integral, the component found so far is rescaled first.  Each component
+    is then divided by the gcd of its entries.
     """
     n = C.n
     a = C.entries
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
         component = [start]
         frontier = [start]
         while frontier:
@@ -151,21 +150,23 @@ def symmetrizer(C: CartanMatrix) -> tuple[int, ...]:
             for j in range(n):
                 if i == j or a[i][j] == 0:
                     continue
-                required = d[i] * Fraction(a[i][j], a[j][i])
-                if d[j] is None:
-                    d[j] = required
+                # d_j = num / den with num, den < 0 (the sign pattern is checked).
+                num, den = d[i] * a[i][j], a[j][i]
+                if d[j] == 0:
+                    if num % den:
+                        scale = -den // gcd(num, den)
+                        for k in component:
+                            d[k] *= scale
+                        num *= scale
+                    d[j] = num // den
                     component.append(j)
                     frontier.append(j)
-                elif d[j] != required:
+                elif d[j] * den != num:
                     raise CartanError("symmetrizability", "no positive symmetrizer exists")
-        scale = lcm(*(d[i].denominator for i in component))
-        scaled = [int(d[i] * scale) for i in component]
-        g = 0
-        for x in scaled:
-            g = gcd(g, x)
-        for i, x in zip(component, scaled):
-            d[i] = Fraction(x, g)
-    result = tuple(int(x) for x in d)
+        g = gcd(*(d[i] for i in component))
+        for i in component:
+            d[i] //= g
+    result = tuple(d)
     # Cross-check the defining identity on every pair, not only graph edges.
     for i in range(n):
         for j in range(n):
@@ -191,8 +192,14 @@ def classify_type(C: CartanMatrix) -> TypeClass:
     A negative pivot, or a zero pivot whose row is not zero, means the form is
     not positive semidefinite.  Otherwise its nullity is the number of zero
     pivots: finite at 0, affine at 1, indefinite above.
+
+    The elimination stays in integers: a row below pivot p is replaced by
+    p times itself minus its column-k entry times the pivot row, then divided
+    by the gcd of its entries.  Each row of the trailing block is so a
+    positive multiple of the row a rational elimination gives, which changes
+    neither the sign of a pivot nor which entries are zero.
     """
-    a = [[Fraction(x) for x in row] for row in symmetrized(C)]
+    a = [list(row) for row in symmetrized(C)]
     nullity = 0
     for k, row in enumerate(a):
         pivot = row[k]
@@ -202,21 +209,20 @@ def classify_type(C: CartanMatrix) -> TypeClass:
             nullity += 1
             continue
         for other in a[k + 1 :]:
-            factor = other[k] / pivot
-            for j in range(k + 1, len(a)):
-                other[j] -= factor * row[j]
+            factor = other[k]
+            if factor:
+                for j in range(k + 1, len(a)):
+                    other[j] = pivot * other[j] - factor * row[j]
+                other[k] = 0
+                g = gcd(*other)
+                if g > 1:
+                    other[:] = [x // g for x in other]
     return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
 
 
 def submatrix(C: CartanMatrix, indices: tuple[int, ...]) -> CartanMatrix:
     """Cartan matrix restricted to the given 1-based vertices (may be reducible)."""
-    rows = tuple(
-        tuple(C.entry(i, j) for j in indices) for i in indices
-    )
-    labels = None
-    if C.labels is not None:
-        labels = tuple(C.labels[i - 1] for i in indices)
-    return CartanMatrix(rows, labels)
+    return CartanMatrix(tuple(tuple(C.entry(i, j) for j in indices) for i in indices))
 
 
 def _path_matrix(n: int, tweaks: dict[tuple[int, int], int] | None = None,

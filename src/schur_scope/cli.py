@@ -5,7 +5,8 @@ errors, argparse's own included, 2 when the result contains an unknown or
 truncated component or a safety cap stopped the command, so scripts can tell
 "no" apart from "gave up", and 3 when an internal self-check failed.  Every
 handler is a thin adapter around exactly one core operation; --json emits the
-report dict with sorted keys.
+report dict with sorted keys.  Each handler imports the layers above hurwitz
+that it runs, so a command loads only its own layers.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from . import cartan, curves, hurwitz, ncposet, repro, schur, weyl
+from . import cartan, hurwitz, weyl
 from .cartan import CartanError, CartanMatrix
-from .curves import CurveWord, SimpleVerdict
 from .hurwitz import Ternary
-from .schur import Orientation
 
 DEFAULT_ORBIT_CAP = 10**6
 DEFAULT_HEIGHT_BOUND = 20
@@ -31,21 +29,7 @@ EXIT_UNRESOLVED = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class Session:
-    cartan: CartanMatrix
-    order: tuple[int, ...]
-    orbit_cap: int
-    height_bound: int
-    json_mode: bool
-
-    @property
-    def orientation(self) -> Orientation:
-        return Orientation(self.cartan, self.order)
-
-    def validate(self) -> None:
-        if min(self.orbit_cap, self.height_bound) < 1:
-            raise ValueError("caps must be positive")
+Session = namedtuple("Session", "cartan order orbit_cap height_bound json_mode")
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -147,16 +131,10 @@ def _build_session(args: argparse.Namespace) -> Session:
     order = tuple(range(1, matrix.n + 1))
     if args.order:
         order = _parse_csv_ints(args.order, "order")
-    session = Session(
-        cartan=matrix,
-        order=order,
-        orbit_cap=args.orbit_cap,
-        height_bound=args.height,
-        json_mode=args.json,
-    )
-    session.validate()
-    session.orientation  # validates the order permutation
-    return session
+    if min(args.orbit_cap, args.height) < 1:
+        raise ValueError("caps must be positive")
+    weyl._check_order(matrix, order)
+    return Session(matrix, order, args.orbit_cap, args.height, args.json)
 
 
 def _ternary_exit(answer: Ternary) -> int:
@@ -187,7 +165,9 @@ def _cmd_orbit(session: Session, args) -> tuple[dict, int]:
 
 
 def _cmd_schur(session: Session, args) -> tuple[dict, int]:
-    o = session.orientation
+    from . import schur
+
+    o = schur.Orientation(session.cartan, session.order)
     if args.action == "check":
         if not args.root:
             raise ValueError("schur check requires --root")
@@ -221,7 +201,7 @@ def _cmd_schur(session: Session, args) -> tuple[dict, int]:
     return report.to_json_dict(), code
 
 
-def _nc_nodes(poset: ncposet.NCPoset) -> list[dict]:
+def _nc_nodes(poset) -> list[dict]:
     nodes = []
     for i, w in enumerate(poset.elements):
         node: dict = {"id": i, "rank": poset.ranks[i]}
@@ -232,6 +212,8 @@ def _nc_nodes(poset: ncposet.NCPoset) -> list[dict]:
 
 
 def _cmd_nc(session: Session, args) -> tuple[dict, int]:
+    from . import ncposet
+
     C = session.cartan
     if args.action == "leq":
         if not args.u or not args.w:
@@ -278,18 +260,14 @@ def _cmd_braid(session: Session, args) -> tuple[dict, int]:
     return {"word": list(word), "factorization": _root_list(moved.roots())}, EXIT_OK
 
 
-def _curve_from_args(args, n: int) -> CurveWord:
+def _cmd_curve(session: Session, args) -> tuple[dict, int]:
+    from . import curves
+
+    n = session.cartan.n
     letters = _parse_csv_ints(args.word, "curve word") if args.word else ()
-    sign = -1 if args.neg else 1
-    cw = curves.canonicalize(letters, args.end, sign)
+    cw = curves.canonicalize(letters, args.end, -1 if args.neg else 1)
     if cw.end > n or any(x > n for x in cw.letters):
         raise ValueError(f"curve word references punctures beyond {n}")
-    return cw
-
-
-def _cmd_curve(session: Session, args) -> tuple[dict, int]:
-    n = session.cartan.n
-    cw = _curve_from_args(args, n)
     base = {"letters": list(cw.letters), "end": cw.end, "sign": cw.sign}
     if args.action == "root":
         root = curves.root_of_curve(cw, session.cartan)
@@ -298,7 +276,7 @@ def _cmd_curve(session: Session, args) -> tuple[dict, int]:
         return {**base, "loop": list(curves.loop_of_curve(cw))}, EXIT_OK
     if args.action == "simple":
         verdict = curves.is_simple(cw, n, node_cap=session.orbit_cap)
-        code = EXIT_OK if verdict is SimpleVerdict.YES else EXIT_UNRESOLVED
+        code = EXIT_OK if verdict is curves.SimpleVerdict.YES else EXIT_UNRESOLVED
         return {**base, "simple": verdict.value}, code
     if args.action == "spiral":
         spiraled = curves.spiral(cw, session.order, args.k)
@@ -318,11 +296,15 @@ def _cmd_curve(session: Session, args) -> tuple[dict, int]:
 
 
 def _cmd_mutate(session: Session, args) -> tuple[dict, int]:
-    mutated = schur.mutate(session.orientation, args.action)
+    from . import schur
+
+    mutated = schur.mutate(schur.Orientation(session.cartan, session.order), args.action)
     return {"order": list(mutated.order)}, EXIT_OK
 
 
 def _cmd_repro(session: Session, args) -> tuple[dict, int]:
+    from . import repro
+
     result = repro.reproduce(args.fixture)
     return result.to_json_dict(), EXIT_OK if result.ok else EXIT_UNRESOLVED
 
@@ -394,18 +376,21 @@ _UNIT = 30  # pixels per height unit
 _SPACING = 40  # pixels between punctures
 
 
-def _tenths(value: Fraction) -> str:
-    scaled = round(value * 10)
-    return f"{scaled // 10}.{scaled % 10}"
-
-
-def render_curve_svg(cw: CurveWord, C: CartanMatrix, path: str) -> str:
+def render_curve_svg(cw, C: CartanMatrix, path: str) -> str:
     """Deterministic schematic: punctures on a baseline, rays upward, basepoint
     below; the curve crosses ray l_j at strictly increasing heights in word
     order.  Crossing k of m sits 1 + k/(m+1) units above the baseline.  The
     output is byte-identical for identical input and is labeled as a schematic,
     not an isotopy-faithful picture.
     """
+    from fractions import Fraction
+
+    from . import curves
+
+    def _tenths(value: Fraction) -> str:
+        scaled = round(value * 10)
+        return f"{scaled // 10}.{scaled % 10}"
+
     n = C.n
     baseline = 4 * _UNIT
     width = _SPACING * (n + 1)

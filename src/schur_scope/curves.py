@@ -13,7 +13,7 @@ endpoint's simple root, and its reflection is the reflection of that root.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import hurwitz, weyl
 from .cartan import CartanMatrix, preset
@@ -23,23 +23,21 @@ from .weyl import Root
 LoopWord = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CurveWord:
+class CurveWord(namedtuple("CurveWord", "letters end sign")):
     """Canonical ray-crossing word: freely reduced, last letter != end."""
 
-    letters: tuple[int, ...]
-    end: int
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.end < 1 or any(x < 1 for x in self.letters):
+    def __new__(cls, letters: tuple[int, ...], end: int, sign: int = 1):
+        if end < 1 or any(x < 1 for x in letters):
             raise ValueError("ray and puncture indices are 1-based positives")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if any(a == b for a, b in zip(self.letters, self.letters[1:])):
+        if any(a == b for a, b in zip(letters, letters[1:])):
             raise ValueError("letters are not freely reduced")
-        if self.letters and self.letters[-1] == self.end:
+        if letters and letters[-1] == end:
             raise ValueError("canonical words do not end with the endpoint letter")
+        return tuple.__new__(cls, (letters, end, sign))
 
 
 def free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:

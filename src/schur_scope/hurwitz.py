@@ -24,8 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from operator import mul
 
 from . import weyl
@@ -55,15 +54,20 @@ class Ternary(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "parts coxeter")):
     """Ordered tuple of reflections whose product is the ambient Coxeter element."""
 
-    parts: tuple[Reflection, ...]
-    coxeter: Matrix
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[Reflection, ...], coxeter: Matrix):
+        self = tuple.__new__(cls, (parts, coxeter))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        # t_n, ..., t_1 applied to alpha_j must give column j of c.
+        """The product check that __new__ runs, looked up through self so
+        that a profiler or a test can wrap it: t_n, ..., t_1 applied to
+        alpha_j must give column j of c."""
         for j, column in enumerate(zip(*self.coxeter)):
             v = tuple(int(i == j) for i in range(len(column)))
             for part in reversed(self.parts):
@@ -265,14 +269,34 @@ def _root_tuples(C: CartanMatrix) -> _ReflectionTable:
     return _ReflectionTable(C)
 
 
-@dataclass(frozen=True)
 class OrbitResult:
-    """The root tuples of an orbit, sorted, and whether its closure finished."""
+    """The root tuples of an orbit, sorted, and whether its closure finished.
+    Immutable; two results are equal when their roots, completeness and
+    Coxeter element are, and the table they were walked on is not compared."""
 
-    roots: tuple[RootTuple, ...]
-    complete: bool
-    coxeter: Matrix
-    table: _ReflectionTable = field(repr=False, compare=False)
+    __slots__ = ("roots", "complete", "coxeter", "table")
+
+    def __init__(
+        self,
+        roots: tuple[RootTuple, ...],
+        complete: bool,
+        coxeter: Matrix,
+        table: _ReflectionTable,
+    ):
+        for name, value in zip(self.__slots__, (roots, complete, coxeter, table)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an OrbitResult")
+
+    def _key(self) -> tuple:
+        return self.roots, self.complete, self.coxeter
+
+    def __eq__(self, other) -> bool:
+        return type(other) is OrbitResult and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -333,13 +357,11 @@ def factorization_count_formula(C: CartanMatrix) -> int:
     return numerator // group_order
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of a bounded targeted orbit search."""
+class SearchOutcome(namedtuple("SearchOutcome", "word exhausted nodes")):
+    """Result of a bounded targeted orbit search: the braid word (or None),
+    whether the search region was exhausted, and the nodes it met."""
 
-    word: BraidWord | None
-    exhausted: bool
-    nodes: int
+    __slots__ = ()
 
 
 def _targeted_orbit_search(
@@ -396,8 +418,9 @@ def _targeted_orbit_search(
     return SearchOutcome(None, exhausted, len(parents))
 
 
-@dataclass(frozen=True)
-class PrefixVerdict:
+class PrefixVerdict(
+    namedtuple("PrefixVerdict", "answer factorization exhausted", defaults=(True,))
+):
     """Answer to 'is t the first reflection of some length-n factorization of c'.
 
     A YES always carries a witness factorization whose first part is t.
@@ -405,9 +428,7 @@ class PrefixVerdict:
     region (below the pruning bound) rather than from hitting the node cap.
     """
 
-    answer: Ternary
-    factorization: Factorization | None
-    exhausted: bool = True
+    __slots__ = ()
 
 
 def is_prefix_of_coxeter(

@@ -9,7 +9,7 @@ cached group table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import weyl
 from ._matrix import Matrix, identity, inverse, matmul
@@ -37,15 +37,12 @@ def absolute_leq(u: Matrix, w: Matrix, C: CartanMatrix) -> Ternary:
     return Ternary.YES if _below(C, u, w, length_u, length_w) else Ternary.NO
 
 
-@dataclass(frozen=True)
-class NCPoset:
-    """Elements between the identity and c in absolute order, graded by length."""
+class NCPoset(namedtuple("NCPoset", "cartan order elements ranks covers")):
+    """Elements between the identity and c in absolute order, graded by
+    length: elements and their ranks, and covers as index pairs (lower,
+    upper)."""
 
-    cartan: CartanMatrix
-    order: tuple[int, ...]
-    elements: tuple[Matrix, ...]
-    ranks: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]  # index pairs (lower, upper)
+    __slots__ = ()
 
     @property
     def bottom(self) -> Matrix:
@@ -99,12 +96,11 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     return NCPoset(C, order, tuple(members), ranks, tuple(covers))
 
 
-@dataclass(frozen=True)
-class IntervalFactorization:
-    """Reflections stepping u up to w, extended to a full factorization of c."""
+class IntervalFactorization(namedtuple("IntervalFactorization", "steps full")):
+    """Reflections stepping u up to w (steps), extended to a full
+    factorization of c (full)."""
 
-    steps: tuple[Reflection, ...]
-    full: Factorization
+    __slots__ = ()
 
 
 def interval_factorization(

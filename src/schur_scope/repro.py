@@ -7,7 +7,7 @@ payloads are plain JSON-serializable dicts so reproduction is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import cartan, curves, hurwitz, schur
 from .curves import CurveWord, canonicalize
@@ -159,12 +159,10 @@ def _diff(path: str, computed, expected, out: list[str]) -> None:
         out.append(f"{path}: computed {computed!r} != expected {expected!r}")
 
 
-@dataclass(frozen=True)
-class ReproResult:
-    fixture: str
-    ok: bool
-    computed: dict
-    differences: tuple[str, ...]
+class ReproResult(namedtuple("ReproResult", "fixture ok computed differences")):
+    """A fixture's recomputed payload and its differences from EXPECTED."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

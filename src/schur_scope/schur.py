@@ -8,24 +8,22 @@ the reflection route coincide with the roots harvested from simple-curve words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import curves, hurwitz, weyl
+from . import hurwitz, weyl
 from .cartan import CartanMatrix, TypeClass, classify_type
-from .curves import CurveWord
 from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
 from .weyl import Root, height
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(namedtuple("Orientation", "cartan order")):
     """A Cartan matrix together with the order defining c = s_{o1} ... s_{on}."""
 
-    cartan: CartanMatrix
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        weyl._check_order(self.cartan, self.order)
+    def __new__(cls, cartan: CartanMatrix, order: tuple[int, ...]):
+        weyl._check_order(cartan, order)
+        return tuple.__new__(cls, (cartan, order))
 
     @classmethod
     def default(cls, C: CartanMatrix) -> "Orientation":
@@ -79,10 +77,12 @@ def schur_transversal_finite(o: Orientation) -> tuple[Root, ...]:
     """The roots s_{o1} ... s_{o(k-1)} alpha_{ok}, one per c-orbit.  No command
     calls it yet; it is kept as the start of the planned spiral route of
     `schur verify` on finite types."""
+    from . import curves  # here, so that importing schur does not load curves
+
     if classify_type(o.cartan) is not TypeClass.FINITE:
         raise ValueError("finite transversal requires a finite-type matrix")
     return tuple(
-        curves.root_of_curve(CurveWord(o.order[: k - 1], o.order[k - 1]), o.cartan)
+        curves.root_of_curve(curves.CurveWord(o.order[: k - 1], o.order[k - 1]), o.cartan)
         for k in range(1, o.n + 1)
     )
 
@@ -115,16 +115,17 @@ def _curve_root_harvest(
     )
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Set comparison between prefix-certified roots and curve-harvested roots."""
+class ConjectureReport(
+    namedtuple(
+        "ConjectureReport",
+        "height_bound prefix_roots curve_roots all_positive unknowns truncated",
+    )
+):
+    """Set comparison between prefix-certified roots (prefix_roots) and
+    curve-harvested roots (curve_roots) below height_bound; all_positive is
+    every positive root on finite types and None otherwise."""
 
-    height_bound: int
-    prefix_roots: tuple[Root, ...]
-    curve_roots: tuple[Root, ...]
-    all_positive: tuple[Root, ...] | None
-    unknowns: tuple[Root, ...]
-    truncated: bool
+    __slots__ = ()
 
     @property
     def sets_match(self) -> bool:

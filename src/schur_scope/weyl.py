@@ -9,8 +9,7 @@ even for infinite groups.
 from __future__ import annotations
 
 import functools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from operator import mul
 
 from . import _matrix as _mat
@@ -28,17 +27,16 @@ from .cartan import (
 Root = Vector
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(namedtuple("Reflection", "root coroot")):
     """v -> v - phi(v) beta for a real root beta, where the integer row
     phi = coroot gives phi(v) = <v, beta^vee>; phi(beta) = 2 is checked."""
 
-    root: Root
-    coroot: Vector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pair(self.root) != 2:
-            raise ArithmeticError(f"{self.coroot} does not pair {self.root} to 2; upstream bug")
+    def __new__(cls, root: Root, coroot: Vector):
+        if sum(map(mul, coroot, root)) != 2:
+            raise ArithmeticError(f"{coroot} does not pair {root} to 2; upstream bug")
+        return tuple.__new__(cls, (root, coroot))
 
     def pair(self, v: Vector) -> int:
         return sum(map(mul, self.coroot, v))
@@ -58,7 +56,7 @@ class Reflection:
             for b, row in zip(self.root, m)
         )
 
-    @functools.cached_property
+    @property
     def matrix(self) -> Matrix:
         """id - beta phi, read only at the CLI boundary (cli._parse_element)."""
         return tuple(

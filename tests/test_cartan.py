@@ -1,6 +1,11 @@
+"""Cartan matrices: parsing, presets, the integer symmetrizer and the
+integer classification, the last two against the Fraction code they
+replaced, kept here as the references."""
+
 import itertools
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -323,3 +328,127 @@ def test_classify_large_rank_without_minor_walk():
     # 2^31 principal minors would never finish; one elimination is immediate.
     assert classify_type(preset("affine-A30")) is TypeClass.AFFINE
     assert classify_type(preset("universal:30:2")) is TypeClass.INDEFINITE
+
+
+def _fraction_symmetrizer(a):
+    """Reference: ratios propagated as Fractions along graph edges, then each
+    component scaled by the lcm of its denominators and divided by the gcd."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        component = [start]
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if i == j or a[i][j] == 0:
+                    continue
+                required = d[i] * Fraction(a[i][j], a[j][i])
+                if d[j] is None:
+                    d[j] = required
+                    component.append(j)
+                    frontier.append(j)
+                elif d[j] != required:
+                    raise CartanError("symmetrizability", "no positive symmetrizer exists")
+        scale = lcm(*(d[i].denominator for i in component))
+        scaled = [int(d[i] * scale) for i in component]
+        g = gcd(*scaled)
+        for i, x in zip(component, scaled):
+            d[i] = Fraction(x, g)
+    result = tuple(int(x) for x in d)
+    for i in range(n):
+        for j in range(n):
+            if result[i] * a[i][j] != result[j] * a[j][i]:
+                raise CartanError("symmetrizability", "no positive symmetrizer exists")
+    return result
+
+
+def _fraction_classify(C):
+    """Reference: the same diagonal-pivot elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in symmetrized(C)]
+    nullity = 0
+    for k, row in enumerate(a):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            return TypeClass.INDEFINITE
+        if pivot == 0:
+            nullity += 1
+            continue
+        for other in a[k + 1 :]:
+            factor = other[k] / pivot
+            for j in range(k + 1, len(a)):
+                other[j] -= factor * row[j]
+    return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
+
+
+def _random_rank_2_to_6(rng: random.Random):
+    """Entries of a sign-valid matrix of rank 2..6.  Most are symmetrizable by
+    construction from a random d; some get one edge with a random ratio,
+    which usually breaks symmetrizability on a cycle."""
+    n = rng.randint(2, 6)
+    d = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(n)]
+    density = rng.choice((0.3, 0.5, 0.8))
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            e = rng.choice((1, 1, 1, 2))
+            g = gcd(d[i], d[j])
+            entries[i][j] = -e * d[j] // g
+            entries[j][i] = -e * d[i] // g
+    if rng.random() < 0.2:
+        i, j = rng.sample(range(n), 2)
+        entries[i][j], entries[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
+    return tuple(tuple(row) for row in entries)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CartanError as exc:
+        return (exc.kind, str(exc))
+
+
+def test_integer_symmetrizer_and_classify_match_the_fraction_code_on_presets():
+    for name in _minor_walk_presets() + ["affine-A30", "universal:30:2"]:
+        C = preset(name)
+        assert symmetrizer(C) == _fraction_symmetrizer(C.entries), name
+        assert classify_type(C) is _fraction_classify(C), name
+
+
+def test_integer_symmetrizer_and_classify_match_the_fraction_code_on_random_matrices():
+    rng = random.Random(20261019)
+    kinds = set()
+    refused = 0
+    for _ in range(500):
+        entries = _random_rank_2_to_6(rng)
+        expected = _outcome(_fraction_symmetrizer, entries)
+        C = _outcome(CartanMatrix, entries)  # construction runs the symmetrizer
+        if isinstance(C, CartanMatrix):
+            assert symmetrizer(C) == expected, entries
+            kind = classify_type(C)
+            assert kind is _fraction_classify(C), entries
+            kinds.add(kind)
+        else:
+            assert C == expected == ("symmetrizability", "no positive symmetrizer exists")
+            refused += 1
+    assert kinds == set(TypeClass)
+    assert 0 < refused < 250
+
+
+def test_integer_symmetrizer_rescales_when_a_ratio_is_not_integral():
+    # d_2 = d_1 * a_12 / a_21 = 2/3 before the rescale.
+    C = CartanMatrix(((2, -2, 0), (-3, 2, -1), (0, -1, 2)))
+    assert symmetrizer(C) == _fraction_symmetrizer(C.entries) == (3, 2, 2)
+
+
+def test_non_symmetrizable_three_cycle_is_refused():
+    entries = ((2, -1, -2), (-2, 2, -1), (-1, -2, 2))
+    with pytest.raises(CartanError) as info:
+        CartanMatrix(entries)
+    assert info.value.kind == "symmetrizability"
+    assert str(info.value) == "no positive symmetrizer exists"
+    with pytest.raises(CartanError):
+        _fraction_symmetrizer(entries)

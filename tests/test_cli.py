@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from schur_scope.curves import CurveWord
 from test_matrix import mat_pow
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, argv):
@@ -447,3 +451,45 @@ def test_reflection_search_cap_gives_exit_2(capsys, monkeypatch):
     assert captured.err == (
         "error: reflection search exceeded the safety cap of 20 nodes\n"
     )
+
+
+def _imported_modules(*args: str) -> set[str]:
+    """The modules a fresh interpreter imports for `python -X importtime
+    ARGS`, read off its import-time listing on stderr (whose header line
+    adds the name "imported package" to every set alike)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+# Loaded by dataclasses (inspect) and fractions (decimal) in Python 3.10 and
+# 3.11; no command needs any of them.
+_HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
+_UPPER_LAYERS = {f"schur_scope.{name}" for name in ("curves", "schur", "ncposet", "repro")}
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        (("orbit", "count"), set()),
+        (("group", "order"), set()),
+        (("roots", "list"), set()),
+        (("mutate", "source"), {"schur_scope.schur"}),
+    ],
+)
+def test_a_cold_command_imports_only_its_own_layers(command, layers):
+    baseline = _imported_modules("-c", "pass")
+    loaded = _imported_modules("-m", "schur_scope", "--json", "--type", "A3", *command)
+    extra = loaded - baseline
+    assert "schur_scope.hurwitz" in extra  # the listing is read correctly
+    assert not extra & _HEAVY_STDLIB
+    assert extra & _UPPER_LAYERS == layers
