@@ -94,7 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "leq", "chain"])
     p.add_argument("--u", help="element (JSON matrix or reflection root)")
     p.add_argument("--w", help="element (JSON matrix or reflection root)")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON nodes")
+    p.add_argument(
+        "--dot",
+        action="store_true",
+        help="nc list: add a DOT graph of the covers (key dot) beside nodes and covers",
+    )
 
     p = sub.add_parser("braid")
     p.add_argument("action", choices=["apply", "stab"])

@@ -68,32 +68,38 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
 
     w <= c iff l(w) + l(w^-1 c) = l(c).  Since l(x) = l(x^-1) and
     (w^-1 c)^-1 = c^-1 w, the filter reads l(c^-1 w) from the table, so c is
-    inverted once and no member is.  u < w is a cover iff w = u t for a
-    reflection t and l(w) = l(u) + 1; as u t u^-1 is a reflection too,
-    {u t : t in T} = {t u : t in T}, so the covers of u are found as t u, a
-    rank-one row update of u with no matrix of t.
+    inverted once, as its permutation of the roots, and c^-1 w is n root-id
+    lookups.  u < w is a cover iff w = u t for a reflection t and
+    l(w) = l(u) + 1; as u t u^-1 is a reflection too, {u t : t in T} =
+    {t u : t in T}, so the covers of u are found as t u, through t's
+    permutation of the roots.  Elements stay root-id tuples of the weyl
+    tables until the members become matrices, sorted by (rank, matrix).
     """
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("poset enumeration requires a finite-type matrix")
     order = weyl._check_order(C, order)
-    c = coxeter_element(C, order)
-    c_inverse = inverse(c)
     table = weyl._absolute_length_table(C)
-    length_c = table[c]
+    c = coxeter_element(C, order)
+    c_inverse = weyl._matrix_permutation(C, inverse(c))
+    length_c = table[weyl._element_ids(C, c)]
     members = [
-        w for w in weyl.enumerate_group(C) if table[w] + table[matmul(c_inverse, w)] == length_c
+        w
+        for w in weyl.enumerate_group(C)
+        if table[w] + table[weyl._act(c_inverse, w)] == length_c
     ]
-    members.sort(key=lambda w: (table[w], w))
+    matrices = {w: weyl._element_matrix(C, w) for w in members}
+    members.sort(key=lambda w: (table[w], matrices[w]))
     ranks = tuple(table[w] for w in members)
     index = {w: i for i, w in enumerate(members)}
+    reflections = weyl._root_ids(C).permutations
     covers = sorted(
         (i, j)
         for i, u in enumerate(members)
-        for t in weyl.reflections(C)
-        if (j := index.get(t.left_multiply(u))) is not None
+        for t in reflections
+        if (j := index.get(weyl._act(t, u))) is not None
         and ranks[j] == ranks[i] + 1
     )
-    return NCPoset(C, order, tuple(members), ranks, tuple(covers))
+    return NCPoset(C, order, tuple(matrices[w] for w in members), ranks, tuple(covers))
 
 
 class IntervalFactorization(namedtuple("IntervalFactorization", "steps full")):

@@ -4,6 +4,12 @@ Roots are integer coordinate tuples in the simple-root basis; height is the L1
 norm.  A reflection is its root and coroot row; other group elements are n x n
 integer matrices (column j = image of alpha_j), so equality stays decidable
 even for infinite groups.
+
+The tables of a finite-type group (enumerate_group, _absolute_length_table)
+hold an element w as the root ids of its columns w(alpha_1), ..., w(alpha_n),
+with the ids of _root_ids; this module alone reads that format.  Left
+multiplication by x is then x's permutation of the root ids applied to each
+id (_act), and _element_matrix turns an element back into its matrix.
 """
 
 from __future__ import annotations
@@ -359,17 +365,89 @@ def coxeter_number(C: CartanMatrix) -> int:
     raise ArithmeticError("finite-type Coxeter element must have finite order")
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
-    """All elements of a finite-type group: the closure of the identity under
-    left multiplication by the simple reflections.
+Element = tuple[int, ...]  # root ids of w(alpha_1), ..., w(alpha_n)
 
-    s_i w differs from w only in row i, which becomes
-    -w_i - sum_{j != i} a_ij w_j over the neighbours j of i, so each move builds
-    one row and reuses the other row tuples.  A group with more than
-    _FINITE_CLOSURE_CAP elements is refused before enumeration (ValueError).
-    The closure keeps at most group_order(C) elements and must find exactly
-    that many (ArithmeticError otherwise), so it cannot run away.
+
+class _RootIds:
+    """The root system Phi of a finite type: roots, the positive roots in
+    the order of reflections(C) and then their negatives in the same order;
+    index, the id of each root; permutations, the permutation of the ids
+    made by each reflection of reflections(C), in that order.  A plain
+    class: a namedtuple would cost every cold command its class build."""
+
+    __slots__ = ("roots", "index", "permutations")
+
+    def __init__(
+        self,
+        roots: tuple[Root, ...],
+        index: dict[Root, int],
+        permutations: tuple[Element, ...],
+    ):
+        self.roots, self.index, self.permutations = roots, index, permutations
+
+
+def _permute(roots, index, act) -> Element:
+    """The ids of act(beta) for the roots beta in id order; an image outside
+    Phi raises ArithmeticError."""
+    try:
+        return tuple([index[act(beta)] for beta in roots])
+    except KeyError as exc:
+        raise ArithmeticError(f"image {exc.args[0]} is not a root; upstream bug") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _root_ids(C: CartanMatrix) -> _RootIds:
+    """Phi with its ids and each reflection as a permutation of them, built
+    by Reflection.apply on every root (finite type only, ValueError
+    otherwise).  A group element permutes Phi, and its columns are roots, so
+    the ids of its columns determine it."""
+    ts = reflections(C)
+    positives = tuple(t.root for t in ts)
+    roots = positives + tuple(map(negate, positives))
+    index = {beta: k for k, beta in enumerate(roots)}
+    return _RootIds(roots, index, tuple(_permute(roots, index, t.apply) for t in ts))
+
+
+def _act(permutation: Element, w: Element) -> Element:
+    """x w, for x given as its permutation of the root ids."""
+    return tuple([permutation[k] for k in w])
+
+
+def _element_ids(C: CartanMatrix, m: Matrix) -> Element:
+    """The element of the finite-type matrix m: the ids of its columns."""
+    index = _root_ids(C).index
+    try:
+        return tuple([index[column] for column in zip(*m)])
+    except KeyError as exc:
+        raise ArithmeticError(f"column {exc.args[0]} is not a root; upstream bug") from None
+
+
+def _matrix_permutation(C: CartanMatrix, m: Matrix) -> Element:
+    """m's permutation of the root ids, for m in the finite-type group; a
+    matrix that sends a root outside Phi raises ArithmeticError."""
+    table = _root_ids(C)
+    return _permute(
+        table.roots, table.index, lambda beta: tuple([sum(map(mul, row, beta)) for row in m])
+    )
+
+
+def _element_matrix(C: CartanMatrix, w: Element) -> Matrix:
+    """The matrix of an element: its columns are the roots of its ids."""
+    roots = _root_ids(C).roots
+    return tuple(zip(*(roots[k] for k in w)))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_group(C: CartanMatrix) -> frozenset[Element]:
+    """All elements of a finite-type group, as root-id tuples: the closure of
+    the identity under left multiplication by the simple reflections.
+
+    The identity is the ids of the simple roots, and s_i w is s_i's
+    permutation of Phi applied to w's n ids, with no arithmetic.  A group
+    with more than _FINITE_CLOSURE_CAP elements is refused before any table
+    is built (ValueError).  The closure keeps at most group_order(C) elements
+    and must find exactly that many (ArithmeticError otherwise), so it cannot
+    run away.
     """
     order = group_order(C)
     if order > _FINITE_CLOSURE_CAP:
@@ -377,20 +455,15 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
             f"the Weyl group has {order} elements, more than the enumeration cap "
             f"of {_FINITE_CLOSURE_CAP}"
         )
-    n = C.n
-    neighbours = [
-        [(j, C.entries[i][j]) for j in range(n) if j != i and C.entries[i][j]]
-        for i in range(n)
-    ]
+    one = _element_ids(C, identity(C.n))
+    permutations = _root_ids(C).permutations
+    simple = [permutations[k] for k in one]  # reflection k has root id k
 
-    def moves(w: Matrix):
-        for i, row_neighbours in enumerate(neighbours):
-            row = [-x for x in w[i]]
-            for j, a_ij in row_neighbours:
-                row = [x - a_ij * y for x, y in zip(row, w[j])]
-            yield w[:i] + (tuple(row),) + w[i + 1 :]
+    def moves(w: Element):
+        for s in simple:
+            yield _act(s, w)
 
-    elements, complete = _bounded_closure([identity(n)], moves, order)
+    elements, complete = _bounded_closure([one], moves, order)
     if not complete or len(elements) != order:
         raise ArithmeticError(
             f"enumerated {len(elements)} group elements, but |W| = {order}; upstream bug"
@@ -399,12 +472,21 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Matrix]:
 
 
 @functools.lru_cache(maxsize=None)
-def _absolute_length_table(C: CartanMatrix) -> dict[Matrix, int]:
-    """Absolute length of every element of a finite-type group: rank(w - id),
-    by Carter's lemma ("Conjugacy classes in the Weyl group", Compositio 1972,
-    Lemma 2)."""
-    one = identity(C.n)
-    return {w: _mat.rank(mat_sub(w, one)) for w in enumerate_group(C)}
+def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
+    """Absolute length of every element of a finite-type group, keyed by its
+    root ids: rank(w - id), by Carter's lemma ("Conjugacy classes in the
+    Weyl group", Compositio 1972, Lemma 2).  The rank is taken of the
+    transpose, whose row j is the column w(alpha_j) - alpha_j, looked up by
+    (j, id) rather than recomputed per element."""
+    group = enumerate_group(C)  # refuses a group past the cap before any table
+    roots = _root_ids(C).roots
+    shifted = [
+        [tuple([x - (i == j) for i, x in enumerate(beta)]) for beta in roots]
+        for j in range(C.n)
+    ]
+    return {
+        w: _mat.rank([shifted[j][k] for j, k in enumerate(w)]) for w in group
+    }
 
 
 def length_lower_bound(w: Matrix) -> int:

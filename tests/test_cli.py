@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,29 @@ def test_nc_dot_output(capsys):
     code, out = _run(capsys, ["--type", "A2", "nc", "list", "--dot"])
     assert code == EXIT_OK
     assert "digraph nc {" in out
+    # --dot adds the graph beside the nodes and covers; it replaces nothing.
+    code, out = _run(capsys, ["--json", "--type", "A2", "nc", "list", "--dot"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert {"nodes", "covers", "dot"} <= set(payload)
+    assert len(payload["nodes"]) == payload["size"] == 5
+    assert payload["dot"].count("->") == len(payload["covers"])
+
+
+# sha256 of the --json stdout of nc list, as first recorded: a change in the
+# member order, the ranks or the covers changes the digest.
+NC_LIST_DIGESTS = {
+    ("--type", "D5", "--order", "2,1,5,4,3"):
+        "e9a432dd7206d6f3505ff5ddf3eb179c80af3882d83ee712f41f877d9b6b8ccc",
+    ("--type", "F4"): "bd863416653ea572d9106fc0ff76b5697615df77c339b9a8e19ea42830792df2",
+}
+
+
+@pytest.mark.parametrize("session", sorted(NC_LIST_DIGESTS))
+def test_nc_list_json_matches_its_golden_digest(capsys, session):
+    code, out = _run(capsys, ["--json", *session, "nc", "list"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == NC_LIST_DIGESTS[session]
 
 
 def test_mutate_output(capsys):

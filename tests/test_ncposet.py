@@ -10,6 +10,7 @@ from schur_scope.ncposet import (
     interval_factorization,
 )
 from schur_scope.weyl import length_lower_bound
+from test_group_id_table import matrix_group, matrix_length_table
 from test_weyl import is_reflection
 
 # Rank profiles of NC(W, c); the sizes are the W-Catalan numbers 5, 6, 14, 42, 833.
@@ -73,14 +74,14 @@ def test_absolute_leq_infinite_certified():
 
 def _table_leq(C, u, w):
     """Reference: the defining identity with every length read from the group table."""
-    table = weyl._absolute_length_table(C)
+    table = matrix_length_table(C)
     return table[u] + table[matmul(inverse(u), w)] == table[w]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_absolute_leq_matches_table_on_all_pairs(name):
     C = preset(name)
-    group = sorted(weyl.enumerate_group(C))
+    group = sorted(matrix_group(C))
     for u in group:
         for w in group:
             assert (absolute_leq(u, w, C) is Ternary.YES) == _table_leq(C, u, w), (u, w)
@@ -91,7 +92,7 @@ def test_absolute_leq_matches_table_below_coxeter(name):
     C = preset(name)
     c = weyl.coxeter_element(C)
     members = 0
-    for u in sorted(weyl.enumerate_group(C)):
+    for u in sorted(matrix_group(C)):
         below = absolute_leq(u, c, C) is Ternary.YES
         assert below == _table_leq(C, u, c), u
         members += below
@@ -115,7 +116,7 @@ def test_length_lower_bound_certifies_coxeter():
 
 def _pairwise_covers(poset):
     """Reference: every rank-adjacent pair (u, w) with l(u^-1 w) = 1."""
-    table = weyl._absolute_length_table(poset.cartan)
+    table = matrix_length_table(poset.cartan)
     return tuple(
         (i, j)
         for i, u in enumerate(poset.elements)
@@ -158,9 +159,9 @@ def test_members_match_per_element_filter(name, order):
     l(c) keeps, with w^-1 computed for every w."""
     C = preset(name)
     c = weyl.coxeter_element(C, order)
-    table = weyl._absolute_length_table(C)
+    table = matrix_length_table(C)
     members = sorted(
-        (w for w in weyl.enumerate_group(C) if _table_leq(C, w, c)),
+        (w for w in matrix_group(C) if _table_leq(C, w, c)),
         key=lambda w: (table[w], w),
     )
     poset = enumerate_nc(C, order)
@@ -189,7 +190,7 @@ def test_nc_grading_and_covers():
         assert poset.ranks[hi] == poset.ranks[lo] + 1
         assert poset.leq(lo, hi)
     # Complement identity: l(w) + l(w^-1 c) = n for every member.
-    table = weyl._absolute_length_table(preset("A3"))
+    table = matrix_length_table(preset("A3"))
     for w in poset.elements:
         quotient = matmul(inverse(w), poset.top)
         assert table[w] + table[quotient] == poset.n
@@ -238,7 +239,7 @@ def test_interval_lengths_match_rank_difference():
 def _bfs_climb(lower, upper, poset):
     """Reference: breadth-first search for a saturated chain from lower up to
     upper, stepping by reflections in the order of weyl.reflections."""
-    table = weyl._absolute_length_table(poset.cartan)
+    table = matrix_length_table(poset.cartan)
     parents = {lower: None}
     frontier = [lower]
     while frontier and upper not in parents:

@@ -22,6 +22,7 @@ from schur_scope.weyl import (
     simple_reflection,
     simple_root,
 )
+from test_group_id_table import SMALL_FINITE, matrix_group, matrix_length_table
 from test_matrix import mat_pow
 
 def is_reflection(w):
@@ -281,7 +282,7 @@ def _reflection_bfs_length_table(C):
 )
 def test_length_table_matches_reflection_bfs(name):
     C = preset(name)
-    table = weyl._absolute_length_table(C)
+    table = matrix_length_table(C)
     assert table == _reflection_bfs_length_table(C)
     # The rank-and-parity lower bound is exact on finite types.
     assert all(weyl.length_lower_bound(w) == k for w, k in table.items())
@@ -366,7 +367,7 @@ def test_dyer_first_count_equals_the_length_table(name):
     # The least k for which the deletion search succeeds is l_T(w), which
     # the group table reads off Carter's lemma.
     C = preset(name)
-    for w, length in weyl._absolute_length_table(C).items():
+    for w, length in matrix_length_table(C).items():
         counts = range(len(weyl.reduced_word(C, w)) + 1)
         first = next(k for k in counts if weyl.factor_into_reflections(C, w, k) is not None)
         assert first == length, w
@@ -480,14 +481,10 @@ def _right_multiplication_closure(C):
     return frozenset(seen)
 
 
-SMALL_FINITE = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
-                "D3", "D4", "D5", "G2", "F4"]  # every finite preset with |W| <= 2000
-
-
 def test_enumerate_group_matches_right_multiplication_closure():
     for name in SMALL_FINITE:
         C = preset(name)
-        assert enumerate_group(C) == _right_multiplication_closure(C), name
+        assert matrix_group(C) == _right_multiplication_closure(C), name
 
 
 # |W| from the classification (Bourbaki, Lie groups, ch. VI, plates I-IX).
@@ -531,8 +528,10 @@ def test_group_order_of_classical_families(family):
 
 
 def test_enumerate_group_refuses_large_groups_and_checks_its_size(monkeypatch):
+    built = weyl._root_ids.cache_info().currsize
     with pytest.raises(ValueError, match="2903040 elements"):
         enumerate_group(preset("E7"))
+    assert weyl._root_ids.cache_info().currsize == built  # refused before any table
     # The uncached closure against a wrong |W|: too small cuts it short, too
     # large leaves it short of the count.
     for wrong in (5, 7):
