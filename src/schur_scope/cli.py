@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -366,7 +367,13 @@ def run(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(emit(payload, session.json_mode))
+    try:
+        print(emit(payload, session.json_mode))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone, and the answer stands.  What is
+        # left to write, the flush at exit included, goes to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

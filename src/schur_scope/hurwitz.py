@@ -11,7 +11,8 @@ phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0): O(n), no matrix.
 braid_move and apply_braid_word replay braid words on Factorization objects.
 The orbit searches move on tuples of small-int root ids through one table per
 Cartan matrix, which interns each positive root once, with its height, and
-memoizes the root id of each id pair's move.  A root's row is made when the
+memoizes the root id of each id pair's move; a move replaces one root of a
+tuple, and a search tests only that one.  A root's row is made when the
 root first acts in a move, not when it is first met, and is checked then,
 once, against an independent route.  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
@@ -67,12 +68,23 @@ class Factorization(namedtuple("Factorization", "parts coxeter")):
     def __post_init__(self):
         """The product check that __new__ runs, looked up through self so
         that a profiler or a test can wrap it: t_n, ..., t_1 applied to
-        alpha_j must give column j of c."""
+        alpha_j must give column j of c.  The vector is a list updated in
+        place, on the rows where the part's root is nonzero, and a part that
+        pairs it to 0 leaves it as it is."""
+        n = len(self.coxeter)
+        parts = self.parts[::-1]
+        if any(len(root) != n or len(coroot) != n for root, coroot in parts):
+            raise ValueError("factorization product differs from the Coxeter element")
         for j, column in enumerate(zip(*self.coxeter)):
-            v = tuple(int(i == j) for i in range(len(column)))
-            for part in reversed(self.parts):
-                v = part.apply(v)
-            if v != column:
+            v = [0] * n
+            v[j] = 1
+            for root, coroot in parts:
+                k = sum(map(mul, coroot, v))
+                if k:
+                    for i, b in enumerate(root):
+                        if b:
+                            v[i] -= k * b
+            if tuple(v) != column:
                 raise ValueError("factorization product differs from the Coxeter element")
 
     @property
@@ -83,10 +95,12 @@ class Factorization(namedtuple("Factorization", "parts coxeter")):
         return tuple(part.root for part in self.parts)
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_factorization(
     C: CartanMatrix, order: tuple[int, ...] | None = None
 ) -> Factorization:
-    """(s_{order(1)}, ..., s_{order(n)}), the factorization presented by the fan."""
+    """(s_{order(1)}, ..., s_{order(n)}), the factorization presented by the fan.
+    Cached: a Factorization is immutable and checked when it is made."""
     order = weyl._check_order(C, order)
     parts = tuple(weyl.simple_reflection(C, i) for i in order)
     return Factorization(parts, coxeter_element(C, order))
@@ -166,16 +180,17 @@ class _ReflectionTable:
         self.reflections: dict[int, Reflection] = {}
         self.pairs: dict[tuple[int, int], int] = {}
 
-    def intern(self, root: Root, origin: tuple[int, int] | None = None) -> int:
-        """The id of a positive root; a root met first is stored with its
-        height and the pair whose move made it (None for a start root or a
-        target)."""
+    def intern(self, root: Root) -> int:
+        """The id of a positive root from outside the table, a start root or
+        a target; a root met first is stored with its height and no pair."""
         g = self.ids.get(root)
-        if g is None:
-            g = self.ids[root] = len(self.roots)
-            self.roots.append(root)
-            self.heights.append(height(root))
-            self.origins.append(origin)
+        return self._add(root, height(root), None) if g is None else g
+
+    def _add(self, root: Root, h: int, origin: tuple[int, int] | None) -> int:
+        g = self.ids[root] = len(self.roots)
+        self.roots.append(root)
+        self.heights.append(h)
+        self.origins.append(origin)
         return g
 
     def admit(self, start: Factorization) -> IdTuple:
@@ -225,42 +240,90 @@ class _ReflectionTable:
         return row
 
     def moves(self, node: IdTuple):
-        """(letter, image) for the generator move and its inverse at every
-        slot, in the order +1, -1, +2, -2, ...; the same moves braid_move makes."""
+        """(letter, new, image) for the generator move and its inverse at
+        every slot, in the order +1, -1, +2, -2, ...; the same moves
+        braid_move makes.  new is the id of the one root the move creates:
+        the move at slot i swaps beta_b (or beta_a, for the inverse) for it,
+        so every other root of the image is a root of the node."""
         pairs = self.pairs
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
             g = pairs.get((a, b))
-            yield i, head + (self._moved(a, b) if g is None else g, a) + tail
+            if g is None:
+                g = self._moved(a, b)
+            yield i, g, head + (g, a) + tail
             g = pairs.get((b, a))
-            yield -i, head + (b, self._moved(b, a) if g is None else g) + tail
+            if g is None:
+                g = self._moved(b, a)
+            yield -i, g, head + (b, g) + tail
 
     def images(self, node: IdTuple):
-        return (image for _, image in self.moves(node))
+        return (image for _, _, image in self.moves(node))
 
     def _moved(self, a: int, b: int) -> int:
-        """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign."""
-        root = positive_part(self.reflection(a).apply(self.roots[b]))
-        g = self.pairs[a, b] = self.intern(root, (a, b))
+        """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign.
+        The sign is read once from the least and greatest coordinates, and
+        the height of the positive root is its sum."""
+        v = self.reflection(a).apply(self.roots[b])
+        low, high = min(v), max(v)
+        if low >= 0 < high:
+            root = v
+        elif high <= 0 > low:
+            root = tuple([-x for x in v])
+        else:  # mixed signs or zero: positive_part raises ValueError
+            root = positive_part(v)
+        g = self.ids.get(root)
+        if g is None:
+            g = self._add(root, sum(root), (a, b))
+        self.pairs[a, b] = g
         return g
 
     def harvest(
-        self, start: Factorization, node_cap: int, expand_height: int, keep_height: int
+        self,
+        start: Factorization,
+        node_cap: int,
+        expand_height: int,
+        keep_height: int,
+        roots: tuple[Root, ...] | None = None,
     ) -> tuple[set[Root], bool]:
         """Roots no taller than keep_height in the tuples of the closure of
         start, and whether it finished below node_cap.  Tuples with a root
-        taller than expand_height are kept, not expanded."""
-        heights = self.heights
+        taller than expand_height are kept, not expanded.
+
+        roots, when given, must hold every positive root no taller than
+        keep_height that the closure can meet.  Then no tuple is expanded
+        once each of them has been met, for the walk can add nothing more;
+        a move's new root is the only root its image adds, so it is the one
+        looked up.  The harvest is still read from every kept tuple, and a
+        harvested root outside roots raises ArithmeticError.  complete is
+        still False iff an image was dropped at node_cap.
+        """
+        heights, stored = self.heights, self.roots
+        first = self.admit(start)
+        images, unmet = self.images, None
+        if roots is not None:
+            unmet = set(roots).difference(self.roots_of(first))
+
+            def images(node: IdTuple):
+                for _, g, image in self.moves(node):
+                    unmet.discard(stored[g])
+                    yield image
 
         def expandable(node: IdTuple) -> bool:
+            if unmet is not None and not unmet:
+                return False  # every root the walk can add has been met
             return all(heights[g] <= expand_height for g in node)
 
-        nodes, complete = weyl._bounded_closure(
-            [self.admit(start)], self.images, node_cap, expandable
-        )
+        nodes, complete = weyl._bounded_closure([first], images, node_cap, expandable)
         kept = {g for node in nodes for g in node if heights[g] <= keep_height}
-        return {self.roots[g] for g in kept}, complete
+        found = {stored[g] for g in kept}
+        if roots is not None and not found.issubset(roots):
+            raise ArithmeticError(
+                f"harvested roots {sorted(found.difference(roots))} are not among the "
+                "enumerated roots; upstream bug"
+            )
+        return found, complete
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,6 +441,12 @@ def _targeted_orbit_search(
     that is sound for reporting found-witnesses, never for claiming absence.
     Returns the braid word reaching the witness (with the target moved to the
     front) when found.
+
+    An image is tested by the one root its move creates (see
+    _ReflectionTable.moves): its other roots are roots of its parent, which
+    was expanded, so it passed both tests, or is the start, which is tested
+    in full.  A start with a root taller than height_cap is refused
+    (ValueError); the canonical start's roots are simple, of height 1.
     """
 
     def finish(node: IdTuple) -> BraidWord:
@@ -399,17 +468,21 @@ def _targeted_orbit_search(
     parents: dict[IdTuple, tuple[IdTuple, int] | None] = {first: None}
     if goal in first:
         return SearchOutcome(finish(first), True, 1)
+    if height_cap is None:
+        height_cap = math.inf
+    elif any(heights[g] > height_cap for g in first):
+        raise ValueError(f"the start has a root taller than the height cap {height_cap}")
     queue = deque([first])
     exhausted = True
     while queue:
         node = queue.popleft()
-        for letter, image in table.moves(node):
+        for letter, new, image in table.moves(node):
             if image in parents:
                 continue
             parents[image] = (node, letter)
-            if goal in image:
+            if new == goal:
                 return SearchOutcome(finish(image), False, len(parents))
-            if height_cap is not None and any(heights[g] > height_cap for g in image):
+            if heights[new] > height_cap:
                 continue
             if len(parents) >= node_cap:
                 exhausted = False
@@ -460,9 +533,9 @@ def is_prefix_of_coxeter(
     canonical = canonical_factorization(C, order)
     c = canonical.coxeter
     n = C.n
-    remainder = t.left_multiply(c)  # t^{-1} c, reflections being involutions
 
     if n == 2 or classify_type(C) is TypeClass.FINITE:
+        remainder = t.left_multiply(c)  # t^{-1} c, reflections being involutions
         rest = weyl.factor_into_reflections(C, remainder, n - 1)
         carter = rank(mat_sub(remainder, identity(n))) == n - 1
         if carter != (rest is not None):

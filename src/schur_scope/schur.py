@@ -92,6 +92,7 @@ def _curve_root_harvest(
     height_bound: int,
     node_cap: int,
     prune_multiplier: int,
+    roots: tuple[Root, ...] | None = None,
 ) -> tuple[set[Root], bool]:
     """Positive roots of curve words reachable from the fan by braid moves.
 
@@ -108,10 +109,16 @@ def _curve_root_harvest(
     tests/test_schur.py::test_curve_harvest_matches_matrix_keyed_reference
     compares with the curve-word walk keyed by loop matrices.  Tuples with a
     root taller than prune_multiplier * height_bound are kept, not expanded.
+
+    roots, when given, are the positive real roots no taller than
+    height_bound, which hold every root the walk can harvest: the walk stops
+    expanding once it has met them all, and a harvested root outside them
+    raises ArithmeticError.  Without them the bounded closure is walked in
+    full.
     """
     start = hurwitz.canonical_factorization(o.cartan, o.order)
     return hurwitz._root_tuples(o.cartan).harvest(
-        start, node_cap, prune_multiplier * height_bound, height_bound
+        start, node_cap, prune_multiplier * height_bound, height_bound, roots
     )
 
 
@@ -169,6 +176,11 @@ def verify_conjecture(
     Truncation of either search is reported, never silent; roots with an
     unresolved prefix status are listed as stragglers.  A finite type whose
     Hurwitz orbit, walked by the harvest, exceeds the node cap is refused.
+
+    Every root of a tuple in the Hurwitz orbit is a positive real root, so S
+    lies in the enumerated roots no taller than the bound, and the harvest
+    stops once it has met all of those; truncated still means that its
+    node cap fired first.
     """
     C = o.cartan
     enumerated = weyl.positive_real_roots(C, height_bound)  # exhaustive if finite
@@ -191,7 +203,7 @@ def verify_conjecture(
         elif verdict.answer is Ternary.UNKNOWN:
             unknowns.append(beta)
     harvested, exhausted = _curve_root_harvest(
-        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER
+        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
     )
     return ConjectureReport(
         height_bound=height_bound,

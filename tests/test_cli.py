@@ -477,6 +477,25 @@ def test_reflection_search_cap_gives_exit_2(capsys, monkeypatch):
     )
 
 
+def test_a_reader_that_has_gone_is_no_error():
+    """A command whose stdout is a pipe with no reader (the read end is
+    closed before the child starts) prints no traceback and exits with its
+    own code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "schur_scope", "--type", "A3", "orbit", "count"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_OK
+
+
 def _imported_modules(*args: str) -> set[str]:
     """The modules a fresh interpreter imports for `python -X importtime
     ARGS`, read off its import-time listing on stderr (whose header line
