@@ -74,23 +74,24 @@ def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
 
 
 def rank(a: Matrix) -> int:
-    """Exact rank by integer elimination (no Fractions)."""
-    rows = [list(row) for row in a]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][col]), None)
-        if pivot is None:
+    """Exact rank by integer elimination (no Fractions): the size of an
+    echelon basis of the rows.  Each row is reduced by the basis rows in
+    turn, which leaves it zero at their leading columns, and joins the basis
+    unless it is then zero; so every basis row is zero at the leading
+    columns of the rows before it.  A zero row, given or made by
+    elimination, is dropped at once, so no pivot search reads it."""
+    basis = []  # (leading column, row)
+    for row in a:
+        if not any(row):
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i in range(r + 1, n_rows):
-            if rows[i][col]:
-                rows[i] = _eliminate(rows[i], top, col)
-        r += 1
-        if r == n_rows:
-            break
-    return r
+        for col, pivot in basis:
+            if row[col]:
+                row = _eliminate(row, pivot, col)
+        for lead, x in enumerate(row):
+            if x:
+                basis.append((lead, row))
+                break
+    return len(basis)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -1,21 +1,22 @@
 """Command-line surface: session flags, one subcommand per core operation.
 
 Exit codes: 0 for definitive answers (and --help), 1 for usage or validation
-errors, argparse's own included, 2 when the result contains an unknown or
-truncated component or a safety cap stopped the command, so scripts can tell
-"no" apart from "gave up", and 3 when an internal self-check failed.  Every
-handler is a thin adapter around exactly one core operation; --json emits the
-report dict with sorted keys.  Each handler imports the layers above hurwitz
-that it runs, so a command loads only its own layers.
+errors, 2 when the result contains an unknown or truncated component or a
+safety cap stopped the command, so scripts can tell "no" apart from "gave
+up", and 3 when an internal self-check failed.  Every handler is a thin
+adapter around exactly one core operation; --json emits the report dict with
+sorted keys.  Each handler imports the layers above hurwitz that it runs, so
+a command loads only its own layers.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import cartan, hurwitz, weyl
 from .cartan import CartanError, CartanMatrix
@@ -65,64 +66,280 @@ def _parse_element(text: str, session: Session):
     return weyl.reflection_for_root(session.cartan, root).matrix
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schur-scope",
-        description="Exact computations with Coxeter elements, reflection "
-        "factorizations, curve words and noncrossing partitions.",
-    )
-    parser.add_argument("--type", help="preset label, e.g. A3, B2, universal:3:2")
-    parser.add_argument("--cartan", help="file with a Cartan matrix in text form")
-    parser.add_argument("--order", help="Coxeter order as a permutation, e.g. 2,1,3")
-    parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument(
-        "--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit search node cap"
-    )
-    parser.add_argument(
-        "--height", type=int, default=DEFAULT_HEIGHT_BOUND, help="root height bound"
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+# --- the command line ---------------------------------------------------------
+#
+# One table holds the whole command line, and parse_args reads argv against
+# it.  Global options come before the command; after it, the command's
+# options and its one positional come in any order.  An option's value
+# follows it or is joined to it by "=", a unique prefix of an option name
+# stands for the name, a value may start with "-" only if it is a negative
+# number (or holds a space), and a repeated option keeps its last value.
+# Every token is read against the global options before any is parsed, so an
+# ambiguous prefix such as --o is refused wherever it stands, up to a "--",
+# after which every token is a positional.  tests/test_cli_parser.py holds
+# the standard library parser this grammar comes from, as the reference.
+#
+# An option is (kind, default, required, help); kind is "flag", "str" or "int".
 
-    sub.add_parser("roots").add_argument("action", choices=["list"])
-    sub.add_parser("group").add_argument("action", choices=["order"])
-    sub.add_parser("orbit").add_argument("action", choices=["count", "dump"])
+_DESCRIPTION = (
+    "Exact computations with Coxeter elements, reflection factorizations, "
+    "curve words and noncrossing partitions."
+)
 
-    p = sub.add_parser("schur")
-    p.add_argument("action", choices=["check", "list", "verify"])
-    p.add_argument("--root", help="root coordinates, e.g. 1,1,0")
+_GLOBAL_OPTIONS = {
+    "--type": ("str", None, False, "preset label, e.g. A3, B2, universal:3:2"),
+    "--cartan": ("str", None, False, "file with a Cartan matrix in text form"),
+    "--order": ("str", None, False, "Coxeter order as a permutation, e.g. 2,1,3"),
+    "--json": ("flag", False, False, "emit JSON reports"),
+    "--orbit-cap": ("int", DEFAULT_ORBIT_CAP, False, "orbit search node cap"),
+    "--height": ("int", DEFAULT_HEIGHT_BOUND, False, "root height bound"),
+}
 
-    p = sub.add_parser("nc")
-    p.add_argument("action", choices=["list", "leq", "chain"])
-    p.add_argument("--u", help="element (JSON matrix or reflection root)")
-    p.add_argument("--w", help="element (JSON matrix or reflection root)")
-    p.add_argument(
-        "--dot",
-        action="store_true",
-        help="nc list: add a DOT graph of the covers (key dot) beside nodes and covers",
-    )
+_ELEMENT_HELP = "element (JSON matrix or reflection root)"
 
-    p = sub.add_parser("braid")
-    p.add_argument("action", choices=["apply", "stab"])
-    p.add_argument("--word", required=True, help="braid word, e.g. 1,-2,1")
+# A command is (positional, its choices or None for free text, its options).
+_COMMANDS = {
+    "roots": ("action", ("list",), {}),
+    "group": ("action", ("order",), {}),
+    "orbit": ("action", ("count", "dump"), {}),
+    "schur": ("action", ("check", "list", "verify"), {
+        "--root": ("str", None, False, "root coordinates, e.g. 1,1,0"),
+    }),
+    "nc": ("action", ("list", "leq", "chain"), {
+        "--u": ("str", None, False, _ELEMENT_HELP),
+        "--w": ("str", None, False, _ELEMENT_HELP),
+        "--dot": ("flag", False, False,
+                  "nc list: add a DOT graph of the covers (key dot) beside nodes and covers"),
+    }),
+    "braid": ("action", ("apply", "stab"), {
+        "--word": ("str", None, True, "braid word, e.g. 1,-2,1"),
+    }),
+    "curve": ("action", ("root", "loop", "simple", "spiral", "render"), {
+        "--word": ("str", "", False, "ray crossings, e.g. 2,1 (empty for fan)"),
+        "--end": ("int", None, True, "endpoint puncture"),
+        "--neg": ("flag", False, False, "negative sign"),
+        "--k": ("int", 1, False, "spiral power"),
+        "--out": ("str", None, False, "output path for render"),
+    }),
+    "mutate": ("action", ("source", "sink"), {}),
+    "repro": ("fixture", None, {}),
+}
 
-    p = sub.add_parser("curve")
-    p.add_argument("action", choices=["root", "loop", "simple", "spiral", "render"])
-    p.add_argument("--word", default="", help="ray crossings, e.g. 2,1 (empty for fan)")
-    p.add_argument("--end", type=int, required=True, help="endpoint puncture")
-    p.add_argument("--neg", action="store_true", help="negative sign")
-    p.add_argument("--k", type=int, default=1, help="spiral power")
-    p.add_argument("--out", help="output path for render")
-
-    p = sub.add_parser("mutate")
-    p.add_argument("action", choices=["source", "sink"])
-
-    p = sub.add_parser("repro")
-    p.add_argument("fixture", help="fixture name, e.g. table-4")
-
-    return parser
+_HELP = ("-h", "--help")
 
 
-def _build_session(args: argparse.Namespace) -> Session:
+class UsageError(Exception):
+    """A refused command line; command names the usage to print (None for the
+    global one)."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
+
+
+class HelpRequested(Exception):
+    """-h or --help, for the global options (command None) or a command."""
+
+    def __init__(self, command: str | None = None):
+        super().__init__(command)
+        self.command = command
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _read(token: str, options: dict, command: str | None):
+    """One token read against options: None for a positional, else (name,
+    attached): name is None for an unknown option, and attached is the text
+    after "=" (after "-h" for a single-dash token), or None."""
+    if token[:1] != "-" or token == "-":
+        return None
+    names = (*_HELP, *options)
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token[1] == "-":
+        hits = [name for name in names if name.startswith(head)]
+        attached = tail if eq else None
+    else:
+        hits = ["-h"] if token.startswith("-h") else []
+        attached = token[2:]
+    if len(hits) > 1:
+        raise UsageError(
+            f"ambiguous option: {token} could match {', '.join(hits)}", command
+        )
+    if hits:
+        return hits[0], attached
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _read_all(tokens: list[str], options: dict, command: str | None) -> list:
+    """_read of each token up to the first "--", which reads as "--"; every
+    token after it is a positional."""
+    reads = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            return reads + ["--"] + [None] * (len(tokens) - i - 1)
+        reads.append(_read(token, options, command))
+    return reads
+
+
+def _take_options(tokens, reads, i, options, args, command, seen, unknown) -> int:
+    """Set args from the options in tokens[i:] up to the next positional or
+    "--", and return its index (len(tokens) if there is none).  Unknown
+    options go to unknown; they are refused only once the line is read, so a
+    later -h still prints help."""
+    while i < len(tokens) and reads[i] is not None and reads[i] != "--":
+        name, attached = reads[i]
+        i += 1
+        if name is None:
+            unknown.append(tokens[i - 1])
+            continue
+        if name in _HELP:
+            # -hh reads as -h -h.
+            if attached is None or (name == "-h" and attached and not attached.strip("h")):
+                raise HelpRequested(command)
+            raise UsageError(f"argument -h/--help: ignored explicit argument {attached!r}", command)
+        kind = options[name][0]
+        if kind == "flag":
+            if attached is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {attached!r}", command)
+            value = True
+        else:
+            if attached is None:
+                if i == len(tokens) or reads[i] is not None:
+                    raise UsageError(f"argument {name}: expected one argument", command)
+                attached = tokens[i]
+                i += 1
+            value = attached
+            if kind == "int":
+                try:
+                    value = int(attached)
+                except ValueError:
+                    raise UsageError(
+                        f"argument {name}: invalid int value: {attached!r}", command
+                    ) from None
+        setattr(args, _dest(name), value)
+        seen.add(name)
+    return i
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read by the grammar above into the attributes the handlers read:
+    the global options, command, the command's positional and its options.
+    Raises HelpRequested for -h/--help and UsageError for a refused line."""
+    args = SimpleNamespace(command=None)
+    for name, option in _GLOBAL_OPTIONS.items():
+        setattr(args, _dest(name), option[1])
+    reads = _read_all(argv, _GLOBAL_OPTIONS, None)
+    unknown: list[str] = []
+    i = _take_options(argv, reads, 0, _GLOBAL_OPTIONS, args, None, set(), unknown)
+    if i == len(argv):
+        raise UsageError("the following arguments are required: command")
+    command = argv[i]
+    if reads[i] is not None or command not in _COMMANDS:
+        raise UsageError(
+            f"argument command: invalid choice: {command!r} "
+            f"(choose from {', '.join(map(repr, _COMMANDS))})"
+        )
+    args.command = command
+    positional, choices, options = _COMMANDS[command]
+    setattr(args, positional, None)
+    for name, option in options.items():
+        setattr(args, _dest(name), option[1])
+    tokens = argv[i + 1:]
+    reads = _read_all(tokens, options, command)
+    seen: set[str] = set()
+    i = 0
+    while True:
+        i = _take_options(tokens, reads, i, options, args, command, seen, unknown)
+        if i == len(tokens):
+            break
+        # A "--" just before or after the positional goes with it; any other
+        # "--", like any second positional, is unrecognized.
+        j = i + (reads[i] == "--")
+        if positional in seen or j == len(tokens):
+            unknown.append(tokens[i])
+            i += 1
+            continue
+        token = tokens[j]
+        if choices is not None and token not in choices:
+            raise UsageError(
+                f"argument {positional}: invalid choice: {token!r} "
+                f"(choose from {', '.join(map(repr, choices))})",
+                command,
+            )
+        setattr(args, positional, token)
+        seen.add(positional)
+        i = j + 1
+        if i < len(tokens) and reads[i] == "--":
+            i += 1
+    missing = [positional] if positional not in seen else []
+    missing += [name for name, option in options.items() if option[2] and name not in seen]
+    if missing:
+        raise UsageError(
+            f"the following arguments are required: {', '.join(missing)}", command
+        )
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
+def _metavar(positional: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else positional.upper()
+
+
+def _spelled(name: str, kind: str) -> str:
+    return name if kind == "flag" else f"{name} {_dest(name).upper()}"
+
+
+def _usage(command: str | None) -> str:
+    """The usage line, wrapped at 79 columns."""
+    if command is None:
+        prog, options, tail = "schur-scope", _GLOBAL_OPTIONS, "command ..."
+    else:
+        positional, choices, options = _COMMANDS[command]
+        prog, tail = f"schur-scope {command}", _metavar(positional, choices)
+    parts = ["[-h]"]
+    for name, (kind, _, required, _) in options.items():
+        part = _spelled(name, kind)
+        parts.append(part if required else f"[{part}]")
+    lines = [f"usage: {prog}"]
+    for part in [*parts, tail]:
+        if len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(" " * len(f"usage: {prog}"))
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _help_text(command: str | None) -> str:
+    import textwrap
+
+    lines = [_usage(command), ""]
+    if command is None:
+        options = _GLOBAL_OPTIONS
+        lines += textwrap.wrap(_DESCRIPTION, 79) + ["", "commands:"]
+        lines += [f"  {name} {_metavar(*spec[:2])}" for name, spec in _COMMANDS.items()]
+        lines.append("")
+    else:
+        options = _COMMANDS[command][2]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_spelled(name, kind), text) for name, (kind, _, _, text) in options.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    lines.append("options:")
+    for left, text in rows:
+        lines += textwrap.wrap(
+            text, 79, initial_indent=f"  {left:<{width}}", subsequent_indent=" " * (width + 2)
+        )
+    return "\n".join(lines)
+
+
+def _build_session(args: SimpleNamespace) -> Session:
     if args.command != "repro":
         if bool(args.type) == bool(args.cartan):
             raise ValueError("exactly one of --type or --cartan is required")
@@ -347,13 +564,14 @@ def emit(payload: dict, json_mode: bool) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its usage error or --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except HelpRequested as exc:
+        print(_help_text(exc.command))
+        return EXIT_OK
+    except UsageError as exc:
+        print(_usage(exc.command), file=sys.stderr)
+        print(f"schur-scope: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         session = _build_session(args)

@@ -77,8 +77,8 @@ def test_usage_errors(capsys):
     assert run(["--type", "A2", "--order", "2,2", "roots", "list"]) == EXIT_USAGE
     assert run(["--type", "A2", "--cartan", "x", "roots", "list"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
-    # argparse's own errors: a missing required option, an unknown command and
-    # an unknown option; --help is not an error.
+    # Refused by the argument parser: a missing required option, an unknown
+    # command and an unknown option; --help is not an error.
     assert run(["--type", "A2", "braid", "apply"]) == EXIT_USAGE
     assert run(["--type", "A2", "frobnicate"]) == EXIT_USAGE
     assert run(["--type", "A2", "orbit", "count", "--bogus"]) == EXIT_USAGE
@@ -517,6 +517,10 @@ def _imported_modules(*args: str) -> set[str]:
 # Loaded by dataclasses (inspect) and fractions (decimal) in Python 3.10 and
 # 3.11; no command needs any of them.
 _HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
+# argparse builds a help formatter for every parser and argument and looks up
+# gettext translations for each (and gettext imports locale): about half of
+# a cold command's own start-up.  cli reads argv from its own table instead.
+_PARSER_STDLIB = {"argparse", "gettext", "locale"}
 _UPPER_LAYERS = {f"schur_scope.{name}" for name in ("curves", "schur", "ncposet", "repro")}
 
 
@@ -535,4 +539,5 @@ def test_a_cold_command_imports_only_its_own_layers(command, layers):
     extra = loaded - baseline
     assert "schur_scope.hurwitz" in extra  # the listing is read correctly
     assert not extra & _HEAVY_STDLIB
+    assert not extra & _PARSER_STDLIB
     assert extra & _UPPER_LAYERS == layers

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from schur_scope._matrix import det, identity, inverse, mat_sub, matmul, rank
+from schur_scope import weyl
+from schur_scope._matrix import _eliminate, det, identity, inverse, mat_sub, matmul, rank
+from schur_scope.cartan import preset
 
 
 def mat_pow(a, k):
@@ -159,6 +161,68 @@ def test_rank_matches_fraction_reference():
             a = _random_matrix(rng, n_rows, n_cols, rng.choice((1, 2, 20)))
         assert rank(a) == _fraction_rank(a), a
     assert rank(()) == _fraction_rank(()) == 0
+
+
+def _row_scan_rank(a):
+    """The integer elimination rank kept before zero rows were dropped: every
+    row, zero or not, stays in the working copy and is scanned for a pivot at
+    every column."""
+    rows = [list(row) for row in a]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i in range(r + 1, n_rows):
+            if rows[i][col]:
+                rows[i] = _eliminate(rows[i], top, col)
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def _with_zero_lines(rng, a):
+    """a with zero rows and zero columns put in at random places."""
+    rows = [list(row) for row in a]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(0, len(rows[0]))
+        rows = [row[:k] + [0] + row[k:] for row in rows]
+    for _ in range(rng.randint(0, 3)):
+        rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+    return tuple(tuple(row) for row in rows)
+
+
+def test_rank_matches_the_row_scan_rank_with_zero_rows_and_columns():
+    rng = random.Random(13)
+    for _ in range(3000):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            a = _random_low_rank(rng, n_rows, n_cols)
+        else:
+            a = _random_matrix(rng, n_rows, n_cols, rng.choice((1, 2, 20)))
+        a = _with_zero_lines(rng, a)
+        assert rank(a) == _row_scan_rank(a), a
+    assert rank(((0, 0), (0, 0))) == 0
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_rank_of_w_minus_1_matches_the_row_scan_rank(name):
+    # The rows _absolute_length_table takes the rank of: row j is the column
+    # w(alpha_j) - alpha_j of w - 1, for every element w of the group.
+    C = preset(name)
+    roots = weyl._root_ids(C).roots
+    shifted = [
+        [tuple([x - (i == j) for i, x in enumerate(beta)]) for beta in roots]
+        for j in range(C.n)
+    ]
+    table = weyl._absolute_length_table(C)
+    for w, length in table.items():
+        rows = [shifted[j][k] for j, k in enumerate(w)]
+        assert length == rank(rows) == _row_scan_rank(rows), w
 
 
 def test_det_matches_fraction_reference():
