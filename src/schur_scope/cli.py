@@ -497,7 +497,7 @@ def _cmd_curve(session: Session, args) -> tuple[dict, int]:
     if args.action == "loop":
         return {**base, "loop": list(curves.loop_of_curve(cw))}, EXIT_OK
     if args.action == "simple":
-        verdict = curves.is_simple(cw, n, node_cap=session.orbit_cap)
+        verdict = curves.is_simple(cw, n)
         code = EXIT_OK if verdict is curves.SimpleVerdict.YES else EXIT_UNRESOLVED
         return {**base, "simple": verdict.value}, code
     if args.action == "spiral":

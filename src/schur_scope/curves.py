@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from . import hurwitz, weyl
 from .cartan import CartanMatrix, preset
-from .hurwitz import DEFAULT_NODE_CAP, Ternary
 from .weyl import Root
 
 LoopWord = tuple[int, ...]
@@ -158,6 +157,10 @@ def mutation_word_map(cw: CurveWord, which: str, order: tuple[int, ...]) -> Curv
 
 
 class SimpleVerdict(enum.Enum):
+    """The answer of is_simple.  NO_WITHIN_BOUND is a decided NO: it keeps
+    the label of the bounded orbit search it came from, which the CLI prints
+    as `no-within-bound` (exit 2).  UNKNOWN means Dyer's search hit its cap."""
+
     YES = "yes"
     NO_WITHIN_BOUND = "no-within-bound"
     UNKNOWN = "unknown"
@@ -169,26 +172,24 @@ def universal_model(n: int) -> CartanMatrix:
     return preset(f"universal:{n}:2")
 
 
-def is_simple(
-    cw: CurveWord,
-    n: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SimpleVerdict:
-    """Certify that the word lies in the braid-orbit closure of the fan.
+def is_simple(cw: CurveWord, n: int) -> SimpleVerdict:
+    """Decide whether the curve's reflection t starts a reflection
+    factorization of the Coxeter element, i.e. whether the curve lies in the
+    braid-orbit closure of the fan.
 
     Simplicity is a property of the curve, not of any particular root system,
-    so the curve's root is read in the universal group on n generators and fed
-    to the bounded prefix search there, which builds the root's reflection.
-    YES always comes with an explicit factorization found;
-    NO_WITHIN_BOUND means the pruned search region was explored completely
-    without a witness.
+    so t is read in the universal group U on n generators, and Dyer's search
+    decides whether t c is a product of n - 1 reflections there
+    (hurwitz.dyer_prefix).  YES carries the product-checked factorization it
+    found; NO_WITHIN_BOUND is a decided NO, true within every bound; UNKNOWN
+    means the search passed weyl._DYER_CAP.
     """
     if cw.end > n or any(x > n for x in cw.letters):
         raise ValueError(f"word references punctures beyond {n}")
     U = universal_model(n)
-    verdict = hurwitz.is_prefix_of_coxeter(root_of_curve(cw, U), U, node_cap=node_cap)
-    if verdict.answer is Ternary.YES:
-        return SimpleVerdict.YES
-    if verdict.answer is Ternary.NO or verdict.exhausted:
-        return SimpleVerdict.NO_WITHIN_BOUND
-    return SimpleVerdict.UNKNOWN
+    t = weyl.reflection_for_root(U, root_of_curve(cw, U))
+    try:
+        witness = hurwitz.dyer_prefix(U, t, hurwitz.canonical_factorization(U).coxeter)
+    except RuntimeError:
+        return SimpleVerdict.UNKNOWN
+    return SimpleVerdict.NO_WITHIN_BOUND if witness is None else SimpleVerdict.YES

@@ -491,6 +491,18 @@ def _targeted_orbit_search(
     return SearchOutcome(None, exhausted, len(parents))
 
 
+def dyer_prefix(C: CartanMatrix, t: Reflection, coxeter: Matrix) -> Factorization | None:
+    """A factorization t r_2 ... r_n of the Coxeter element, or None when
+    there is none: t c is a product of n - 1 reflections iff n - 1 letters of
+    a reduced word of t c can be deleted to leave the identity (Dyer, "On
+    minimal lengths of expressions of Coxeter group elements as products of
+    reflections", Proc. AMS 129, 2001; see weyl.factor_into_reflections).
+    Decided on every type; the witness is product-checked.  A search past
+    weyl._DYER_CAP raises RuntimeError."""
+    rest = weyl.factor_into_reflections(C, t.left_multiply(coxeter), C.n - 1)
+    return None if rest is None else Factorization((t,) + rest, coxeter)
+
+
 class PrefixVerdict(
     namedtuple("PrefixVerdict", "answer factorization exhausted", defaults=(True,))
 ):
@@ -515,10 +527,8 @@ def is_prefix_of_coxeter(
 
     t is built by weyl.reflection_for_root, so a beta that is not a real root
     of C raises ValueError on every type.  Finite types and rank 2 are
-    decided: t c is a product of n - 1 reflections iff n - 1 letters of a
-    reduced word of t c can be deleted to leave the identity (Dyer; see
-    weyl.factor_into_reflections), so a search of those deletions that finds
-    none is a NO.  Carter's lemma gives the same answer independently, as
+    decided by dyer_prefix, so a search of the deletions that finds none is
+    a NO.  Carter's lemma gives the same answer independently, as
     rank(t c - id) = n - 1 ("Conjugacy classes in the Weyl group", Compositio
     1972, Lemma 2; on rank 2, t c has determinant -1, so rank 1 makes it a
     reflection), and the two are cross-checked.  Other infinite types report
@@ -535,16 +545,16 @@ def is_prefix_of_coxeter(
     n = C.n
 
     if n == 2 or classify_type(C) is TypeClass.FINITE:
-        remainder = t.left_multiply(c)  # t^{-1} c, reflections being involutions
-        rest = weyl.factor_into_reflections(C, remainder, n - 1)
-        carter = rank(mat_sub(remainder, identity(n))) == n - 1
-        if carter != (rest is not None):
+        witness = dyer_prefix(C, t, c)
+        # Carter reads t^{-1} c = t c, reflections being involutions.
+        carter = rank(mat_sub(t.left_multiply(c), identity(n))) == n - 1
+        if carter != (witness is not None):
             raise ArithmeticError(
                 "Carter's rank route and the reflection search disagree; upstream bug"
             )
-        if rest is None:
+        if witness is None:
             return PrefixVerdict(Ternary.NO, None)
-        return PrefixVerdict(Ternary.YES, Factorization((t,) + rest, c))
+        return PrefixVerdict(Ternary.YES, witness)
 
     # Orbit certificate search, pruned by component root height.
     height_cap = DEFAULT_PRUNE_MULTIPLIER * height(t.root)

@@ -181,6 +181,14 @@ def verify_conjecture(
     lies in the enumerated roots no taller than the bound, and the harvest
     stops once it has met all of those; truncated still means that its
     node cap fired first.
+
+    The harvest runs first.  On infinite types of rank >= 3, a root beta
+    outside S is UNKNOWN with no search when the harvest finished below its
+    node cap: beta's search expands only tuples whose roots are no taller
+    than DEFAULT_PRUNE_MULTIPLIER * height(beta), which is at most the
+    harvest's expand height, so the harvest met every tuple that search
+    could meet, and none of them holds beta.  On finite types and rank 2, P
+    is decided by Dyer's search and nothing is inferred.
     """
     C = o.cartan
     enumerated = weyl.positive_real_roots(C, height_bound)  # exhaustive if finite
@@ -194,17 +202,22 @@ def verify_conjecture(
             )
         all_positive = enumerated
     positives = tuple(r for r in enumerated if height(r) <= height_bound)
+    harvested, exhausted = _curve_root_harvest(
+        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
+    )
+    # Where is_schur_root runs the orbit search (see the docstring).
+    settled = exhausted and all_positive is None and C.n > 2
     prefix_roots = []
     unknowns = []
     for beta in positives:
+        if settled and beta not in harvested:
+            unknowns.append(beta)
+            continue
         verdict = is_schur_root(beta, o, node_cap)
         if verdict.answer is Ternary.YES:
             prefix_roots.append(beta)
         elif verdict.answer is Ternary.UNKNOWN:
             unknowns.append(beta)
-    harvested, exhausted = _curve_root_harvest(
-        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
-    )
     return ConjectureReport(
         height_bound=height_bound,
         prefix_roots=tuple(sorted(prefix_roots, key=_root_sort_key)),

@@ -20,14 +20,15 @@ from schur_scope.curves import (
     reflection_of_curve,
     root_of_curve,
     spiral,
+    universal_model,
 )
 from test_matrix import mat_pow
 
 PRESETS = ["A2", "B2", "A3", "B3", "universal:2:2", "universal:3:2"]
 
-# Shortest canonical words that fail the simplicity certificate for three
-# punctures; found by exhaustive scan of all canonical words of length <= 4
-# against the bounded orbit search (all shorter words certify simple).
+# Shortest canonical words that are not simple for three punctures; found by
+# exhaustive scan of all canonical words of length <= 4 against the bounded
+# orbit search, and decided NO by Dyer's search (all shorter words are simple).
 SHORTEST_NON_SIMPLE_N3 = (((2, 1), 3), ((2, 3), 1))
 
 
@@ -229,6 +230,17 @@ def test_mutation_word_map_involution_on_roots():
     assert root_of_curve(twice, A3) == root_of_curve(cw, A3)
 
 
+def _canonical_words(n, max_length):
+    """Every canonical word with positive sign, by length."""
+    for length in range(max_length + 1):
+        for letters in itertools.product(range(1, n + 1), repeat=length):
+            if any(a == b for a, b in zip(letters, letters[1:])):
+                continue
+            for end in range(1, n + 1):
+                if not letters or letters[-1] != end:
+                    yield CurveWord(letters, end)
+
+
 def test_is_simple_fan_and_example():
     for cw in fan(3):
         assert is_simple(cw, 3) is SimpleVerdict.YES
@@ -237,17 +249,12 @@ def test_is_simple_fan_and_example():
 
 def test_is_simple_shortest_failures_frozen():
     # Regression fixture: exhaustive scan over canonical words of length <= 2.
-    failures = []
-    for length in (0, 1, 2):
-        for letters in itertools.product((1, 2, 3), repeat=length):
-            if any(a == b for a, b in zip(letters, letters[1:])):
-                continue
-            for end in (1, 2, 3):
-                if letters and letters[-1] == end:
-                    continue
-                if is_simple(CurveWord(letters, end), 3) is not SimpleVerdict.YES:
-                    failures.append((letters, end))
-    assert tuple(failures) == SHORTEST_NON_SIMPLE_N3
+    failures = tuple(
+        (cw.letters, cw.end)
+        for cw in _canonical_words(3, 2)
+        if is_simple(cw, 3) is not SimpleVerdict.YES
+    )
+    assert failures == SHORTEST_NON_SIMPLE_N3
     for letters, end in SHORTEST_NON_SIMPLE_N3:
         assert is_simple(CurveWord(letters, end), 3) is SimpleVerdict.NO_WITHIN_BOUND
 
@@ -258,6 +265,43 @@ def test_is_simple_stable_under_braid_orbit():
         curves = _random_tuple(rng, 3, moves=rng.randint(0, 6))
         for cw in curves:
             assert is_simple(cw, 3) is SimpleVerdict.YES
+
+
+def test_is_simple_runs_no_orbit_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit search run")
+
+    monkeypatch.setattr(hurwitz, "_targeted_orbit_search", refuse)
+    monkeypatch.setattr(hurwitz, "_root_tuples", refuse)
+    assert is_simple(CurveWord((2, 1, 3, 1), 2), 3) is SimpleVerdict.NO_WITHIN_BOUND
+    assert is_simple(CurveWord((1, 2, 1, 2), 1), 3) is SimpleVerdict.YES
+
+
+@pytest.mark.parametrize(
+    "n, max_length, node_cap", [(3, 5, hurwitz.DEFAULT_NODE_CAP), (4, 2, 50_000)]
+)
+def test_is_simple_agrees_with_the_orbit_search(n, max_length, node_cap):
+    """Dyer's search against the height-pruned orbit search on the curve's
+    root in the universal group: an orbit YES is a YES, and an orbit search
+    that exhausts its region finds a NO."""
+    U = universal_model(n)
+    disagreements, seen = [], set()
+    for cw in _canonical_words(n, max_length):
+        orbit = hurwitz.is_prefix_of_coxeter(root_of_curve(cw, U), U, node_cap=node_cap)
+        verdict = is_simple(cw, n)
+        if orbit.answer is hurwitz.Ternary.YES:
+            expected = SimpleVerdict.YES
+        elif orbit.exhausted:
+            expected = SimpleVerdict.NO_WITHIN_BOUND
+        else:
+            continue
+        seen.add(expected)
+        if verdict is not expected:
+            disagreements.append((cw, orbit.answer.value, verdict.value))
+    for disagreement in disagreements:
+        print("orbit and Dyer disagree:", *disagreement)
+    assert not disagreements
+    assert seen == {SimpleVerdict.YES, SimpleVerdict.NO_WITHIN_BOUND}
 
 
 def test_is_simple_range_check():

@@ -17,7 +17,6 @@ import pytest
 
 from schur_scope import curves, hurwitz, weyl
 from schur_scope.cartan import preset, symmetrized
-from schur_scope.curves import CurveWord
 from schur_scope.hurwitz import (
     DEFAULT_NODE_CAP,
     DEFAULT_PRUNE_MULTIPLIER,
@@ -171,17 +170,18 @@ def test_harvests_match_the_eager_table(name, height_bound):
 
 
 def test_rows_are_made_only_for_roots_that_act(monkeypatch):
-    """After the exhaustive search behind the (2,1,3,1)->2 curve, on a fresh
-    table, every row belongs to a root whose reflection was applied, and most
-    roots met never act."""
+    """After the exhaustive orbit search for the root (12, 35, 6) of the
+    (2,1,3,1)->2 curve in universal:3:2 (height cap 4 * 53 = 212), on a
+    fresh table, every row belongs to a root whose reflection was applied,
+    and most roots met never act."""
     monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
     acted = set()
     apply = weyl.Reflection.apply
     monkeypatch.setattr(
         weyl.Reflection, "apply", lambda t, v: (acted.add(t.root), apply(t, v))[1]
     )
-    verdict = curves.is_simple(CurveWord((2, 1, 3, 1), 2), 3)
-    assert verdict is curves.SimpleVerdict.NO_WITHIN_BOUND
+    verdict = hurwitz.is_prefix_of_coxeter((12, 35, 6), curves.universal_model(3))
+    assert verdict.answer is hurwitz.Ternary.UNKNOWN and verdict.exhausted
     table = hurwitz._root_tuples(curves.universal_model(3))
     rows = {table.roots[g] for g in table.reflections}
     assert rows <= acted

@@ -5,6 +5,8 @@ here as references.
   reference tests every root of every image.
 - The harvest given the enumerated roots stops once it has met them all; the
   reference walks the whole bounded closure.
+- `schur verify` calls a root that a complete harvest never met UNKNOWN
+  without its orbit search; the reference runs the search for every root.
 - The product check updates a list in place and skips parts that pair to 0;
   the reference applies every part to a tuple.
 - A first-time move reads the sign of t_a(beta_b) from its least and
@@ -18,7 +20,7 @@ from collections import deque
 import pytest
 
 from schur_scope import hurwitz, schur, weyl
-from schur_scope.cartan import preset
+from schur_scope.cartan import TypeClass, classify_type, preset
 from schur_scope.hurwitz import (
     DEFAULT_NODE_CAP,
     DEFAULT_PRUNE_MULTIPLIER,
@@ -194,6 +196,74 @@ def test_verify_gives_the_report_of_the_full_walk(name, heights, monkeypatch):
         schur, "_curve_root_harvest", lambda o, h, cap, multiplier, roots: harvest(o, h, cap, multiplier)
     )
     assert [verify_conjecture(o, h) for h in heights] == reports
+
+
+def _verify_searching_every_root(o, height_bound, node_cap):
+    """verify_conjecture as it was: the prefix search for every root, then
+    the harvest."""
+    enumerated = weyl.positive_real_roots(o.cartan, height_bound)
+    finite = classify_type(o.cartan) is TypeClass.FINITE
+    positives = tuple(r for r in enumerated if height(r) <= height_bound)
+    prefix_roots, unknowns = [], []
+    for beta in positives:
+        answer = schur.is_schur_root(beta, o, node_cap).answer
+        if answer is hurwitz.Ternary.YES:
+            prefix_roots.append(beta)
+        elif answer is hurwitz.Ternary.UNKNOWN:
+            unknowns.append(beta)
+    harvested, exhausted = _curve_root_harvest(
+        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
+    )
+    return schur.ConjectureReport(
+        height_bound=height_bound,
+        prefix_roots=tuple(sorted(prefix_roots, key=schur._root_sort_key)),
+        curve_roots=tuple(sorted(harvested, key=schur._root_sort_key)),
+        all_positive=enumerated if finite else None,
+        unknowns=tuple(sorted(unknowns, key=schur._root_sort_key)),
+        truncated=not exhausted,
+    )
+
+
+# The first three have unknowns outside the harvest.
+VERIFY_SKIP_CASES = [
+    ("universal:3:2", 12), ("affine-A2", 10), ("affine-A3", 12), ("universal:4:2", 4),
+    ("universal:4:2", 8), ("universal:2:3", 20), ("affine-A1", 20), ("D5", 20), ("E6", 20),
+]
+# Truncated harvests, which settle nothing: both miss roots that the
+# searches find YES.
+TRUNCATED_SKIP_CASES = [("universal:3:2", 12, 50), ("universal:4:2", 8, 200)]
+
+
+@pytest.mark.parametrize(
+    "name, height_bound, node_cap",
+    [(*case, DEFAULT_NODE_CAP) for case in VERIFY_SKIP_CASES] + TRUNCATED_SKIP_CASES,
+)
+def test_verify_skips_only_searches_the_harvest_settles(
+    name, height_bound, node_cap, monkeypatch
+):
+    o = Orientation.default(preset(name))
+    expected = _verify_searching_every_root(o, height_bound, node_cap).to_json_dict()
+    searched = []
+    check = schur.is_schur_root
+    monkeypatch.setattr(
+        schur, "is_schur_root", lambda beta, *args: (searched.append(beta), check(beta, *args))[1]
+    )
+    assert verify_conjecture(o, height_bound, node_cap).to_json_dict() == expected
+    # The roots never searched are the unknowns outside a complete harvest,
+    # and only where the orbit search runs: infinite types of rank >= 3.
+    skipped = set(_enumerated(o, height_bound)).difference(searched)
+    prefix, curves, unknowns = (
+        {tuple(r) for r in roots}
+        for roots in (expected["sets"]["prefix"], expected["sets"]["curves"], expected["unknowns"])
+    )
+    if expected["truncated"]:
+        assert prefix - curves and not skipped
+    elif o.n > 2 and expected["sets"]["all_positive"] is None:
+        assert skipped == unknowns - curves
+    else:
+        assert not skipped
+    some_skipped = (name, height_bound) in VERIFY_SKIP_CASES[:3] and not expected["truncated"]
+    assert bool(skipped) == some_skipped
 
 
 def _product_by_tuples(parts, coxeter):
