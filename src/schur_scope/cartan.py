@@ -15,7 +15,7 @@ import re
 from collections import namedtuple
 from math import gcd
 
-from ._matrix import Matrix
+from ._matrix import Matrix, _eliminate
 
 
 class CartanError(ValueError):
@@ -42,7 +42,9 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
     Stored row-major: entry(i, j) with 1-based indices is a_ij.  Construction
     checks the diagonal, the sign pattern and symmetrizability; connectivity is
     enforced by the public constructors (parse_cartan / preset) but not here,
-    because index-range submatrices of a connected diagram may be disconnected.
+    so a reducible matrix, such as one of the index-range submatrices of a
+    connected diagram, is still a valid input to classify_type and the Weyl
+    group.
     """
 
     __slots__ = ()
@@ -195,9 +197,10 @@ def classify_type(C: CartanMatrix) -> TypeClass:
 
     The elimination stays in integers: a row below pivot p is replaced by
     p times itself minus its column-k entry times the pivot row, then divided
-    by the gcd of its entries.  Each row of the trailing block is so a
-    positive multiple of the row a rational elimination gives, which changes
-    neither the sign of a pivot nor which entries are zero.
+    by the gcd of its entries (_matrix._eliminate; both rows are zero left of
+    column k).  Each row of the trailing block is so a positive multiple of
+    the row a rational elimination gives, which changes neither the sign of a
+    pivot nor which entries are zero.
     """
     a = [list(row) for row in symmetrized(C)]
     nullity = 0
@@ -208,21 +211,10 @@ def classify_type(C: CartanMatrix) -> TypeClass:
         if pivot == 0:
             nullity += 1
             continue
-        for other in a[k + 1 :]:
-            factor = other[k]
-            if factor:
-                for j in range(k + 1, len(a)):
-                    other[j] = pivot * other[j] - factor * row[j]
-                other[k] = 0
-                g = gcd(*other)
-                if g > 1:
-                    other[:] = [x // g for x in other]
+        for i in range(k + 1, len(a)):
+            if a[i][k]:
+                a[i] = _eliminate(a[i], row, k)
     return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
-
-
-def submatrix(C: CartanMatrix, indices: tuple[int, ...]) -> CartanMatrix:
-    """Cartan matrix restricted to the given 1-based vertices (may be reducible)."""
-    return CartanMatrix(tuple(tuple(C.entry(i, j) for j in indices) for i in indices))
 
 
 def _path_matrix(n: int, tweaks: dict[tuple[int, int], int] | None = None,

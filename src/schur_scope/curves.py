@@ -128,12 +128,22 @@ def apply_braid_word_curves(
     return curves
 
 
+_SPIRAL_LETTER_CAP = 10**6
+
+
 def spiral(cw: CurveWord, order: tuple[int, ...], k: int) -> CurveWord:
     """Prepend the Coxeter word (reversed for negative k) |k| times.
 
     Realizes the action of c^k on the root while staying inside the word model,
-    so simplicity status is preserved.
+    so simplicity status is preserved.  A word of more than _SPIRAL_LETTER_CAP
+    letters before reduction is refused (RuntimeError) before it is built.
     """
+    size = len(order) * abs(k) + len(cw.letters)
+    if size > _SPIRAL_LETTER_CAP:
+        raise RuntimeError(
+            f"spiral word of {size} letters exceeds the safety cap of "
+            f"{_SPIRAL_LETTER_CAP} letters"
+        )
     if k >= 0:
         prefix = tuple(order) * k
     else:

@@ -25,7 +25,6 @@ from .cartan import (
     TypeClass,
     classify_type,
     components,
-    submatrix,
     symmetrized,
     symmetrizer,
 )
@@ -296,56 +295,27 @@ def _reflection_pool(C: CartanMatrix) -> tuple[Reflection, ...]:
 
 @functools.lru_cache(maxsize=None)
 def group_order(C: CartanMatrix) -> int:
-    """|W| of a finite-type group, by orbit-stabilizer along a chain of
-    parabolic subgroups, without enumerating W.
+    """|W| of a finite-type group, read off its positive roots without
+    enumerating W: the product over beta in Phi+ of (ht beta + 1) / ht beta.
 
-    The stabilizer of a dominant weight is the standard parabolic subgroup
-    generated by the simple reflections fixing it (Chevalley; Humphreys,
-    "Reflection Groups and Coxeter Groups", 1990, 1.10-1.12), so
-    |W(C)| = |W omega_i| |W(C without vertex i)|; the submatrix may be
-    reducible.  Each step peels the vertex whose weight orbit is smallest,
-    each candidate's closure capped at the smallest orbit found so far: on
-    B_n, C_n and D_n that is omega_1, with 2n elements, where omega_n has
-    2^n or 2^(n-1).  Orbits are taken in fundamental-weight coordinates, where
-    alpha_i = sum_j a_ji omega_j and s_i(lambda) = lambda - lambda_i alpha_i,
-    so s_i changes only lambda_i and the coordinates of i's neighbours.
+    That is the Poincare polynomial prod (1 - t^(ht beta + 1)) / (1 - t^ht beta)
+    at t = 1 (Macdonald, "The Poincare series of a Coxeter group", Math. Ann.
+    199, 1972).  Numerator and denominator are exact integers; a division
+    that leaves a remainder raises ArithmeticError.
     """
     if classify_type(C) is not TypeClass.FINITE:
         raise ValueError("group enumeration requires a finite-type matrix")
-
-    def moves(weight: Vector):  # on the current step's columns
-        for i, column in enumerate(columns):
-            coefficient = weight[i]
-            if coefficient:  # s_i fixes the weight when lambda_i = 0
-                image = list(weight)
-                for j, a_ji in column:
-                    image[j] -= coefficient * a_ji
-                yield tuple(image)
-
-    order = 1
-    while True:
-        n = C.n
-        # columns[i]: the (j, a_ji) with a_ji != 0, i itself included.
-        columns = [
-            [(j, C.entries[j][i]) for j in range(n) if C.entries[j][i]]
-            for i in range(n)
-        ]
-        best, peeled = _FINITE_CLOSURE_CAP, None
-        # End vertices first: their orbits are the small ones, and a small
-        # first orbit caps every later closure.
-        for i in sorted(range(n), key=lambda i: len(columns[i])):
-            omega = tuple(int(j == i) for j in range(n))
-            orbit, complete = _bounded_closure([omega], moves, best)
-            if complete and (peeled is None or len(orbit) < best):
-                best, peeled = len(orbit), i
-        if peeled is None:
-            raise ValueError(
-                f"a weight orbit exceeds the safety cap of {_FINITE_CLOSURE_CAP} elements"
-            )
-        order *= best
-        if n == 1:
-            return order
-        C = submatrix(C, tuple(j for j in range(1, n + 1) if j != peeled + 1))
+    numerator = denominator = 1
+    for beta in positive_real_roots(C, 1):
+        h = height(beta)
+        numerator *= h + 1
+        denominator *= h
+    order, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"height product {numerator}/{denominator} is not an integer; upstream bug"
+        )
+    return order
 
 
 _ORDER_SEARCH_CAP = 10_000
@@ -447,7 +417,8 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Element]:
     with more than _FINITE_CLOSURE_CAP elements is refused before any table
     is built (ValueError).  The closure keeps at most group_order(C) elements
     and must find exactly that many (ArithmeticError otherwise), so it cannot
-    run away.
+    run away; since group_order reads |W| off the roots, not the group, this
+    compares two independent routes.
     """
     order = group_order(C)
     if order > _FINITE_CLOSURE_CAP:

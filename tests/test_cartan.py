@@ -18,7 +18,6 @@ from schur_scope.cartan import (
     classify_type,
     parse_cartan,
     preset,
-    submatrix,
     symmetrized,
     symmetrizer,
 )
@@ -27,6 +26,13 @@ from schur_scope.weyl import coxeter_number
 FINITE_PRESETS_RANK_LE_4 = [
     "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3", "A4", "B4", "C4", "D4", "F4",
 ]
+
+
+def submatrix(C, indices):
+    """C restricted to the given 1-based vertices, which may be reducible.
+    The reducible-diagram tests of the Cartan, braid and Weyl modules
+    import it from here."""
+    return CartanMatrix(tuple(tuple(C.entry(i, j) for j in indices) for i in indices))
 
 
 def coxeter_exponent(C, i, j):

@@ -62,6 +62,35 @@ def test_curve_simple_bounded_no_gives_exit_2(capsys):
     assert 'simple = "no-within-bound"' in out.splitlines()
 
 
+SPIRAL = ["--json", "--type", "A3", "curve", "--word", "2", "--end", "3", "spiral"]
+
+
+def test_curve_spiral_refuses_words_past_its_cap(capsys, monkeypatch):
+    # 3 * 10^9 letters would exhaust memory; the cap refuses before building.
+    code = run([*SPIRAL, "--k", str(10**9)])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNRESOLVED
+    assert captured.out == ""
+    assert captured.err == (
+        "error: spiral word of 3000000001 letters exceeds the safety cap of 1000000 letters\n"
+    )
+    # The cap counts n |k| + len(word) letters, so k = 1000 needs 3 001.
+    for k, cap, expected in ((1000, 3001, EXIT_OK), (-1000, 3000, EXIT_UNRESOLVED)):
+        monkeypatch.setattr(curves, "_SPIRAL_LETTER_CAP", cap)
+        assert run([*SPIRAL, "--k", str(k)]) == expected
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_curve_spiral_below_the_cap_is_unchanged(capsys, k):
+    code, out = _run(capsys, [*SPIRAL, "--k", str(k)])
+    assert code == EXIT_OK
+    coxeter_word = [1, 2, 3] if k > 0 else [3, 2, 1]
+    assert json.loads(out)["spiraled"] == {
+        "end": 3, "letters": coxeter_word * abs(k) + [2], "sign": 1,
+    }
+
+
 def test_orbit_truncation_gives_exit_2(capsys):
     code, out = _run(
         capsys,

@@ -6,7 +6,7 @@ import pytest
 
 from schur_scope import hurwitz, weyl
 from schur_scope._matrix import matmul
-from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset, submatrix
+from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset
 from schur_scope.hurwitz import (
     Factorization,
     SearchOutcome,
@@ -21,7 +21,7 @@ from schur_scope.hurwitz import (
     is_prefix_of_coxeter,
     stabilizer_check,
 )
-from test_cartan import coxeter_exponent
+from test_cartan import coxeter_exponent, submatrix
 from test_matrix import mat_pow
 
 ORBIT_SIZES = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27, "A4": 125, "D4": 162}

@@ -37,7 +37,7 @@ def test_group_orders_match_reference():
         assert len(weyl.enumerate_group(preset(label))) == expected, label
 
 
-def test_orbit_stabilizer_group_order_matches_reference():
+def test_height_product_group_order_matches_reference():
     for label in ALL_LABELS:
         expected = int(WeylGroup(label).group_order())
         assert weyl.group_order(preset(label)) == expected, label

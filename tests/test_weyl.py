@@ -7,7 +7,7 @@ import pytest
 
 from schur_scope import weyl
 from schur_scope._matrix import inverse, mat_sub, matmul, matvec, primitive, rank
-from schur_scope.cartan import CartanMatrix, preset, submatrix, symmetrized, symmetrizer
+from schur_scope.cartan import CartanMatrix, preset, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
     bilinear,
@@ -22,6 +22,7 @@ from schur_scope.weyl import (
     simple_reflection,
     simple_root,
 )
+from test_cartan import submatrix
 from test_group_id_table import SMALL_FINITE, matrix_group, matrix_length_table
 from test_matrix import mat_pow
 
@@ -519,12 +520,28 @@ def test_group_order_on_reducible_submatrices(name, vertices, order):
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_group_order_of_classical_families(family):
-    # omega_n of B_n, C_n and D_n has an orbit of 2^n or 2^(n-1) elements, past
-    # the closure cap from n = 21 on; the peeled weight must be a smaller one.
+    # Up to n = 30; from n = 8 on |W| is past the enumeration cap of
+    # 2 000 000, and the height product reads only the n^2 or n^2 - n
+    # positive roots.
     for n in range(4 if family == "D" else 2, 31):
         order = 2**n * math.factorial(n)
         expected = order // 2 if family == "D" else order
         assert weyl.group_order(preset(f"{family}{n}")) == expected, n
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("E6", 51_840),
+        ("E7", 2_903_040),
+        ("E8", 696_729_600),
+        ("A8", math.factorial(9)),
+    ],
+)
+def test_group_order_beyond_enumeration(name, order):
+    # Bourbaki's orders for E6-E8 and (n+1)! for A8, without enumerating the
+    # group; B, C and D are checked by test_group_order_of_classical_families.
+    assert weyl.group_order(preset(name)) == order
 
 
 def test_enumerate_group_refuses_large_groups_and_checks_its_size(monkeypatch):
