@@ -12,7 +12,10 @@ braid_move and apply_braid_word replay braid words on Factorization objects.
 The orbit searches move on tuples of small-int root ids through one table per
 Cartan matrix, which interns each positive root once, with its height, and
 memoizes the root id of each id pair's move; a move replaces one root of a
-tuple, and a search tests only that one.  A root's row is made when the
+tuple, and a search tests only that one.  A finite orbit that fits its cap
+is walked under sigma_1 and delta = sigma_1 ... sigma_{n-1} alone, two
+images per tuple in which t_1 alone acts (hurwitz_orbit); every other walk
+takes the move and its inverse at each slot.  A root's row is made when the
 root first acts in a move, not when it is first met, and is checked then,
 once, against an independent route.  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
@@ -239,27 +242,46 @@ class _ReflectionTable:
             )
         return row
 
-    def moves(self, node: IdTuple):
+    def moves(self, node: IdTuple) -> list[tuple[int, int, IdTuple]]:
         """(letter, new, image) for the generator move and its inverse at
         every slot, in the order +1, -1, +2, -2, ...; the same moves
         braid_move makes.  new is the id of the one root the move creates:
         the move at slot i swaps beta_b (or beta_a, for the inverse) for it,
         so every other root of the image is a root of the node."""
         pairs = self.pairs
+        found = []
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
             g = pairs.get((a, b))
             if g is None:
                 g = self._moved(a, b)
-            yield i, g, head + (g, a) + tail
+            found.append((i, g, head + (g, a) + tail))
             g = pairs.get((b, a))
             if g is None:
                 g = self._moved(b, a)
-            yield -i, g, head + (b, g) + tail
+            found.append((-i, g, head + (b, g) + tail))
+        return found
 
-    def images(self, node: IdTuple):
-        return (image for _, _, image in self.moves(node))
+    def images(self, node: IdTuple) -> list[IdTuple]:
+        return [image for _, _, image in self.moves(node)]
+
+    def generator_images(self, node: IdTuple) -> list[IdTuple]:
+        """The images of node = (t_1, ..., t_n) under sigma_1 and
+        delta = sigma_1 sigma_2 ... sigma_{n-1}, the word (1, 2, ..., n-1):
+        (t_1 t_2 t_1, t_1) + node[2:] and (t_1 t_2 t_1, ..., t_1 t_n t_1, t_1).
+        Only t_1 acts, one memoized pair per other root.  Rank 1 has no
+        moves."""
+        a, pairs = node[0], self.pairs
+        moved = []
+        for b in node[1:]:
+            g = pairs.get((a, b))
+            if g is None:
+                g = self._moved(a, b)
+            moved.append(g)
+        if not moved:
+            return []
+        return [(moved[0], a) + node[2:], (*moved, a)]
 
     def _moved(self, a: int, b: int) -> int:
         """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign.
@@ -305,10 +327,10 @@ class _ReflectionTable:
         if roots is not None:
             unmet = set(roots).difference(self.roots_of(first))
 
-            def images(node: IdTuple):
-                for _, g, image in self.moves(node):
-                    unmet.discard(stored[g])
-                    yield image
+            def images(node: IdTuple) -> list[IdTuple]:
+                found = self.moves(node)
+                unmet.difference_update([stored[g] for _, g, _ in found])
+                return [image for _, _, image in found]
 
         def expandable(node: IdTuple) -> bool:
             if unmet is not None and not unmet:
@@ -333,20 +355,22 @@ def _root_tuples(C: CartanMatrix) -> _ReflectionTable:
 
 
 class OrbitResult:
-    """The root tuples of an orbit, sorted, and whether its closure finished.
-    Immutable; two results are equal when their roots, completeness and
-    Coxeter element are, and the table they were walked on is not compared."""
+    """The root-id tuples of an orbit, in discovery order, and whether its
+    closure finished.  len() counts the tuples; roots and factorizations
+    read them as sorted root tuples, sorted on each read.  Immutable; two
+    results are equal when their roots, completeness and Coxeter element
+    are, and the table they were walked on is not compared."""
 
-    __slots__ = ("roots", "complete", "coxeter", "table")
+    __slots__ = ("nodes", "complete", "coxeter", "table")
 
     def __init__(
         self,
-        roots: tuple[RootTuple, ...],
+        nodes: tuple[IdTuple, ...],
         complete: bool,
         coxeter: Matrix,
         table: _ReflectionTable,
     ):
-        for name, value in zip(self.__slots__, (roots, complete, coxeter, table)):
+        for name, value in zip(self.__slots__, (nodes, complete, coxeter, table)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -362,7 +386,12 @@ class OrbitResult:
         return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.nodes)
+
+    @property
+    def roots(self) -> tuple[RootTuple, ...]:
+        """The root tuples, sorted."""
+        return tuple(sorted(map(self.table.roots_of, self.nodes)))
 
     @property
     def factorizations(self) -> tuple[Factorization, ...]:
@@ -373,8 +402,20 @@ class OrbitResult:
 def hurwitz_orbit(
     C: CartanMatrix, start: Factorization, node_cap: int = DEFAULT_NODE_CAP
 ) -> OrbitResult:
-    """Breadth-first closure of a factorization of W(C) under all generator
-    moves, on root-id tuples, returned as sorted root tuples.
+    """Breadth-first closure of a factorization of W(C) under braid moves,
+    on root-id tuples.
+
+    A finite type whose orbit fits the cap, n! h^n / |W| <= node_cap
+    (factorization_count_formula), is walked under sigma_1 and delta =
+    sigma_1 ... sigma_{n-1} alone (_ReflectionTable.generator_images).  The
+    two generate the braid group, as delta sigma_i delta^-1 = sigma_{i+1}
+    (Kassel and Turaev, "Braid Groups", GTM 247, 2008, 1.1), and each
+    permutes the finite orbit, so its inverse is one of its powers and the
+    closure under the forward moves is the whole orbit.  The formula only
+    chooses the walk; a finished walk is the orbit whatever it says, and a
+    walk stopped by the cap raises ArithmeticError.  Every other walk (a
+    capped one, or one of an infinite type) takes the generator move and its
+    inverse at every slot, which fixes the tuples a capped walk keeps.
 
     No Factorization is built per node.  The product of every tuple is
     certified by the start's product check, by the table's one checked row
@@ -390,9 +431,19 @@ def hurwitz_orbit(
     if node_cap < 1:
         raise ValueError("node cap must be >= 1")
     table = _root_tuples(C)
-    nodes, complete = weyl._bounded_closure([table.admit(start)], table.images, node_cap)
-    roots = sorted(map(table.roots_of, nodes))
-    return OrbitResult(tuple(roots), complete, start.coxeter, table)
+    first = table.admit(start)
+    by_generators = (
+        classify_type(C) is TypeClass.FINITE
+        and factorization_count_formula(C) <= node_cap
+    )
+    moves = table.generator_images if by_generators else table.images
+    nodes, complete = weyl._bounded_closure([first], moves, node_cap)
+    if by_generators and not complete:
+        raise ArithmeticError(
+            f"the orbit has more than {node_cap} factorizations, more than "
+            "the count formula gives; upstream bug"
+        )
+    return OrbitResult(nodes, complete, start.coxeter, table)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ id (_act), and _element_matrix turns an element back into its matrix.
 from __future__ import annotations
 
 import functools
-from collections import deque, namedtuple
+from collections import namedtuple
 from operator import mul
 
 from . import _matrix as _mat
@@ -118,10 +118,6 @@ def simple_reflection(C: CartanMatrix, i: int) -> Reflection:
     return Reflection(simple_root(n, i), C.entries[i - 1])
 
 
-def simple_reflections(C: CartanMatrix) -> tuple[Reflection, ...]:
-    return tuple(simple_reflection(C, i) for i in range(1, C.n + 1))
-
-
 def _check_order(C: CartanMatrix, order: tuple[int, ...] | None) -> tuple[int, ...]:
     if order is None:
         return tuple(range(1, C.n + 1))
@@ -220,26 +216,29 @@ def _bounded_closure(starts, moves, node_cap, expand=None):
     """Breadth-first closure of the starts under moves, keeping at most
     node_cap nodes; returns (nodes in discovery order, complete).
 
-    moves(node) yields the node's images.  An image not met before is kept
-    while fewer than node_cap nodes are kept; otherwise it is dropped and
-    complete becomes False.  A kept node for which expand(node) is false is
-    recorded but not expanded.
+    moves(node) returns a list of the node's images.  An image not met
+    before is kept while fewer than node_cap nodes are kept; otherwise it is
+    dropped and complete becomes False.  A kept node for which expand(node)
+    is false is recorded but not expanded.  The walk goes one breadth-first
+    level at a time, which meets the nodes in the order of a queue.
     """
     seen = dict.fromkeys(starts)
-    queue = deque(seen)
+    level = list(seen)
     complete = True
-    while queue:
-        node = queue.popleft()
-        if expand is not None and not expand(node):
-            continue
-        for image in moves(node):
-            if image in seen:
+    while level:
+        found = []
+        for node in level:
+            if expand is not None and not expand(node):
                 continue
-            if len(seen) >= node_cap:
-                complete = False
-                continue
-            seen[image] = None
-            queue.append(image)
+            for image in moves(node):
+                if image in seen:
+                    continue
+                if len(seen) >= node_cap:
+                    complete = False
+                    continue
+                seen[image] = None
+                found.append(image)
+        level = found
     return tuple(seen), complete
 
 
@@ -253,18 +252,26 @@ def positive_real_roots(C: CartanMatrix, height_bound: int) -> tuple[Root, ...]:
     bound is exhaustive because every non-simple positive real root has a
     height-decreasing simple reflection.  For finite types the closure is run
     to completion regardless of the bound.
+
+    s_i(beta) = beta - k alpha_i with k = <beta, alpha_i^vee> (row i of C
+    against beta) changes coordinate i alone, so the image is that one
+    coordinate rewritten, of height height(beta) - k.  A pairing of 0 gives
+    beta back and is skipped; a negative coordinate i means beta = alpha_i,
+    the one positive root that s_i makes negative.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    unbounded = classify_type(C) is TypeClass.FINITE
-    gens = simple_reflections(C)
+    bound = float("inf") if classify_type(C) is TypeClass.FINITE else height_bound
+    rows = tuple(enumerate(C.entries))
 
-    def moves(beta: Root):
-        for g in gens:
-            image = g.apply(beta)
-            # Only beta = alpha_i flips, and -alpha_i is recorded via pairing.
-            if is_positive(image) and (unbounded or height(image) <= height_bound):
-                yield image
+    def moves(beta: Root) -> list[Root]:
+        images = []
+        h = sum(beta)
+        for i, row in rows:
+            k = sum(map(mul, row, beta))
+            if k and beta[i] >= k and h - k <= bound:
+                images.append(beta[:i] + (beta[i] - k,) + beta[i + 1 :])
+        return images
 
     starts = [simple_root(C.n, i) for i in range(1, C.n + 1)]
     found, complete = _bounded_closure(starts, moves, _FINITE_CLOSURE_CAP)
@@ -430,9 +437,8 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Element]:
     permutations = _root_ids(C).permutations
     simple = [permutations[k] for k in one]  # reflection k has root id k
 
-    def moves(w: Element):
-        for s in simple:
-            yield _act(s, w)
+    def moves(w: Element) -> list[Element]:
+        return [_act(s, w) for s in simple]
 
     elements, complete = _bounded_closure([one], moves, order)
     if not complete or len(elements) != order:

@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from schur_scope import hurwitz, weyl
-from schur_scope._matrix import matmul
+from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset
 from schur_scope.hurwitz import (
     Factorization,
@@ -24,7 +24,7 @@ from schur_scope.hurwitz import (
 from test_cartan import coxeter_exponent, submatrix
 from test_matrix import mat_pow
 
-ORBIT_SIZES = {"A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27, "A4": 125, "D4": 162}
+ORBIT_SIZES = {"A1": 1, "A2": 3, "B2": 4, "G2": 6, "A3": 16, "B3": 27, "A4": 125, "D4": 162}
 AFFINE_B4 = CartanMatrix((
     (2, -1, 0, 0, 0),
     (-1, 2, -1, 0, -1),
@@ -454,20 +454,37 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
     return SearchOutcome(None, exhausted, len(parents))
 
 
+def _orders(C):
+    """The default order, its reverse and one fixed shuffle of it."""
+    shuffled = list(range(1, C.n + 1))
+    random.Random(C.n).shuffle(shuffled)
+    return [None, tuple(range(C.n, 0, -1)), tuple(shuffled)]
+
+
+# A finite orbit under the cap is walked under sigma_1 and delta alone; a
+# capped walk, on D5 or an infinite type, under every slot's move.
 @pytest.mark.parametrize(
     "name, node_cap",
     [
+        ("A1", 10**6),
         ("A2", 10**6),
         ("B2", 10**6),
         ("G2", 10**6),
         ("A3", 10**6),
         ("B3", 10**6),
-        ("B4", 10**6),
-        ("A4", 10**6),
         ("C3", 10**6),
+        ("A4", 10**6),
+        ("B4", 10**6),
+        ("C4", 10**6),
         ("D4", 10**6),
         ("F4", 10**6),
+        ("A5", 10**6),
+        ("B5", 10**6),
+        ("C5", 10**6),
         ("D5", 10**6),
+        ("D5", 1),
+        ("D5", 7),
+        ("D5", 50),
         ("universal:3:2", 25),
         ("universal:3:2", 200),
         ("affine-A2", 150),
@@ -476,9 +493,61 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
 )
 def test_orbit_matches_braid_move_reference(name, node_cap):
     C = preset(name)
+    finite = classify_type(C) is TypeClass.FINITE
+    for order in _orders(C) if finite else [None]:
+        start = canonical_factorization(C, order)
+        orbit = hurwitz_orbit(C, start, node_cap=node_cap)
+        assert (orbit.factorizations, orbit.complete) == _reference_orbit(start, node_cap)
+        if finite and orbit.complete:
+            assert len(orbit) == factorization_count_formula(C)
+
+
+@pytest.mark.parametrize("name", ["A6", "D6", "E6"])
+def test_generator_walk_matches_the_all_slot_walk(name):
+    # The Factorization reference takes seconds per order here, so the
+    # reference is the all-slot walk on root ids, which the test above pins.
+    C = preset(name)
+    table = hurwitz._root_tuples(C)
+    for order in _orders(C):
+        start = canonical_factorization(C, order)
+        orbit = hurwitz_orbit(C, start)
+        nodes, complete = weyl._bounded_closure([table.admit(start)], table.images, 10**6)
+        assert orbit.complete and complete
+        assert orbit.roots == tuple(sorted(map(table.roots_of, nodes)))
+        assert len(orbit) == factorization_count_formula(C)
+
+
+def test_count_formula_only_chooses_the_walk(monkeypatch):
+    D4 = preset("D4")
+    start = canonical_factorization(D4)
+    # An overcount under the cap still walks the generators to the orbit.
+    monkeypatch.setattr(hurwitz, "factorization_count_formula", lambda C: 500)
+    assert len(hurwitz_orbit(D4, start, node_cap=500)) == ORBIT_SIZES["D4"]
+    # An undercount that lets the cap stop a generator walk is refused.
+    monkeypatch.setattr(hurwitz, "factorization_count_formula", lambda C: 100)
+    with pytest.raises(ArithmeticError, match="count formula"):
+        hurwitz_orbit(D4, start, node_cap=100)
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "D4", "F4", "E6", "affine-A2", "universal:3:2"]
+)
+def test_delta_to_the_n_conjugates_by_c(name):
+    # delta^n is the full twist, which acts as conjugation by c: each root
+    # beta of a tuple becomes +-c beta.  Checked on the start and on its two
+    # generator images, with the matrix of c, not the table's moves.
+    C = preset(name)
+    table = hurwitz._root_tuples(C)
     start = canonical_factorization(C)
-    orbit = hurwitz_orbit(C, start, node_cap=node_cap)
-    assert (orbit.factorizations, orbit.complete) == _reference_orbit(start, node_cap)
+    first = table.admit(start)
+    for node in [first, *table.generator_images(first)]:
+        twisted = node
+        for _ in range(C.n):
+            twisted = table.generator_images(twisted)[1]
+        expected = tuple(
+            weyl.positive_part(matvec(start.coxeter, beta)) for beta in table.roots_of(node)
+        )
+        assert table.roots_of(twisted) == expected
 
 
 @pytest.mark.parametrize("name", ["universal:3:2", "affine-A2"])
@@ -503,7 +572,7 @@ def test_targeted_search_matches_braid_move_reference(name):
 def test_orbit_rejects_reflection_with_wrong_root():
     # A coroot row that does not pair its root to 2 is refused when built.
     A2 = preset("A2")
-    s1, s2 = weyl.simple_reflections(A2)
+    s1, s2 = (weyl.simple_reflection(A2, i) for i in (1, 2))
     with pytest.raises(ArithmeticError):
         weyl.Reflection((1, 1), s2.coroot)
     # (1, 1) with the row (2, 0) pairs to 2, so it is a reflection, but not
@@ -628,7 +697,7 @@ def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():
     # s_1 written with the negated root and row is the same map, so the
     # product check passes; the table refuses it.
     A2 = preset("A2")
-    s1, s2 = weyl.simple_reflections(A2)
+    s1, s2 = (weyl.simple_reflection(A2, i) for i in (1, 2))
     flipped = weyl.Reflection(weyl.negate(s1.root), weyl.negate(s1.coroot))
     start = Factorization((flipped, s2), weyl.coxeter_element(A2))
     with pytest.raises(ArithmeticError):
@@ -636,7 +705,7 @@ def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():
     # On B2, row 1 is (2, -2), so (2alpha_1, (1, -1)) is s_1 again; 2alpha_1
     # is not a root.
     B2 = preset("B2")
-    s1, s2 = weyl.simple_reflections(B2)
+    s1, s2 = (weyl.simple_reflection(B2, i) for i in (1, 2))
     assert s1.coroot == (2, -2)
     doubled = weyl.Reflection((2, 0), (1, -1))
     with pytest.raises(ValueError, match="not the norm"):

@@ -376,7 +376,7 @@ def test_dyer_first_count_equals_the_length_table(name):
 
 def _coxeter_lengths(C):
     """Breadth-first distance from the identity under w -> w s_i."""
-    gens = [g.matrix for g in weyl.simple_reflections(C)]
+    gens = [weyl.simple_reflection(C, i).matrix for i in range(1, C.n + 1)]
     lengths = {identity(C.n): 0}
     frontier = [identity(C.n)]
     while frontier:
@@ -472,7 +472,7 @@ def test_enumerate_group_requires_finite():
 
 def _right_multiplication_closure(C):
     """Reference: closure of the identity under w -> w s_i, one matmul each."""
-    gens = [g.matrix for g in weyl.simple_reflections(C)]
+    gens = [weyl.simple_reflection(C, i).matrix for i in range(1, C.n + 1)]
     seen = {identity(C.n)}
     frontier = list(seen)
     while frontier:
