@@ -217,14 +217,11 @@ def classify_type(C: CartanMatrix) -> TypeClass:
     return {0: TypeClass.FINITE, 1: TypeClass.AFFINE}.get(nullity, TypeClass.INDEFINITE)
 
 
-def _path_matrix(n: int, tweaks: dict[tuple[int, int], int] | None = None,
-                 extra_edges: tuple[tuple[int, int], ...] = ()) -> Matrix:
-    """Type-A path with optional entry tweaks and extra -1 edges (0-based)."""
+def _path_matrix(n: int, tweaks: dict[tuple[int, int], int] | None = None) -> Matrix:
+    """Type-A path with optional entry tweaks (0-based)."""
     entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n - 1):
         entries[i][i + 1] = entries[i + 1][i] = -1
-    for i, j in extra_edges:
-        entries[i][j] = entries[j][i] = -1
     for (i, j), value in (tweaks or {}).items():
         entries[i][j] = value
     return tuple(tuple(row) for row in entries)

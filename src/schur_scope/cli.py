@@ -22,9 +22,6 @@ from . import cartan, hurwitz, weyl
 from .cartan import CartanError, CartanMatrix
 from .hurwitz import Ternary
 
-DEFAULT_ORBIT_CAP = 10**6
-DEFAULT_HEIGHT_BOUND = 20
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
@@ -91,8 +88,8 @@ _GLOBAL_OPTIONS = {
     "--cartan": ("str", None, False, "file with a Cartan matrix in text form"),
     "--order": ("str", None, False, "Coxeter order as a permutation, e.g. 2,1,3"),
     "--json": ("flag", False, False, "emit JSON reports"),
-    "--orbit-cap": ("int", DEFAULT_ORBIT_CAP, False, "orbit search node cap"),
-    "--height": ("int", DEFAULT_HEIGHT_BOUND, False, "root height bound"),
+    "--orbit-cap": ("int", hurwitz.DEFAULT_NODE_CAP, False, "orbit search node cap"),
+    "--height": ("int", hurwitz.DEFAULT_HEIGHT_BOUND, False, "root height bound"),
 }
 
 _ELEMENT_HELP = "element (JSON matrix or reflection root)"
@@ -498,8 +495,11 @@ def _cmd_curve(session: Session, args) -> tuple[dict, int]:
         return {**base, "loop": list(curves.loop_of_curve(cw))}, EXIT_OK
     if args.action == "simple":
         verdict = curves.is_simple(cw, n)
-        code = EXIT_OK if verdict is curves.SimpleVerdict.YES else EXIT_UNRESOLVED
-        return {**base, "simple": verdict.value}, code
+        # A decided NO keeps the label and exit 2 that perfbench/workloads.py::
+        # _check_curve accepts, until ROADMAP items 1-2 admit "no".
+        simple = "no-within-bound" if verdict is Ternary.NO else verdict.value
+        code = EXIT_OK if verdict is Ternary.YES else EXIT_UNRESOLVED
+        return {**base, "simple": simple}, code
     if args.action == "spiral":
         spiraled = curves.spiral(cw, session.order, args.k)
         return {
@@ -612,33 +612,30 @@ def render_curve_svg(cw, C: CartanMatrix, path: str) -> str:
     output is byte-identical for identical input and is labeled as a schematic,
     not an isotopy-faithful picture.
     """
-    from fractions import Fraction
-
     from . import curves
 
-    def _tenths(value: Fraction) -> str:
-        scaled = round(value * 10)
+    def _tenths(num: int, den: int = 1) -> str:
+        """num / den to one decimal, a tie going to the even tenth, as
+        round() rounds a Fraction."""
+        scaled, rest = divmod(10 * num, den)
+        if 2 * rest > den or (2 * rest == den and scaled % 2):
+            scaled += 1
         return f"{scaled // 10}.{scaled % 10}"
 
     n = C.n
     baseline = 4 * _UNIT
     width = _SPACING * (n + 1)
     height_px = baseline + 3 * _UNIT
-    origin = (Fraction(width, 2), Fraction(baseline + 2 * _UNIT))
+    ox, oy = width // 2, baseline + 2 * _UNIT
 
-    def point(x: Fraction, y: Fraction) -> str:
-        return f"{_tenths(x)},{_tenths(y)}"
-
-    m = len(cw.letters)
-    # Crossing k of m sits 1 + k/(m+1) units above the baseline (1-based k).
+    # Crossing k of m sits 1 + k/(m+1) units above the baseline (1-based k);
+    # every point is kept as integer numerators over d = m + 1.
+    d = len(cw.letters) + 1
     crossings = [
-        (
-            Fraction(_SPACING * j),
-            Fraction(baseline) - _UNIT * (1 + Fraction(k, m + 1)),
-        )
+        (_SPACING * j * d, (baseline - _UNIT) * d - _UNIT * k)
         for k, j in enumerate(cw.letters, start=1)
     ]
-    curve_points = [origin, *crossings, (Fraction(_SPACING * cw.end), Fraction(baseline))]
+    curve_points = [(ox * d, oy * d), *crossings, (_SPACING * cw.end * d, baseline * d)]
 
     word_text = "".join(f"s_{j}" for j in cw.letters) or "id"
     root_text = ("-" if cw.sign < 0 else "") + word_text.replace("id", "") + f"a_{cw.end}"
@@ -661,11 +658,11 @@ def render_curve_svg(cw, C: CartanMatrix, path: str) -> str:
         lines.append(
             f'  <text x="{x + 5}" y="{baseline + 14}" font-size="11">p{j}</text>'
         )
+    points = " ".join(f"{_tenths(x, d)},{_tenths(y, d)}" for x, y in curve_points)
     lines.append(
-        f'  <polyline points="{" ".join(point(x, y) for x, y in curve_points)}" '
+        f'  <polyline points="{points}" '
         f'fill="none" stroke="#cc0000" stroke-width="1.5"/>'
     )
-    ox, oy = origin
     lines.append(f'  <circle cx="{_tenths(ox)}" cy="{_tenths(oy)}" r="3" fill="#000000"/>')
     lines.append(f'  <text x="{_tenths(ox + 6)}" y="{_tenths(oy + 4)}" font-size="11">O</text>')
     legend_y = height_px + _UNIT

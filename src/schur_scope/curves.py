@@ -12,7 +12,6 @@ endpoint's simple root, and its reflection is the reflection of that root.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
 from . import hurwitz, weyl
@@ -166,23 +165,13 @@ def mutation_word_map(cw: CurveWord, which: str, order: tuple[int, ...]) -> Curv
     return canonicalize((letter,) + cw.letters, cw.end, cw.sign)
 
 
-class SimpleVerdict(enum.Enum):
-    """The answer of is_simple.  NO_WITHIN_BOUND is a decided NO: it keeps
-    the label of the bounded orbit search it came from, which the CLI prints
-    as `no-within-bound` (exit 2).  UNKNOWN means Dyer's search hit its cap."""
-
-    YES = "yes"
-    NO_WITHIN_BOUND = "no-within-bound"
-    UNKNOWN = "unknown"
-
-
 def universal_model(n: int) -> CartanMatrix:
     """The weight-2 universal matrix: its Weyl group is the universal Coxeter
     group on n generators, where curve words are faithful."""
     return preset(f"universal:{n}:2")
 
 
-def is_simple(cw: CurveWord, n: int) -> SimpleVerdict:
+def is_simple(cw: CurveWord, n: int) -> hurwitz.Ternary:
     """Decide whether the curve's reflection t starts a reflection
     factorization of the Coxeter element, i.e. whether the curve lies in the
     braid-orbit closure of the fan.
@@ -190,9 +179,9 @@ def is_simple(cw: CurveWord, n: int) -> SimpleVerdict:
     Simplicity is a property of the curve, not of any particular root system,
     so t is read in the universal group U on n generators, and Dyer's search
     decides whether t c is a product of n - 1 reflections there
-    (hurwitz.dyer_prefix).  YES carries the product-checked factorization it
-    found; NO_WITHIN_BOUND is a decided NO, true within every bound; UNKNOWN
-    means the search passed weyl._DYER_CAP.
+    (hurwitz.dyer_prefix).  YES means it found a product-checked
+    factorization, NO is decided, and UNKNOWN means the search passed
+    weyl._DYER_CAP.
     """
     if cw.end > n or any(x > n for x in cw.letters):
         raise ValueError(f"word references punctures beyond {n}")
@@ -201,5 +190,5 @@ def is_simple(cw: CurveWord, n: int) -> SimpleVerdict:
     try:
         witness = hurwitz.dyer_prefix(U, t, hurwitz.canonical_factorization(U).coxeter)
     except RuntimeError:
-        return SimpleVerdict.UNKNOWN
-    return SimpleVerdict.NO_WITHIN_BOUND if witness is None else SimpleVerdict.YES
+        return hurwitz.Ternary.UNKNOWN
+    return hurwitz.Ternary.NO if witness is None else hurwitz.Ternary.YES

@@ -49,6 +49,11 @@ RootTuple = tuple[Root, ...]
 IdTuple = tuple[int, ...]  # a search node: root ids of a _ReflectionTable
 
 DEFAULT_NODE_CAP = 10**6
+DEFAULT_HEIGHT_BOUND = 20
+# is_prefix_of_coxeter's orbit search for beta expands no tuple with a root
+# taller than this many times height(beta), and the harvest none taller than
+# this many times its height bound, so a harvest that finishes meets every
+# tuple that the search for a root below its bound can meet.
 DEFAULT_PRUNE_MULTIPLIER = 4
 
 
@@ -305,16 +310,17 @@ class _ReflectionTable:
         self,
         start: Factorization,
         node_cap: int,
-        expand_height: int,
-        keep_height: int,
+        height_bound: int,
         roots: tuple[Root, ...] | None = None,
     ) -> tuple[set[Root], bool]:
-        """Roots no taller than keep_height in the tuples of the closure of
+        """Roots no taller than height_bound in the tuples of the closure of
         start, and whether it finished below node_cap.  Tuples with a root
-        taller than expand_height are kept, not expanded.
+        taller than DEFAULT_PRUNE_MULTIPLIER * height_bound are kept, not
+        expanded: the height cap of the targeted search for any root no
+        taller than height_bound is at most that.
 
         roots, when given, must hold every positive root no taller than
-        keep_height that the closure can meet.  Then no tuple is expanded
+        height_bound that the closure can meet.  Then no tuple is expanded
         once each of them has been met, for the walk can add nothing more;
         a move's new root is the only root its image adds, so it is the one
         looked up.  The harvest is still read from every kept tuple, and a
@@ -322,6 +328,7 @@ class _ReflectionTable:
         still False iff an image was dropped at node_cap.
         """
         heights, stored = self.heights, self.roots
+        expand_height = DEFAULT_PRUNE_MULTIPLIER * height_bound
         first = self.admit(start)
         images, unmet = self.images, None
         if roots is not None:
@@ -338,7 +345,7 @@ class _ReflectionTable:
             return all(heights[g] <= expand_height for g in node)
 
         nodes, complete = weyl._bounded_closure([first], images, node_cap, expandable)
-        kept = {g for node in nodes for g in node if heights[g] <= keep_height}
+        kept = {g for node in nodes for g in node if heights[g] <= height_bound}
         found = {stored[g] for g in kept}
         if roots is not None and not found.issubset(roots):
             raise ArithmeticError(
@@ -483,7 +490,7 @@ def _targeted_orbit_search(
     start: Factorization,
     target: Reflection,
     node_cap: int,
-    height_cap: int | None,
+    height_cap: int,
 ) -> SearchOutcome:
     """BFS over root-id tuples for a factorization containing the target as
     a component, matched by the id of its root.
@@ -519,9 +526,7 @@ def _targeted_orbit_search(
     parents: dict[IdTuple, tuple[IdTuple, int] | None] = {first: None}
     if goal in first:
         return SearchOutcome(finish(first), True, 1)
-    if height_cap is None:
-        height_cap = math.inf
-    elif any(heights[g] > height_cap for g in first):
+    if any(heights[g] > height_cap for g in first):
         raise ValueError(f"the start has a root taller than the height cap {height_cap}")
     queue = deque([first])
     exhausted = True
@@ -554,6 +559,13 @@ def dyer_prefix(C: CartanMatrix, t: Reflection, coxeter: Matrix) -> Factorizatio
     return None if rest is None else Factorization((t,) + rest, coxeter)
 
 
+def _dyer_decides(C: CartanMatrix) -> bool:
+    """Whether is_prefix_of_coxeter decides t <= c by dyer_prefix, checked by
+    Carter's lemma: on finite types and rank 2.  Every other type takes the
+    height-pruned orbit search, whose NO is never certified."""
+    return C.n == 2 or classify_type(C) is TypeClass.FINITE
+
+
 class PrefixVerdict(
     namedtuple("PrefixVerdict", "answer factorization exhausted", defaults=(True,))
 ):
@@ -577,25 +589,25 @@ def is_prefix_of_coxeter(
     extends to a reflection factorization t r_2 ... r_n = c.
 
     t is built by weyl.reflection_for_root, so a beta that is not a real root
-    of C raises ValueError on every type.  Finite types and rank 2 are
-    decided by dyer_prefix, so a search of the deletions that finds none is
-    a NO.  Carter's lemma gives the same answer independently, as
-    rank(t c - id) = n - 1 ("Conjugacy classes in the Weyl group", Compositio
-    1972, Lemma 2; on rank 2, t c has determinant -1, so rank 1 makes it a
-    reflection), and the two are cross-checked.  Other infinite types report
-    YES with a certificate or UNKNOWN, never an uncertified NO.  Their
-    certificate comes from a breadth-first search of the Hurwitz orbit of the
-    canonical factorization, on root-id tuples, that does not expand tuples with
-    a root taller than DEFAULT_PRUNE_MULTIPLIER times the height of beta; the
-    braid word it finds is replayed by braid_move and the witness must start
-    with t.
+    of C raises ValueError on every type.  Finite types and rank 2
+    (_dyer_decides) are decided by dyer_prefix, so a search of the deletions
+    that finds none is a NO.  Carter's lemma gives the same answer
+    independently, as rank(t c - id) = n - 1 ("Conjugacy classes in the Weyl
+    group", Compositio 1972, Lemma 2; on rank 2, t c has determinant -1, so
+    rank 1 makes it a reflection), and the two are cross-checked.  Other
+    infinite types report YES with a certificate or UNKNOWN, never an
+    uncertified NO.  Their certificate comes from a breadth-first search of
+    the Hurwitz orbit of the canonical factorization, on root-id tuples, that
+    does not expand tuples with a root taller than DEFAULT_PRUNE_MULTIPLIER
+    times the height of beta; the braid word it finds is replayed by
+    braid_move and the witness must start with t.
     """
     t = weyl.reflection_for_root(C, beta)
     canonical = canonical_factorization(C, order)
     c = canonical.coxeter
     n = C.n
 
-    if n == 2 or classify_type(C) is TypeClass.FINITE:
+    if _dyer_decides(C):
         witness = dyer_prefix(C, t, c)
         # Carter reads t^{-1} c = t c, reflections being involutions.
         carter = rank(mat_sub(t.left_multiply(c), identity(n))) == n - 1

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import hurwitz, weyl
 from .cartan import CartanMatrix, TypeClass, classify_type
-from .hurwitz import DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, Ternary
+from .hurwitz import DEFAULT_HEIGHT_BOUND, DEFAULT_NODE_CAP, Ternary
 from .weyl import Root, height
 
 
@@ -91,7 +91,6 @@ def _curve_root_harvest(
     o: Orientation,
     height_bound: int,
     node_cap: int,
-    prune_multiplier: int,
     roots: tuple[Root, ...] | None = None,
 ) -> tuple[set[Root], bool]:
     """Positive roots of curve words reachable from the fan by braid moves.
@@ -108,7 +107,8 @@ def _curve_root_harvest(
     reflection tuple.
     tests/test_schur.py::test_curve_harvest_matches_matrix_keyed_reference
     compares with the curve-word walk keyed by loop matrices.  Tuples with a
-    root taller than prune_multiplier * height_bound are kept, not expanded.
+    root taller than the harvest's prune height, a fixed multiple of
+    height_bound, are kept, not expanded.
 
     roots, when given, are the positive real roots no taller than
     height_bound, which hold every root the walk can harvest: the walk stops
@@ -117,9 +117,7 @@ def _curve_root_harvest(
     full.
     """
     start = hurwitz.canonical_factorization(o.cartan, o.order)
-    return hurwitz._root_tuples(o.cartan).harvest(
-        start, node_cap, prune_multiplier * height_bound, height_bound, roots
-    )
+    return hurwitz._root_tuples(o.cartan).harvest(start, node_cap, height_bound, roots)
 
 
 class ConjectureReport(
@@ -130,7 +128,8 @@ class ConjectureReport(
 ):
     """Set comparison between prefix-certified roots (prefix_roots) and
     curve-harvested roots (curve_roots) below height_bound; all_positive is
-    every positive root on finite types and None otherwise."""
+    every positive root below height_bound on finite types and None
+    otherwise."""
 
     __slots__ = ()
 
@@ -166,12 +165,13 @@ def _root_sort_key(r: Root):
 
 def verify_conjecture(
     o: Orientation,
-    height_bound: int = 20,
+    height_bound: int = DEFAULT_HEIGHT_BOUND,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ConjectureReport:
     """Compare three root sets below the height bound: roots whose reflection
     passes the prefix certificate (P), roots harvested from simple-curve words
-    reachable from the fan (S), and, for finite types, all positive roots (F).
+    reachable from the fan (S), and, for finite types, all positive roots (F),
+    each cut at the bound.
 
     Truncation of either search is reported, never silent; roots with an
     unresolved prefix status are listed as stragglers.  A finite type whose
@@ -182,31 +182,31 @@ def verify_conjecture(
     stops once it has met all of those; truncated still means that its
     node cap fired first.
 
-    The harvest runs first.  On infinite types of rank >= 3, a root beta
+    The harvest runs first.  Where is_schur_root runs the height-pruned
+    orbit search (the types hurwitz._dyer_decides leaves out), a root beta
     outside S is UNKNOWN with no search when the harvest finished below its
-    node cap: beta's search expands only tuples whose roots are no taller
-    than DEFAULT_PRUNE_MULTIPLIER * height(beta), which is at most the
-    harvest's expand height, so the harvest met every tuple that search
-    could meet, and none of them holds beta.  On finite types and rank 2, P
-    is decided by Dyer's search and nothing is inferred.
+    node cap: its prune height covers that of beta's search
+    (hurwitz._ReflectionTable.harvest), so it met every tuple that search
+    could meet, and none of them holds beta.  Where Dyer's search decides P,
+    nothing is inferred.
     """
     C = o.cartan
-    enumerated = weyl.positive_real_roots(C, height_bound)  # exhaustive if finite
-    all_positive: tuple[Root, ...] | None = None
-    if classify_type(C) is TypeClass.FINITE:
+    finite = classify_type(C) is TypeClass.FINITE
+    if finite:
         count = hurwitz.factorization_count_formula(C)
         if count > node_cap:
             raise ValueError(
                 f"the Hurwitz orbit has {count} factorizations, more than the "
                 f"node cap of {node_cap}"
             )
-        all_positive = enumerated
-    positives = tuple(r for r in enumerated if height(r) <= height_bound)
-    harvested, exhausted = _curve_root_harvest(
-        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
+    # positive_real_roots finishes a finite closure whatever the bound.
+    positives = tuple(
+        r for r in weyl.positive_real_roots(C, height_bound) if height(r) <= height_bound
     )
+    all_positive = positives if finite else None
+    harvested, exhausted = _curve_root_harvest(o, height_bound, node_cap, positives)
     # Where is_schur_root runs the orbit search (see the docstring).
-    settled = exhausted and all_positive is None and C.n > 2
+    settled = exhausted and not hurwitz._dyer_decides(C)
     prefix_roots = []
     unknowns = []
     for beta in positives:

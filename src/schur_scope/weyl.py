@@ -251,7 +251,11 @@ def positive_real_roots(C: CartanMatrix, height_bound: int) -> tuple[Root, ...]:
     Closure of the simple roots under the simple reflections; pruning at the
     bound is exhaustive because every non-simple positive real root has a
     height-decreasing simple reflection.  For finite types the closure is run
-    to completion regardless of the bound.
+    to completion regardless of the bound, so the result holds every positive
+    root: `roots list` and `schur list` list them all whatever --height says,
+    and group_order and _reflection_pool read them all through (C, 1).
+    Callers that want the cut, such as schur.verify_conjecture, filter by
+    height themselves.
 
     s_i(beta) = beta - k alpha_i with k = <beta, alpha_i^vee> (row i of C
     against beta) changes coordinate i alone, so the image is that one

@@ -10,7 +10,7 @@ import time
 
 from schur_scope import curves, hurwitz, repro, weyl
 from schur_scope.cartan import preset
-from schur_scope.curves import CurveWord, SimpleVerdict
+from schur_scope.curves import CurveWord
 from schur_scope.hurwitz import Ternary
 from schur_scope.ncposet import enumerate_nc
 from schur_scope.schur import (

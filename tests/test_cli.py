@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,23 @@ def test_schur_verify_refuses_finite_orbits_above_the_node_cap(capsys, argv, cou
     )
 
 
+@pytest.mark.parametrize("name, height, count", [("A5", 2, 9), ("D4", 3, 10)])
+def test_schur_verify_below_the_highest_root_compares_roots_below_the_bound(
+    capsys, name, height, count
+):
+    # F is cut at the bound like P and S, so below the highest root the three
+    # sets are the roots no taller than the bound, and they match.
+    argv = ["--json", "--type", name, "--height", str(height), "schur", "verify"]
+    code, out = _run(capsys, argv)
+    data = json.loads(out)
+    assert code == EXIT_OK
+    assert data["sets_match"] is True
+    sets = data["sets"]
+    assert len(sets["all_positive"]) == count
+    assert sets["prefix"] == sets["curves"] == sets["all_positive"]
+    assert max(map(sum, sets["all_positive"])) == height
+
+
 def test_caps_must_be_positive(capsys):
     assert run(["--type", "A2", "--orbit-cap", "0", "roots", "list"]) == EXIT_USAGE
     capsys.readouterr()
@@ -384,6 +402,43 @@ def test_svg_deterministic_and_golden(tmp_path):
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
     golden = (DATA / "curve_2_end3_a3.svg").read_text(encoding="utf-8")
     assert first == golden
+
+
+def _fraction_points(cw, n):
+    """The polyline points as render_curve_svg wrote them over Fractions:
+    each coordinate rounded to tenths by round(), which takes a tie to the
+    even tenth."""
+    unit, spacing = 30, 40
+    baseline = 4 * unit
+
+    def tenths(value):
+        scaled = round(value * 10)
+        return f"{scaled // 10}.{scaled % 10}"
+
+    m = len(cw.letters)
+    points = [(Fraction(spacing * (n + 1), 2), Fraction(baseline + 2 * unit))]
+    points += [
+        (Fraction(spacing * j), baseline - unit * (1 + Fraction(k, m + 1)))
+        for k, j in enumerate(cw.letters, start=1)
+    ]
+    points.append((Fraction(spacing * cw.end), Fraction(baseline)))
+    return " ".join(f"{tenths(x)},{tenths(y)}" for x, y in points)
+
+
+@pytest.mark.parametrize(
+    "letters, end",
+    [
+        ((), 1), ((2,), 3), ((1, 2), 3), ((3, 1, 2), 1), ((1, 2, 1, 2, 1), 3),
+        # m = 7: crossing 1 sits at 120 - 30 * 9/8 = 86.25, a tie kept at 86.2.
+        ((1, 2, 3, 1, 2, 3, 1), 2),
+        ((1, 2, 1, 3, 2, 3, 1, 2, 1), 3),
+    ],
+)
+def test_svg_points_match_the_fraction_route(tmp_path, letters, end):
+    cw = CurveWord(letters, end)
+    svg = render_curve_svg(cw, cartan.preset("A3"), str(tmp_path / "curve.svg"))
+    points = svg.split('<polyline points="', 1)[1].split('"', 1)[0]
+    assert points == _fraction_points(cw, 3)
 
 
 def test_svg_contents(tmp_path):

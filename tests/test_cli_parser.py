@@ -19,8 +19,6 @@ import random
 import pytest
 
 from schur_scope.cli import (
-    DEFAULT_HEIGHT_BOUND,
-    DEFAULT_ORBIT_CAP,
     EXIT_OK,
     EXIT_USAGE,
     HelpRequested,
@@ -30,6 +28,7 @@ from schur_scope.cli import (
     parse_args,
     run,
 )
+from schur_scope.hurwitz import DEFAULT_HEIGHT_BOUND, DEFAULT_NODE_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", help="Coxeter order as a permutation, e.g. 2,1,3")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument(
-        "--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP, help="orbit search node cap"
+        "--orbit-cap", type=int, default=DEFAULT_NODE_CAP, help="orbit search node cap"
     )
     parser.add_argument(
         "--height", type=int, default=DEFAULT_HEIGHT_BOUND, help="root height bound"
@@ -263,7 +262,7 @@ def test_every_accepted_line_has_the_reference_attributes():
     argv = ["--json", "--type", "A3", "curve", "--neg", "spiral", "--end", "3", "--k=-2"]
     assert _table(argv) == _reference(argv) == {
         "type": "A3", "cartan": None, "order": None, "json": True,
-        "orbit_cap": DEFAULT_ORBIT_CAP, "height": DEFAULT_HEIGHT_BOUND,
+        "orbit_cap": DEFAULT_NODE_CAP, "height": DEFAULT_HEIGHT_BOUND,
         "command": "curve", "action": "spiral", "word": "", "end": 3, "neg": True,
         "k": -2, "out": None,
     }

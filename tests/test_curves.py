@@ -8,7 +8,6 @@ from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import preset
 from schur_scope.curves import (
     CurveWord,
-    SimpleVerdict,
     apply_braid_word_curves,
     braid_move_curves,
     canonicalize,
@@ -22,6 +21,7 @@ from schur_scope.curves import (
     spiral,
     universal_model,
 )
+from schur_scope.hurwitz import Ternary
 from test_matrix import mat_pow
 
 PRESETS = ["A2", "B2", "A3", "B3", "universal:2:2", "universal:3:2"]
@@ -243,8 +243,8 @@ def _canonical_words(n, max_length):
 
 def test_is_simple_fan_and_example():
     for cw in fan(3):
-        assert is_simple(cw, 3) is SimpleVerdict.YES
-    assert is_simple(CurveWord((2,), 3), 3) is SimpleVerdict.YES
+        assert is_simple(cw, 3) is Ternary.YES
+    assert is_simple(CurveWord((2,), 3), 3) is Ternary.YES
 
 
 def test_is_simple_shortest_failures_frozen():
@@ -252,11 +252,11 @@ def test_is_simple_shortest_failures_frozen():
     failures = tuple(
         (cw.letters, cw.end)
         for cw in _canonical_words(3, 2)
-        if is_simple(cw, 3) is not SimpleVerdict.YES
+        if is_simple(cw, 3) is not Ternary.YES
     )
     assert failures == SHORTEST_NON_SIMPLE_N3
     for letters, end in SHORTEST_NON_SIMPLE_N3:
-        assert is_simple(CurveWord(letters, end), 3) is SimpleVerdict.NO_WITHIN_BOUND
+        assert is_simple(CurveWord(letters, end), 3) is Ternary.NO
 
 
 def test_is_simple_stable_under_braid_orbit():
@@ -264,7 +264,7 @@ def test_is_simple_stable_under_braid_orbit():
     for _ in range(25):
         curves = _random_tuple(rng, 3, moves=rng.randint(0, 6))
         for cw in curves:
-            assert is_simple(cw, 3) is SimpleVerdict.YES
+            assert is_simple(cw, 3) is Ternary.YES
 
 
 def test_is_simple_runs_no_orbit_search(monkeypatch):
@@ -273,8 +273,8 @@ def test_is_simple_runs_no_orbit_search(monkeypatch):
 
     monkeypatch.setattr(hurwitz, "_targeted_orbit_search", refuse)
     monkeypatch.setattr(hurwitz, "_root_tuples", refuse)
-    assert is_simple(CurveWord((2, 1, 3, 1), 2), 3) is SimpleVerdict.NO_WITHIN_BOUND
-    assert is_simple(CurveWord((1, 2, 1, 2), 1), 3) is SimpleVerdict.YES
+    assert is_simple(CurveWord((2, 1, 3, 1), 2), 3) is Ternary.NO
+    assert is_simple(CurveWord((1, 2, 1, 2), 1), 3) is Ternary.YES
 
 
 @pytest.mark.parametrize(
@@ -290,9 +290,9 @@ def test_is_simple_agrees_with_the_orbit_search(n, max_length, node_cap):
         orbit = hurwitz.is_prefix_of_coxeter(root_of_curve(cw, U), U, node_cap=node_cap)
         verdict = is_simple(cw, n)
         if orbit.answer is hurwitz.Ternary.YES:
-            expected = SimpleVerdict.YES
+            expected = Ternary.YES
         elif orbit.exhausted:
-            expected = SimpleVerdict.NO_WITHIN_BOUND
+            expected = Ternary.NO
         else:
             continue
         seen.add(expected)
@@ -301,7 +301,7 @@ def test_is_simple_agrees_with_the_orbit_search(n, max_length, node_cap):
     for disagreement in disagreements:
         print("orbit and Dyer disagree:", *disagreement)
     assert not disagreements
-    assert seen == {SimpleVerdict.YES, SimpleVerdict.NO_WITHIN_BOUND}
+    assert seen == {Ternary.YES, Ternary.NO}
 
 
 def test_is_simple_range_check():

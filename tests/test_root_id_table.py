@@ -104,7 +104,7 @@ def _reference_search(table, start, target, node_cap, height_cap):
             parents[image] = (node, letter)
             if target.root in image:
                 return finish(image), False, len(parents)
-            if height_cap is not None and any(height(r) > height_cap for r in image):
+            if any(height(r) > height_cap for r in image):
                 continue
             if len(parents) >= node_cap:
                 exhausted = False
@@ -113,8 +113,8 @@ def _reference_search(table, start, target, node_cap, height_cap):
     return None, exhausted, len(parents)
 
 
-def _reference_harvest(table, o, height_bound, node_cap, prune_multiplier):
-    cap = prune_multiplier * height_bound
+def _reference_harvest(table, o, height_bound, node_cap):
+    cap = DEFAULT_PRUNE_MULTIPLIER * height_bound
     nodes, exhausted = weyl._bounded_closure(
         [table.admit(canonical_factorization(o.cartan, o.order))],
         table.images,
@@ -162,7 +162,7 @@ def test_harvests_match_the_eager_table(name, height_bound):
     reference = _EagerRootTable(o.cartan)
     flags = set()
     for node_cap in (DEFAULT_NODE_CAP, 200):
-        args = (o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER)
+        args = (o, height_bound, node_cap)
         harvest = _curve_root_harvest(*args)
         assert harvest == _reference_harvest(reference, *args)
         flags.add(harvest[1])

@@ -64,7 +64,7 @@ def _full_image_search(C, start, target, node_cap, height_cap):
             parents[image] = (node, letter)
             if goal in image:
                 return SearchOutcome(finish(image), False, len(parents))
-            if height_cap is not None and any(heights[g] > height_cap for g in image):
+            if any(heights[g] > height_cap for g in image):
                 continue
             if len(parents) >= node_cap:
                 exhausted = False
@@ -101,13 +101,19 @@ def test_searches_on_the_new_root_match_the_full_image_tests(name, max_height):
         assert {(True, False), (True, True)} <= flags
 
 
-def test_a_search_without_height_cap_matches_the_full_image_tests():
+def test_a_search_without_height_cap_matches_the_full_image_tests(monkeypatch):
+    # The searches run on a fresh table, so its heights are those of the
+    # roots they met, and a height cap above all of them pruned none.
     C = preset("universal:3:2")
+    table = hurwitz._ReflectionTable(C)
+    monkeypatch.setattr(hurwitz, "_root_tuples", lambda C: table)
     start = canonical_factorization(C)
+    cap = 10**9
     for beta in weyl.positive_real_roots(C, 6):
         target = weyl.reflection_for_root(C, beta)
-        args = (C, start, target, 200, None)
+        args = (C, start, target, 200, cap)
         assert _targeted_orbit_search(*args) == _full_image_search(*args), beta
+    assert max(table.heights) < cap
 
 
 def test_a_start_taller_than_the_height_cap_is_refused():
@@ -157,7 +163,7 @@ def test_a_harvest_given_the_enumerated_roots_keeps_the_full_walks_roots(name, h
     for height_bound in heights:
         roots = _enumerated(o, height_bound)
         for node_cap in (DEFAULT_NODE_CAP, 2000, 200, 50):
-            args = (o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER)
+            args = (o, height_bound, node_cap)
             full, complete = _curve_root_harvest(*args)
             stopped, stopped_complete = _curve_root_harvest(*args, roots)
             assert stopped == full, (height_bound, node_cap)
@@ -171,7 +177,7 @@ def test_a_harvested_root_outside_the_given_roots_is_an_internal_error():
     o = Orientation.default(preset("universal:3:2"))
     roots = _enumerated(o, 8)
     with pytest.raises(ArithmeticError, match="not among the enumerated roots"):
-        _curve_root_harvest(o, 8, DEFAULT_NODE_CAP, DEFAULT_PRUNE_MULTIPLIER, roots[:-1])
+        _curve_root_harvest(o, 8, DEFAULT_NODE_CAP, roots[:-1])
 
 
 VERIFY_CASES = [
@@ -193,7 +199,7 @@ def test_verify_gives_the_report_of_the_full_walk(name, heights, monkeypatch):
     reports = [verify_conjecture(o, h) for h in heights]
     harvest = schur._curve_root_harvest
     monkeypatch.setattr(
-        schur, "_curve_root_harvest", lambda o, h, cap, multiplier, roots: harvest(o, h, cap, multiplier)
+        schur, "_curve_root_harvest", lambda o, h, cap, roots: harvest(o, h, cap)
     )
     assert [verify_conjecture(o, h) for h in heights] == reports
 
@@ -201,9 +207,8 @@ def test_verify_gives_the_report_of_the_full_walk(name, heights, monkeypatch):
 def _verify_searching_every_root(o, height_bound, node_cap):
     """verify_conjecture as it was: the prefix search for every root, then
     the harvest."""
-    enumerated = weyl.positive_real_roots(o.cartan, height_bound)
     finite = classify_type(o.cartan) is TypeClass.FINITE
-    positives = tuple(r for r in enumerated if height(r) <= height_bound)
+    positives = _enumerated(o, height_bound)
     prefix_roots, unknowns = [], []
     for beta in positives:
         answer = schur.is_schur_root(beta, o, node_cap).answer
@@ -211,14 +216,12 @@ def _verify_searching_every_root(o, height_bound, node_cap):
             prefix_roots.append(beta)
         elif answer is hurwitz.Ternary.UNKNOWN:
             unknowns.append(beta)
-    harvested, exhausted = _curve_root_harvest(
-        o, height_bound, node_cap, DEFAULT_PRUNE_MULTIPLIER, positives
-    )
+    harvested, exhausted = _curve_root_harvest(o, height_bound, node_cap, positives)
     return schur.ConjectureReport(
         height_bound=height_bound,
         prefix_roots=tuple(sorted(prefix_roots, key=schur._root_sort_key)),
         curve_roots=tuple(sorted(harvested, key=schur._root_sort_key)),
-        all_positive=enumerated if finite else None,
+        all_positive=positives if finite else None,
         unknowns=tuple(sorted(unknowns, key=schur._root_sort_key)),
         truncated=not exhausted,
     )
