@@ -9,14 +9,17 @@ The tables of a finite-type group (enumerate_group, _absolute_length_table)
 hold an element w as the root ids of its columns w(alpha_1), ..., w(alpha_n),
 with the ids of _root_ids; this module alone reads that format.  Left
 multiplication by x is then x's permutation of the root ids applied to each
-id (_act), and _element_matrix turns an element back into its matrix.
+id (_act), and _element_matrix turns an element back into its matrix.  One
+breadth-first walk of the identity under every reflection builds both
+tables: an element's level in it is its absolute length, by definition, and
+enumerate_group is the set of elements the walk met.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from operator import mul
+from operator import itemgetter, mul
 
 from . import _matrix as _mat
 from ._matrix import Matrix, Vector, identity, mat_sub, matmul
@@ -212,7 +215,7 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     return Reflection(beta, row)
 
 
-def _bounded_closure(starts, moves, node_cap, expand=None):
+def _bounded_closure(starts, moves, node_cap, expand=None, levels=None):
     """Breadth-first closure of the starts under moves, keeping at most
     node_cap nodes; returns (nodes in discovery order, complete).
 
@@ -221,13 +224,22 @@ def _bounded_closure(starts, moves, node_cap, expand=None):
     dropped and complete becomes False.  A kept node for which expand(node)
     is false is recorded but not expanded.  The walk goes one breadth-first
     level at a time, which meets the nodes in the order of a queue.
+
+    Each kept node is recorded with its level: 0 for the starts, and one
+    more than the node whose moves first met it.  In a complete walk that
+    expanded every node, that is its distance from the starts in the graph
+    of the moves.  A caller that wants the levels passes an empty dict as
+    levels, and the walk records the nodes in it.
     """
-    seen = dict.fromkeys(starts)
-    level = list(seen)
+    seen = {} if levels is None else levels
+    seen.update(dict.fromkeys(starts, 0))
+    frontier = list(seen)
+    depth = 0
     complete = True
-    while level:
+    while frontier:
+        depth += 1
         found = []
-        for node in level:
+        for node in frontier:
             if expand is not None and not expand(node):
                 continue
             for image in moves(node):
@@ -236,9 +248,9 @@ def _bounded_closure(starts, moves, node_cap, expand=None):
                 if len(seen) >= node_cap:
                     complete = False
                     continue
-                seen[image] = None
+                seen[image] = depth
                 found.append(image)
-        level = found
+        frontier = found
     return tuple(seen), complete
 
 
@@ -390,8 +402,12 @@ def _root_ids(C: CartanMatrix) -> _RootIds:
 
 
 def _act(permutation: Element, w: Element) -> Element:
-    """x w, for x given as its permutation of the root ids."""
-    return tuple([permutation[k] for k in w])
+    """x w, for x given as its permutation of the root ids: w's ids looked
+    up in x's permutation.  itemgetter of one id returns that id, not a
+    1-tuple, so rank 1 takes the branch."""
+    if len(w) == 1:
+        return (permutation[w[0]],)
+    return itemgetter(*w)(permutation)
 
 
 def _element_ids(C: CartanMatrix, m: Matrix) -> Element:
@@ -420,16 +436,31 @@ def _element_matrix(C: CartanMatrix, w: Element) -> Matrix:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_group(C: CartanMatrix) -> frozenset[Element]:
-    """All elements of a finite-type group, as root-id tuples: the closure of
-    the identity under left multiplication by the simple reflections.
+    """All elements of a finite-type group, as root-id tuples: the keys of
+    _absolute_length_table(C), which walks the group and refuses it past
+    the cap (ValueError)."""
+    return frozenset(_absolute_length_table(C))
 
-    The identity is the ids of the simple roots, and s_i w is s_i's
-    permutation of Phi applied to w's n ids, with no arithmetic.  A group
-    with more than _FINITE_CLOSURE_CAP elements is refused before any table
-    is built (ValueError).  The closure keeps at most group_order(C) elements
-    and must find exactly that many (ArithmeticError otherwise), so it cannot
-    run away; since group_order reads |W| off the roots, not the group, this
-    compares two independent routes.
+
+@functools.lru_cache(maxsize=None)
+def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
+    """Absolute length of every element of a finite-type group, keyed by its
+    root ids.
+
+    The absolute length of w is by definition its distance from the
+    identity in the Cayley graph on all reflections T, so the table is one
+    breadth-first walk: the closure of the identity (the ids of the simple
+    roots) under left multiplication by every reflection, each t w being t's
+    permutation of Phi applied to w's n ids, with each element's level as
+    its length.  Carter's lemma, l(w) = rank(w - id) ("Conjugacy classes in
+    the Weyl group", Compositio 1972, Lemma 2), is the reference the tests
+    hold it to (tests/test_group_id_table.py, tests/test_matrix.py).
+
+    A group with more than _FINITE_CLOSURE_CAP elements is refused before
+    any table is built (ValueError).  The walk keeps at most group_order(C)
+    elements and must find exactly that many (ArithmeticError otherwise), so
+    it cannot run away; since group_order reads |W| off the roots, not the
+    group, this compares two independent routes.
     """
     order = group_order(C)
     if order > _FINITE_CLOSURE_CAP:
@@ -439,35 +470,17 @@ def enumerate_group(C: CartanMatrix) -> frozenset[Element]:
         )
     one = _element_ids(C, identity(C.n))
     permutations = _root_ids(C).permutations
-    simple = [permutations[k] for k in one]  # reflection k has root id k
 
     def moves(w: Element) -> list[Element]:
-        return [_act(s, w) for s in simple]
+        return [_act(t, w) for t in permutations]
 
-    elements, complete = _bounded_closure([one], moves, order)
-    if not complete or len(elements) != order:
+    table: dict[Element, int] = {}
+    _, complete = _bounded_closure([one], moves, order, levels=table)
+    if not complete or len(table) != order:
         raise ArithmeticError(
-            f"enumerated {len(elements)} group elements, but |W| = {order}; upstream bug"
+            f"enumerated {len(table)} group elements, but |W| = {order}; upstream bug"
         )
-    return frozenset(elements)
-
-
-@functools.lru_cache(maxsize=None)
-def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
-    """Absolute length of every element of a finite-type group, keyed by its
-    root ids: rank(w - id), by Carter's lemma ("Conjugacy classes in the
-    Weyl group", Compositio 1972, Lemma 2).  The rank is taken of the
-    transpose, whose row j is the column w(alpha_j) - alpha_j, looked up by
-    (j, id) rather than recomputed per element."""
-    group = enumerate_group(C)  # refuses a group past the cap before any table
-    roots = _root_ids(C).roots
-    shifted = [
-        [tuple([x - (i == j) for i, x in enumerate(beta)]) for beta in roots]
-        for j in range(C.n)
-    ]
-    return {
-        w: _mat.rank([shifted[j][k] for j, k in enumerate(w)]) for w in group
-    }
+    return table
 
 
 def length_lower_bound(w: Matrix) -> int:

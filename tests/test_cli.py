@@ -356,7 +356,18 @@ NC_LIST_DIGESTS = {
     ("--type", "D5", "--order", "2,1,5,4,3"):
         "e9a432dd7206d6f3505ff5ddf3eb179c80af3882d83ee712f41f877d9b6b8ccc",
     ("--type", "F4"): "bd863416653ea572d9106fc0ff76b5697615df77c339b9a8e19ea42830792df2",
+    ("--type", "A1"): "886e546eed94ade3e488db5b63a5be44620aa0a4f1f882931ca4a4e2fb654278",
+    ("--type", "B2"): "cef967674414c58762300f697714df5621a1272e9b41c343dbc13c0f65410c47",
+    ("--type", "G2"): "dc68184c850b5b94fe5f0d1e74e6e3251511283057e7b861ebd6e2b60d0b725c",
+    ("--type", "A5", "--order", "2,1,5,4,3"):
+        "161935c27f1504adf4821cfc4c97e46fee72b3a129aa629cb00f52e1e977e61d",
+    ("--type", "D5"): "c97f95051bcd48721e98a519dc5d250f1baebb17d3bca8e33df7f7772859f64c",
+    ("--type", "D6"): "0cd85bd7890053b3789374afe2733f1a48fa2c1a8c7ac5512e160c97f6edb6c1",
+    ("--type", "E6"): "ecacd9e4f6d54ef83a4f2315b2a705e4f62f618a5cc7639bd0d567bb1b516764",
 }
+
+# Text mode, with the DOT graph of the covers.
+NC_LIST_DOT_D4_DIGEST = "644962dc83b05c44fa70260f2f4700451066c34cf47899ac835bd42086f46cfa"
 
 
 @pytest.mark.parametrize("session", sorted(NC_LIST_DIGESTS))
@@ -364,6 +375,24 @@ def test_nc_list_json_matches_its_golden_digest(capsys, session):
     code, out = _run(capsys, ["--json", *session, "nc", "list"])
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == NC_LIST_DIGESTS[session]
+
+
+def test_nc_list_text_dot_matches_its_golden_digest(capsys):
+    code, out = _run(capsys, ["--type", "D4", "nc", "list", "--dot"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == NC_LIST_DOT_D4_DIGEST
+
+
+def test_rank_one_group_commands_keep_their_bytes(capsys):
+    # Rank 1 is where the permutation product takes its one-id branch.
+    expected = {
+        ("nc", "list"): 'size = 2\nnodes = [{"id": 0, "rank": 0}, '
+        '{"id": 1, "rank": 1, "root": [1]}]\ncovers = [[0, 1]]\n',
+        ("nc", "chain"): "steps = [[1]]\nfull_factorization = [[1]]\n",
+        ("group", "order"): "order = 2\n",
+    }
+    for command, text in expected.items():
+        assert _run(capsys, ["--type", "A1", *command]) == (EXIT_OK, text), command
 
 
 def test_mutate_output(capsys):

@@ -211,8 +211,8 @@ def test_rank_matches_the_row_scan_rank_with_zero_rows_and_columns():
 
 @pytest.mark.parametrize("name", ["D5", "E6"])
 def test_rank_of_w_minus_1_matches_the_row_scan_rank(name):
-    # The rows _absolute_length_table takes the rank of: row j is the column
-    # w(alpha_j) - alpha_j of w - 1, for every element w of the group.
+    # Carter's lemma against the lengths of _absolute_length_table: row j is
+    # the column w(alpha_j) - alpha_j of w - 1, for every element w of the group.
     C = preset(name)
     roots = weyl._root_ids(C).roots
     shifted = [

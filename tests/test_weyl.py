@@ -549,12 +549,12 @@ def test_enumerate_group_refuses_large_groups_and_checks_its_size(monkeypatch):
     with pytest.raises(ValueError, match="2903040 elements"):
         enumerate_group(preset("E7"))
     assert weyl._root_ids.cache_info().currsize == built  # refused before any table
-    # The uncached closure against a wrong |W|: too small cuts it short, too
-    # large leaves it short of the count.
+    # The uncached walk against a wrong |W|: too small cuts it short, too
+    # large leaves it short of the count.  The length table owns the walk.
     for wrong in (5, 7):
         monkeypatch.setattr(weyl, "group_order", lambda C, wrong=wrong: wrong)
         with pytest.raises(ArithmeticError):
-            enumerate_group.__wrapped__(preset("A2"))
+            weyl._absolute_length_table.__wrapped__(preset("A2"))
 
 
 def test_form_preservation():
@@ -591,6 +591,48 @@ def test_bounded_closure_expand_and_several_starts():
     )
     # Starts count toward the cap.
     assert weyl._bounded_closure([7, 0], step, 3) == ((7, 0, 8), False)
+
+
+def test_bounded_closure_records_breadth_first_levels():
+    def moves(x):
+        return [(x + 1) % 10, (2 * x) % 10]
+
+    levels = {}
+    nodes, complete = weyl._bounded_closure([0], moves, 10, levels=levels)
+    assert complete and tuple(levels) == nodes
+    # 0 -> 1 -> 2 -> {3, 4} -> {6, 5, 8} -> {7, 9}: the shortest move counts.
+    assert levels == {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 6: 4, 5: 4, 8: 4, 7: 5, 9: 5}
+    several = {}
+    weyl._bounded_closure([7, 0], lambda x: [(x + 1) % 10], 10, levels=several)
+    assert several == {7: 0, 0: 0, 8: 1, 1: 1, 9: 2, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_act_matches_the_lookup_loop(n):
+    # itemgetter of one id returns the id itself, so rank 1 is the case to pin.
+    rng = random.Random(n)
+    for _ in range(200):
+        size = rng.randint(2, 40)
+        p = tuple(rng.sample(range(size), size))
+        w = tuple(rng.randrange(size) for _ in range(n))
+        product = weyl._act(p, w)
+        assert type(product) is tuple
+        assert product == tuple([p[k] for k in w])
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "A3", "D4"])
+def test_length_table_takes_no_rank(monkeypatch, name):
+    # The walk's levels are the lengths; Carter's rank(w - 1) is only the
+    # tests' reference (test_group_id_table, test_matrix).
+    C = preset(name)
+    reference = weyl._absolute_length_table(C)
+
+    def refuse(*args):
+        raise AssertionError("rank called while building the length table")
+
+    monkeypatch.setattr(weyl._mat, "rank", refuse)
+    assert weyl._absolute_length_table.__wrapped__(C) == reference
+    assert max(reference.values()) == C.n  # the Coxeter element has length n
 
 
 def _fraction_root_of_reflection(t):
