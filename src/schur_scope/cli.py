@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -65,23 +64,17 @@ def _parse_element(text: str, session: Session):
 
 # --- the command line ---------------------------------------------------------
 #
-# One table holds the whole command line, and parse_args reads argv against
-# it.  Global options come before the command; after it, the command's
-# options and its one positional come in any order.  An option's value
-# follows it or is joined to it by "=", a unique prefix of an option name
-# stands for the name, a value may start with "-" only if it is a negative
-# number (or holds a space), and a repeated option keeps its last value.
-# Every token is read against the global options before any is parsed, so an
-# ambiguous prefix such as --o is refused wherever it stands, up to a "--",
-# after which every token is a positional.  tests/test_cli_parser.py holds
-# the standard library parser this grammar comes from, as the reference.
+# One table holds the whole command line, and the standard library's argparse,
+# built from it by _parser, is its grammar: global options come before the
+# command; after it, the command's options and its one positional come in any
+# order; a unique prefix stands for an option name, and help, usage and
+# refusals are argparse's.  Building that parser imports gettext and locale
+# and makes a help formatter per argument, about half of a cold command's
+# start-up, so _plain reads the lines that need no grammar, and argparse
+# reads every other line.  tests/test_cli_parser.py checks both against the
+# argparse parser of the earlier CLI, kept there verbatim as the reference.
 #
 # An option is (kind, default, required, help); kind is "flag", "str" or "int".
-
-_DESCRIPTION = (
-    "Exact computations with Coxeter elements, reflection factorizations, "
-    "curve words and noncrossing partitions."
-)
 
 _GLOBAL_OPTIONS = {
     "--type": ("str", None, False, "preset label, e.g. A3, B2, universal:3:2"),
@@ -122,218 +115,102 @@ _COMMANDS = {
     "repro": ("fixture", None, {}),
 }
 
-_HELP = ("-h", "--help")
-
-
-class UsageError(Exception):
-    """A refused command line; command names the usage to print (None for the
-    global one)."""
-
-    def __init__(self, message: str, command: str | None = None):
-        super().__init__(message)
-        self.command = command
-
-
-class HelpRequested(Exception):
-    """-h or --help, for the global options (command None) or a command."""
-
-    def __init__(self, command: str | None = None):
-        super().__init__(command)
-        self.command = command
-
 
 def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _read(token: str, options: dict, command: str | None):
-    """One token read against options: None for a positional, else (name,
-    attached): name is None for an unknown option, and attached is the text
-    after "=" (after "-h" for a single-dash token), or None."""
-    if token[:1] != "-" or token == "-":
-        return None
-    names = (*_HELP, *options)
-    if token in names:
-        return token, None
-    head, eq, tail = token.partition("=")
-    if eq and head in names:
-        return head, tail
-    if token[1] == "-":
-        hits = [name for name in names if name.startswith(head)]
-        attached = tail if eq else None
-    else:
-        hits = ["-h"] if token.startswith("-h") else []
-        attached = token[2:]
-    if len(hits) > 1:
-        raise UsageError(
-            f"ambiguous option: {token} could match {', '.join(hits)}", command
-        )
-    if hits:
-        return hits[0], attached
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
+def _parser():
+    import argparse
+
+    def add_options(parser, options: dict) -> None:
+        for name, (kind, default, required, text) in options.items():
+            if kind == "flag":
+                spec = {"action": "store_true"}
+            else:
+                spec = {"type": int if kind == "int" else None, "default": default,
+                        "required": required}
+            parser.add_argument(name, help=text, **spec)
+
+    parser = argparse.ArgumentParser(
+        prog="schur-scope",
+        description="Exact computations with Coxeter elements, reflection "
+        "factorizations, curve words and noncrossing partitions.",
+    )
+    add_options(parser, _GLOBAL_OPTIONS)
+    commands = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for command, (positional, choices, options) in _COMMANDS.items():
+        shown = "{" + ",".join(choices) + "}" if choices else positional.upper()
+        sub = commands.add_parser(command, help=shown)
+        sub.add_argument(positional, choices=choices)
+        add_options(sub, options)
+    return parser
 
 
-def _read_all(tokens: list[str], options: dict, command: str | None) -> list:
-    """_read of each token up to the first "--", which reads as "--"; every
-    token after it is a positional."""
-    reads = []
-    for i, token in enumerate(tokens):
-        if token == "--":
-            return reads + ["--"] + [None] * (len(tokens) - i - 1)
-        reads.append(_read(token, options, command))
-    return reads
-
-
-def _take_options(tokens, reads, i, options, args, command, seen, unknown) -> int:
-    """Set args from the options in tokens[i:] up to the next positional or
-    "--", and return its index (len(tokens) if there is none).  Unknown
-    options go to unknown; they are refused only once the line is read, so a
-    later -h still prints help."""
-    while i < len(tokens) and reads[i] is not None and reads[i] != "--":
-        name, attached = reads[i]
-        i += 1
-        if name is None:
-            unknown.append(tokens[i - 1])
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """argv's attributes if it is a plain line, else None.  A plain line names
+    each option exactly, the global ones before the command and the command's
+    own after it; gives a flag no value, and any other option a value joined
+    by "=" or as the next token, which does not start with "-"; gives an int
+    option an int and every required option; and has, after the command, one
+    positional among the command's choices.  argparse reads it alike."""
+    options, positional, choices = _GLOBAL_OPTIONS, None, None
+    args = SimpleNamespace(command=None, **{_dest(n): o[1] for n, o in options.items()})
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if args.command is None and token in _COMMANDS:
+                args.command = token
+                positional, choices, options = _COMMANDS[token]
+                vars(args).update({_dest(n): o[1] for n, o in options.items()})
+                setattr(args, positional, None)
+            elif positional and getattr(args, positional) is None and (
+                choices is None or token in choices
+            ):
+                setattr(args, positional, token)
+            else:
+                return None
             continue
-        if name in _HELP:
-            # -hh reads as -h -h.
-            if attached is None or (name == "-h" and attached and not attached.strip("h")):
-                raise HelpRequested(command)
-            raise UsageError(f"argument -h/--help: ignored explicit argument {attached!r}", command)
-        kind = options[name][0]
+        name, joined, value = token.partition("=")
+        kind = name in options and options[name][0]
+        if not kind or kind == "flag" and joined:
+            return None
         if kind == "flag":
-            if attached is not None:
-                raise UsageError(f"argument {name}: ignored explicit argument {attached!r}", command)
             value = True
-        else:
-            if attached is None:
-                if i == len(tokens) or reads[i] is not None:
-                    raise UsageError(f"argument {name}: expected one argument", command)
-                attached = tokens[i]
-                i += 1
-            value = attached
-            if kind == "int":
-                try:
-                    value = int(attached)
-                except ValueError:
-                    raise UsageError(
-                        f"argument {name}: invalid int value: {attached!r}", command
-                    ) from None
+        elif not joined:
+            value = next(tokens, "-")  # a missing value is not plain
+            if value[:1] == "-":
+                return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
         setattr(args, _dest(name), value)
         seen.add(name)
-    return i
+    if positional is None or getattr(args, positional) is None:
+        return None
+    return None if any(o[2] and n not in seen for n, o in options.items()) else args
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """argv read by the grammar above into the attributes the handlers read:
-    the global options, command, the command's positional and its options.
-    Raises HelpRequested for -h/--help and UsageError for a refused line."""
-    args = SimpleNamespace(command=None)
-    for name, option in _GLOBAL_OPTIONS.items():
-        setattr(args, _dest(name), option[1])
-    reads = _read_all(argv, _GLOBAL_OPTIONS, None)
-    unknown: list[str] = []
-    i = _take_options(argv, reads, 0, _GLOBAL_OPTIONS, args, None, set(), unknown)
-    if i == len(argv):
-        raise UsageError("the following arguments are required: command")
-    command = argv[i]
-    if reads[i] is not None or command not in _COMMANDS:
-        raise UsageError(
-            f"argument command: invalid choice: {command!r} "
-            f"(choose from {', '.join(map(repr, _COMMANDS))})"
-        )
-    args.command = command
-    positional, choices, options = _COMMANDS[command]
-    setattr(args, positional, None)
-    for name, option in options.items():
-        setattr(args, _dest(name), option[1])
-    tokens = argv[i + 1:]
-    reads = _read_all(tokens, options, command)
-    seen: set[str] = set()
-    i = 0
-    while True:
-        i = _take_options(tokens, reads, i, options, args, command, seen, unknown)
-        if i == len(tokens):
-            break
-        # A "--" just before or after the positional goes with it; any other
-        # "--", like any second positional, is unrecognized.
-        j = i + (reads[i] == "--")
-        if positional in seen or j == len(tokens):
-            unknown.append(tokens[i])
-            i += 1
-            continue
-        token = tokens[j]
-        if choices is not None and token not in choices:
-            raise UsageError(
-                f"argument {positional}: invalid choice: {token!r} "
-                f"(choose from {', '.join(map(repr, choices))})",
-                command,
-            )
-        setattr(args, positional, token)
-        seen.add(positional)
-        i = j + 1
-        if i < len(tokens) and reads[i] == "--":
-            i += 1
-    missing = [positional] if positional not in seen else []
-    missing += [name for name, option in options.items() if option[2] and name not in seen]
-    if missing:
-        raise UsageError(
-            f"the following arguments are required: {', '.join(missing)}", command
-        )
-    if unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    """argv read into the attributes the handlers read: the global options,
+    command, the command's positional and its options.  argparse raises
+    SystemExit for --help (code 0) and for a refused line (code 2)."""
+    args = _plain(argv)
+    if args is not None:
+        return args
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # Before Python 3.13, argparse reads a value of exactly "--" joined by
+    # "=" (--word=--) as []; read it as 3.13 does: a string, and not an int.
+    for name, (kind, _, _, _) in {**_GLOBAL_OPTIONS, **_COMMANDS[args.command][2]}.items():
+        if getattr(args, _dest(name)) == []:
+            if kind == "int":
+                parser.error(f"argument {name}: invalid int value: '--'")
+            setattr(args, _dest(name), "--")
     return args
-
-
-def _metavar(positional: str, choices) -> str:
-    return "{" + ",".join(choices) + "}" if choices else positional.upper()
-
-
-def _spelled(name: str, kind: str) -> str:
-    return name if kind == "flag" else f"{name} {_dest(name).upper()}"
-
-
-def _usage(command: str | None) -> str:
-    """The usage line, wrapped at 79 columns."""
-    if command is None:
-        prog, options, tail = "schur-scope", _GLOBAL_OPTIONS, "command ..."
-    else:
-        positional, choices, options = _COMMANDS[command]
-        prog, tail = f"schur-scope {command}", _metavar(positional, choices)
-    parts = ["[-h]"]
-    for name, (kind, _, required, _) in options.items():
-        part = _spelled(name, kind)
-        parts.append(part if required else f"[{part}]")
-    lines = [f"usage: {prog}"]
-    for part in [*parts, tail]:
-        if len(lines[-1]) + 1 + len(part) > 79:
-            lines.append(" " * len(f"usage: {prog}"))
-        lines[-1] += " " + part
-    return "\n".join(lines)
-
-
-def _help_text(command: str | None) -> str:
-    import textwrap
-
-    lines = [_usage(command), ""]
-    if command is None:
-        options = _GLOBAL_OPTIONS
-        lines += textwrap.wrap(_DESCRIPTION, 79) + ["", "commands:"]
-        lines += [f"  {name} {_metavar(*spec[:2])}" for name, spec in _COMMANDS.items()]
-        lines.append("")
-    else:
-        options = _COMMANDS[command][2]
-    rows = [("-h, --help", "show this help message and exit")]
-    rows += [(_spelled(name, kind), text) for name, (kind, _, _, text) in options.items()]
-    width = max(len(left) for left, _ in rows) + 2
-    lines.append("options:")
-    for left, text in rows:
-        lines += textwrap.wrap(
-            text, 79, initial_indent=f"  {left:<{width}}", subsequent_indent=" " * (width + 2)
-        )
-    return "\n".join(lines)
 
 
 def _build_session(args: SimpleNamespace) -> Session:
@@ -566,13 +443,8 @@ def emit(payload: dict, json_mode: bool) -> str:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-    except HelpRequested as exc:
-        print(_help_text(exc.command))
-        return EXIT_OK
-    except UsageError as exc:
-        print(_usage(exc.command), file=sys.stderr)
-        print(f"schur-scope: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse printed the help (0) or a refusal
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         session = _build_session(args)
         payload, code = _HANDLERS[args.command](session, args)

@@ -1,0 +1,189 @@
+"""The golden corpus of CLI outputs: one line of tests/golden/cli.jsonl per
+command line, with its exit code and the sha256 of its stdout, its stderr
+and, for `curve render`, the SVG file it writes.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+recomputes every entry in-process through cli.run, rewrites cli.jsonl and
+prints each entry that changed.  A change whose output is meant to move
+regenerates the corpus and names every printed entry and its reason in
+CHANGES.md; any other changed entry is a regression, and
+tests/test_golden.py fails on it.
+
+Every line is read by the parser (no --help, no refusal by the grammar);
+validation errors from the handlers (exit 1) and caps (exit 2) are kept,
+since their exit codes are part of the surface.  Each line runs in a
+temporary working directory that holds CARTAN_FILES, and `curve render`
+writes its SVG to the relative path RENDER_OUT there.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from schur_scope import cli
+
+CORPUS = Path(__file__).with_name("cli.jsonl")
+RENDER_OUT = "curve.svg"
+CARTAN_FILES = {"affine-b4.txt": "5\n2 -1 0 0 0\n-1 2 -1 0 -1\n0 -1 2 -2 0\n0 0 -1 2 0\n0 -1 0 0 2\n"}
+
+# preset: (rank, height bound or None); an infinite type runs at its bound,
+# and its orbit commands stop at an orbit cap of 60.
+_PRESETS = {
+    "A2": (2, None), "B2": (2, None), "G2": (2, None), "A3": (3, None), "B3": (3, None),
+    "C3": (3, None), "A4": (4, None), "D4": (4, None), "F4": (4, None),
+    "affine-A1": (2, "6"), "affine-A2": (3, "4"), "affine-A3": (4, "4"),
+    "universal:2:3": (2, "6"), "universal:3:2": (3, "4"), "universal:3:3": (3, "3"),
+    "universal:4:2": (4, "3"),
+}
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _preset_lines(name: str) -> list[list[str]]:
+    n, height = _PRESETS[name]
+    session = ["--type", name] + (["--height", height] if height else [])
+    capped = ["--orbit-cap", "60"] if height else []
+    root = _csv([1, 1] + [0] * (n - 2))  # the sum of the first two simple roots
+    last = _csv([0] * (n - 1) + [1])  # the last simple root
+    word = "1,-2,1" if n > 2 else "1,-1,1"
+    curve = ["--word", _csv(range(n - 1, 0, -1)), "--end", str(n)]
+    tails = [
+        ["roots", "list"],
+        ["group", "order"],
+        [*capped, "orbit", "count"],
+        [*capped, "orbit", "dump"],
+        ["schur", "check", "--root", root],
+        ["schur", "check", "--root", last],
+        ["schur", "list"],
+        ["schur", "verify"],
+        ["nc", "list"],
+        ["nc", "list", "--dot"],
+        ["nc", "leq", "--u", last, "--w", root],
+        ["nc", "leq", "--u", root, "--w", root],
+        ["nc", "chain"],
+        ["nc", "chain", "--u", root],
+        ["braid", "apply", "--word", word],
+        ["braid", "stab", "--word", word],
+        ["curve", "root", *curve],
+        ["curve", "root", "--neg", *curve],
+        ["curve", "loop", *curve],
+        ["curve", "simple", *curve],
+        ["curve", "simple", "--end", "1"],
+        ["curve", "spiral", "--k", "2", *curve],
+        ["curve", "spiral", "--k=-1", "--neg", *curve],
+        ["curve", "render", *curve, "--out", RENDER_OUT],
+        ["mutate", "source"],
+        ["mutate", "sink"],
+    ]
+    lines = [session + tail for tail in tails]
+    # The reversed Coxeter order n, ..., 1.
+    reversed_order = ["--order", _csv(range(n, 0, -1))]
+    for tail in ([*capped, "orbit", "count"], ["schur", "verify"], ["mutate", "source"],
+                 ["nc", "chain"]):
+        lines.append(session + reversed_order + tail)
+    return lines
+
+
+# The commands of the CI job, but for E7 `orbit count` (a million tuples).
+_CI_LINES = [
+    ["--type", "E8", "group", "order"],
+    ["--type", "E7", "group", "order"],
+    ["--type", "B30", "group", "order"],
+    ["--type", "E6", "nc", "list"],
+    ["--type", "D6", "nc", "list"],
+    ["--type", "E7", "nc", "list"],
+    ["--type", "E7", "nc", "leq", "--u", "1,0,0,0,0,0,0", "--w", "1,0,0,0,0,0,0"],
+    ["--type", "E8", "nc", "chain"],
+    ["--type", "E8", "schur", "list"],
+    ["--type", "E7", "schur", "verify"],
+    ["--type", "E6", "schur", "verify"],
+    ["--type", "universal:4:2", "--height", "4", "schur", "verify"],
+    ["--type", "A5", "--height", "2", "schur", "verify"],
+    ["--type", "E6", "orbit", "count"],
+    ["--type", "universal:4:2", "curve", "simple", "--word", "1,2,1,2,3", "--end", "4"],
+    ["--type", "universal:4:2", "curve", "simple", "--word", "1,2,3", "--end", "4"],
+    ["--type", "affine-A3", "--height", "12", "schur", "verify"],
+    ["--type", "affine-A2", "nc", "leq", "--u", "31,32,31", "--w", "[[2,1,-2],[2,0,-1],[1,1,-1]]"],
+    ["--cartan", "affine-b4.txt", "schur", "check", "--root", "1,0,1,0,0"],
+    ["--type", "universal:3:2", "--orbit-cap", "20000", "orbit", "count"],
+    ["--type", "universal:2:3", "nc", "leq", "--u", "1,0", "--w", "[[-1,0],[0,-1]]"],
+]
+
+# A prefix search that ends UNKNOWN (exit 2) under the default orbit cap.
+_UNKNOWN_LINES = [["--type", "affine-A2", "--height", "4", "schur", "check", "--root", "1,2,1"]]
+
+_FIXTURES = ("example-2.6", "example-3.6", "table-4")
+
+
+def corpus_lines() -> list[list[str]]:
+    lines = [line for name in _PRESETS for line in _preset_lines(name)]
+    lines += _CI_LINES + _UNKNOWN_LINES + [["repro", fixture] for fixture in _FIXTURES]
+    return [argv for line in lines for argv in (line, ["--json", *line])]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(argv: list[str]) -> dict:
+    """The entry of argv, run through cli.run in the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    entry = {
+        "argv": argv,
+        "exit": code,
+        "stdout": _sha(out.getvalue().encode()),
+        "stderr": _sha(err.getvalue().encode()),
+    }
+    if os.path.exists(RENDER_OUT):
+        entry["file"] = _sha(Path(RENDER_OUT).read_bytes())
+        os.remove(RENDER_OUT)
+    return entry
+
+
+def prepare(workdir: Path) -> None:
+    """Write the input files that the corpus lines read into workdir."""
+    for name, text in CARTAN_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+
+
+def main() -> int:
+    old = {}
+    if CORPUS.exists():
+        for text in CORPUS.read_text(encoding="utf-8").splitlines():
+            entry = json.loads(text)
+            old[tuple(entry["argv"])] = text
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        prepare(Path(workdir))
+        os.chdir(workdir)
+        try:
+            entries = [json.dumps(record(argv), sort_keys=True) for argv in corpus_lines()]
+        finally:
+            os.chdir(here)
+    changed = 0
+    for text in entries:
+        argv = tuple(json.loads(text)["argv"])
+        if old.pop(argv, None) != text:
+            print(f"changed: {text}")
+            changed += 1
+    for text in old.values():
+        print(f"removed: {text}")
+    CORPUS.write_text("".join(text + "\n" for text in entries), encoding="utf-8")
+    print(f"{len(entries)} entries, {changed + len(old)} changed", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,30 +1,36 @@
-"""The CLI's table-driven argument parser reads every command line as the
-argparse parser it replaced did.
+"""The CLI reads every command line as the argparse parser of the earlier CLI
+did.
 
-build_parser below is that argparse parser, kept verbatim as the reference.
-On each line of the corpus both parsers must give the same attributes, or
-both must refuse the line (exit 1), or both must ask for help (exit 0).  The
-reference is the argparse of the running Python; the corpus keeps to lines
-that argparse 3.10 to 3.13 read alike, so it leaves out "-hx" and "-h=h"
-(3.13 reads a single-dash -h with text glued to it differently) and a value
-of exactly "--" joined by "=" (argparse stores an empty list for it; see
+The CLI's grammar is the standard library's argparse, built by cli._parser
+from the option tables; cli._plain reads the plain lines without building
+it.  build_parser below is the earlier CLI's argparse parser, kept verbatim
+as the reference.  On each line of the corpus the CLI must give the same
+attributes, or refuse the line (exit 1), or ask for help (exit 0) as the
+reference does, and wherever _plain reads a line it must give the
+reference's attributes.  The reference is the argparse of the running
+Python; the corpus keeps to lines that argparse 3.10 to 3.13 read alike, so
+it leaves out "-hx" and "-h=h" (3.13 reads a single-dash -h with text glued
+to it differently) and a value of exactly "--" joined by "=" (argparse
+before 3.13 stores an empty list for it; see
 test_a_joined_double_dash_is_a_plain_value).
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import random
+import sys
 
 import pytest
 
+from schur_scope import cli
 from schur_scope.cli import (
     EXIT_OK,
     EXIT_USAGE,
-    HelpRequested,
-    UsageError,
     _COMMANDS,
     _GLOBAL_OPTIONS,
+    _plain,
     parse_args,
     run,
 )
@@ -91,23 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
 REFERENCE = build_parser()  # parse_args leaves the parser unchanged
 
 
-def _reference(argv: list[str]):
+def _quiet(parse, argv: list[str]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = REFERENCE.parse_args(argv)
+            args = parse(argv)
         except SystemExit as exc:
             return "help" if exc.code == 0 else "refused"
     # The argparse CLI printed its usage and exited 1 on a line with no command.
     return "refused" if args.command is None else vars(args)
 
 
+def _reference(argv: list[str]):
+    return _quiet(REFERENCE.parse_args, argv)
+
+
 def _table(argv: list[str]):
-    try:
-        return vars(parse_args(argv))
-    except HelpRequested:
-        return "help"
-    except UsageError:
-        return "refused"
+    return _quiet(parse_args, argv)
 
 
 VALUES = {
@@ -247,15 +252,33 @@ def _random_corpus(seed: int, count: int) -> list[list[str]]:
     return lines
 
 
-def test_the_table_reads_every_line_as_argparse_did():
+def test_the_table_reads_every_line_as_argparse_did(monkeypatch):
+    # One parser for the whole corpus: parsing leaves it unchanged, and
+    # building it per line is most of this test's time.
+    monkeypatch.setattr(cli, "_parser", functools.lru_cache(cli._parser))
     corpus = _structured_corpus() + _random_corpus(21, 4000)
-    outcomes = {"help": 0, "refused": 0, "accepted": 0}
+    outcomes = {"help": 0, "refused": 0, "accepted": 0, "plain": 0}
     for argv in corpus:
         expected = _reference(argv)
         assert _table(argv) == expected, argv
         outcomes["accepted" if isinstance(expected, dict) else expected] += 1
-    # The corpus reaches every outcome often.
+        plain = _plain(argv)
+        if plain is not None:
+            assert vars(plain) == expected, argv
+            outcomes["plain"] += 1
+    # The corpus reaches every outcome often, and _plain reads many lines.
     assert min(outcomes.values()) > 200, outcomes
+    assert outcomes["plain"] >= 1500, outcomes
+
+
+def test_no_command_option_is_a_prefix_of_a_global_option():
+    # argparse's top-level pass reads every token of the line, so such a
+    # prefix would stand for the global option there, where _plain reads the
+    # command's option.
+    top = [*_GLOBAL_OPTIONS, "--help"]
+    for _, _, options in _COMMANDS.values():
+        for name in options:
+            assert not any(other.startswith(name) for other in top), name
 
 
 def test_every_accepted_line_has_the_reference_attributes():
@@ -269,13 +292,28 @@ def test_every_accepted_line_has_the_reference_attributes():
 
 
 def test_a_joined_double_dash_is_a_plain_value(capsys):
-    # argparse stored an empty list for --word=--, and the braid handler
-    # crashed on it with a traceback; "--" is now a value like any other.
-    assert _reference(["--type", "A2", "braid", "apply", "--word=--"])["word"] == []
-    assert parse_args(["--type", "A2", "braid", "apply", "--word=--"]).word == "--"
-    assert run(["--type", "A2", "braid", "apply", "--word=--"]) == EXIT_USAGE
-    assert capsys.readouterr().err == (
-        "error: malformed braid word '--'; expected comma-separated integers\n"
+    # Before Python 3.13 argparse stores an empty list for a value of exactly
+    # "--" joined by "=", and the braid handler crashed on it with a
+    # traceback.  The CLI reads "--" as 3.13 does: a value like any other.
+    if sys.version_info < (3, 13):
+        assert _reference(["--type", "A2", "braid", "apply", "--wo=--"])["word"] == []
+    for word in ("--word=--", "--wo=--"):
+        assert parse_args(["--type", "A2", "braid", "apply", word]).word == "--"
+    malformed = "error: malformed {} '--'; expected comma-separated integers\n"
+    for argv, err in [
+        (["--type", "A2", "braid", "apply", "--word=--"], malformed.format("braid word")),
+        (["--type", "A2", "braid", "apply", "--wo=--"], malformed.format("braid word")),
+        (["--ord=--", "--type", "A2", "roots", "list"], malformed.format("order")),
+    ]:
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == err
+    # An int option refuses it, as argparse 3.13 does.
+    assert run(["--hei=--", "--type", "A2", "roots", "list"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: schur-scope [-h]")
+    assert captured.err.endswith(
+        "\nschur-scope: error: argument --height: invalid int value: '--'\n"
     )
 
 
@@ -295,7 +333,9 @@ def test_a_refusal_prints_a_usage_line_and_the_error(capsys, argv, usage):
     assert captured.out == ""
     first, *rest = captured.err.splitlines()
     assert first.startswith(usage)
-    assert rest[-1].startswith("schur-scope: error: ")
+    # argparse names the parser that refused: "schur-scope braid: error: ".
+    prog = usage[len("usage: "):].split(" [")[0]
+    assert rest[-1].startswith(f"{prog}: error: ")
 
 
 @pytest.mark.parametrize("command", [None, *_COMMANDS])
