@@ -144,7 +144,7 @@ def _parser():
         sub = commands.add_parser(command, help=shown)
         sub.add_argument(positional, choices=choices)
         add_options(sub, options)
-    return parser
+    return parser, commands.choices  # the parser, and each command's parser by name
 
 
 def _plain(argv: list[str]) -> SimpleNamespace | None:
@@ -201,14 +201,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     args = _plain(argv)
     if args is not None:
         return args
-    parser = _parser()
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     # Before Python 3.13, argparse reads a value of exactly "--" joined by
-    # "=" (--word=--) as []; read it as 3.13 does: a string, and not an int.
-    for name, (kind, _, _, _) in {**_GLOBAL_OPTIONS, **_COMMANDS[args.command][2]}.items():
+    # "=" (--word=--) as []; read it as 3.13 does: a string, and not an int,
+    # refused by the parser that owns the option.
+    options = _COMMANDS[args.command][2]
+    for name, (kind, _, _, _) in {**_GLOBAL_OPTIONS, **options}.items():
         if getattr(args, _dest(name)) == []:
             if kind == "int":
-                parser.error(f"argument {name}: invalid int value: '--'")
+                owner = commands[args.command] if name in options else parser
+                owner.error(f"argument {name}: invalid int value: '--'")
             setattr(args, _dest(name), "--")
     return args
 

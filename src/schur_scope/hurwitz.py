@@ -12,10 +12,16 @@ braid_move and apply_braid_word replay braid words on Factorization objects.
 The orbit searches move on tuples of small-int root ids through one table per
 Cartan matrix, which interns each positive root once, with its height, and
 memoizes the root id of each id pair's move; a move replaces one root of a
-tuple, and a search tests only that one.  A finite orbit that fits its cap
-is walked under sigma_1 and delta = sigma_1 ... sigma_{n-1} alone, two
-images per tuple in which t_1 alone acts (hurwitz_orbit); every other walk
-takes the move and its inverse at each slot.  A root's row is made when the
+tuple, and a walk looks up only that one.  Every walk is
+weyl._bounded_closure, and node_cap bounds the tuples each one keeps.  A
+finite orbit that fits its cap is walked under sigma_1 and delta = sigma_1
+... sigma_{n-1} alone, two images per tuple in which t_1 alone acts
+(hurwitz_orbit); every other walk takes the move and its inverse at each
+slot.  The curve harvest and the targeted prefix search are one walk
+(_ReflectionTable.walk) that expands no tuple with a root taller than its
+prune height, and none once it has met every root it wants: the harvest
+wants every enumerated root up to its bound, the search one root, and reads
+its braid word off the walk's parents.  A root's row is made when the
 root first acts in a move, not when it is first met, and is checked then,
 once, against an independent route.  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
@@ -28,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from operator import mul
 
 from . import weyl
@@ -164,9 +170,9 @@ class _ReflectionTable:
     through a move keeps the pair (a, b) that first made it (origins[g]), and
     its row is _conjugate_reflection of that pair's rows, checked against a
     route independent of the one that made it: phi_gamma = 2B(., gamma) /
-    B(gamma, gamma), read off the symmetrized form.  A start root or a search
-    target has no such pair; its row is weyl.reflection_for_root's, and a
-    start part must equal its root's row.  A mismatch raises ArithmeticError.
+    B(gamma, gamma), read off the symmetrized form.  A start root has no
+    such pair; its row is weyl.reflection_for_root's, and a start part must
+    equal its root's row.  A mismatch raises ArithmeticError.
     So every row is checked before a move or a product uses it.
 
     The move at slot i sends (beta_a, beta_b) to (root of t_a t_b t_a,
@@ -189,8 +195,8 @@ class _ReflectionTable:
         self.pairs: dict[tuple[int, int], int] = {}
 
     def intern(self, root: Root) -> int:
-        """The id of a positive root from outside the table, a start root or
-        a target; a root met first is stored with its height and no pair."""
+        """The id of a start root; a root met first is stored with its height
+        and no pair."""
         g = self.ids.get(root)
         return self._add(root, height(root), None) if g is None else g
 
@@ -220,9 +226,7 @@ class _ReflectionTable:
         return Factorization(tuple(self.reflection(self.ids[r]) for r in node), coxeter)
 
     def reflection(self, g: int) -> Reflection:
-        """The row of root id g, made and checked on first use.  The rows of
-        its pair have acted before, unless a search stopped at its witness
-        between the two moves of a slot."""
+        """The row of root id g, made and checked on first use."""
         row = self.reflections.get(g)
         if row is None:
             origin = self.origins[g]
@@ -306,47 +310,62 @@ class _ReflectionTable:
         self.pairs[a, b] = g
         return g
 
-    def harvest(
-        self,
-        start: Factorization,
-        node_cap: int,
-        height_bound: int,
-        roots: tuple[Root, ...] | None = None,
-    ) -> tuple[set[Root], bool]:
-        """Roots no taller than height_bound in the tuples of the closure of
-        start, and whether it finished below node_cap.  Tuples with a root
-        taller than DEFAULT_PRUNE_MULTIPLIER * height_bound are kept, not
-        expanded: the height cap of the targeted search for any root no
-        taller than height_bound is at most that.
+    def walk(self, first: IdTuple, node_cap: int, expand_height: int, wanted=None,
+             parents=None) -> tuple[tuple[IdTuple, ...], bool, dict]:
+        """The height-pruned orbit walk of the harvest and the targeted
+        search: weyl._bounded_closure of first under moves, keeping at most
+        node_cap tuples; returns (nodes, complete, made).
 
-        roots, when given, must hold every positive root no taller than
-        height_bound that the closure can meet.  Then no tuple is expanded
-        once each of them has been met, for the walk can add nothing more;
-        a move's new root is the only root its image adds, so it is the one
-        looked up.  The harvest is still read from every kept tuple, and a
-        harvested root outside roots raises ArithmeticError.  complete is
-        still False iff an image was dropped at node_cap.
+        No tuple with a root taller than expand_height is expanded.  wanted,
+        when given, holds roots; once each of them has been met, no
+        tuple is expanded at all.  A move's new root is the only root its
+        image adds, so it is the one looked up, and made maps each wanted
+        root outside first to the (tuple, letter) of the move that first
+        created it.  That is read off the move list before the cap decides
+        whether the image is kept, so a root first met in a dropped image
+        counts as met.  wanted=None walks the whole bounded closure.
+        parents, an empty dict when given, receives each kept tuple's parent
+        (weyl._bounded_closure).
         """
         heights, stored = self.heights, self.roots
-        expand_height = DEFAULT_PRUNE_MULTIPLIER * height_bound
-        first = self.admit(start)
-        images, unmet = self.images, None
-        if roots is not None:
-            unmet = set(roots).difference(self.roots_of(first))
+        made: dict[Root, tuple[IdTuple, int]] = {}
+        unmet = None if wanted is None else set(wanted).difference(self.roots_of(first))
 
-            def images(node: IdTuple) -> list[IdTuple]:
-                found = self.moves(node)
-                unmet.difference_update([stored[g] for _, g, _ in found])
-                return [image for _, _, image in found]
+        def images(node: IdTuple) -> list[IdTuple]:
+            found = self.moves(node)
+            if unmet:
+                for letter, g, _ in found:
+                    root = stored[g]
+                    if root in unmet:
+                        unmet.remove(root)
+                        made[root] = node, letter
+            return [image for _, _, image in found]
 
         def expandable(node: IdTuple) -> bool:
             if unmet is not None and not unmet:
-                return False  # every root the walk can add has been met
+                return False  # every wanted root has been met
             return all(heights[g] <= expand_height for g in node)
 
-        nodes, complete = weyl._bounded_closure([first], images, node_cap, expandable)
-        kept = {g for node in nodes for g in node if heights[g] <= height_bound}
-        found = {stored[g] for g in kept}
+        return (*weyl._bounded_closure([first], images, node_cap, expandable, parents), made)
+
+    def harvest(self, start: Factorization, node_cap: int, height_bound: int,
+                roots: tuple[Root, ...] | None = None) -> tuple[set[Root], bool]:
+        """Roots no taller than height_bound in the tuples of the walk from
+        start that expands no tuple with a root taller than
+        DEFAULT_PRUNE_MULTIPLIER * height_bound, and whether it finished
+        below node_cap.  The prune height of the targeted search for any
+        root no taller than height_bound is at most that.
+
+        roots, when given, must hold every positive root no taller than
+        height_bound that the walk can meet; they are the roots it wants, so
+        it stops expanding once it has met them all, for it can add nothing
+        more.  The harvest is still read from every kept tuple, and a
+        harvested root outside roots raises ArithmeticError.
+        """
+        first, expand_height = self.admit(start), DEFAULT_PRUNE_MULTIPLIER * height_bound
+        nodes, complete, _ = self.walk(first, node_cap, expand_height, roots)
+        heights = self.heights
+        found = {self.roots[g] for node in nodes for g in node if heights[g] <= height_bound}
         if roots is not None and not found.issubset(roots):
             raise ArithmeticError(
                 f"harvested roots {sorted(found.difference(roots))} are not among the "
@@ -492,59 +511,41 @@ def _targeted_orbit_search(
     node_cap: int,
     height_cap: int,
 ) -> SearchOutcome:
-    """BFS over root-id tuples for a factorization containing the target as
-    a component, matched by the id of its root.
+    """The orbit walk from start that wants the target's root
+    (_ReflectionTable.walk): it keeps at most node_cap tuples, expands none
+    with a root taller than height_cap, and stops expanding once a move has
+    created the root.  That is sound for reporting found-witnesses, never
+    for claiming absence.
 
-    Tuples with any component root taller than height_cap are not expanded;
-    that is sound for reporting found-witnesses, never for claiming absence.
-    Returns the braid word reaching the witness (with the target moved to the
-    front) when found.
-
-    An image is tested by the one root its move creates (see
-    _ReflectionTable.moves): its other roots are roots of its parent, which
-    was expanded, so it passed both tests, or is the start, which is tested
-    in full.  A start with a root taller than height_cap is refused
-    (ValueError); the canonical start's roots are simple, of height 1.
+    The braid word reaching the witness, with the target moved to the front,
+    is read off the walk's parents: for each tuple up the chain, the first
+    of its parent's moves whose image it is; then the move that created the
+    root; then -slot, ..., -1.  exhausted is True iff the walk finished
+    below node_cap without meeting the root, or the start holds it.  A
+    start with a root taller than height_cap is refused (ValueError); the
+    canonical start's roots are simple, of height 1.
     """
-
-    def finish(node: IdTuple) -> BraidWord:
-        word: list[int] = []
-        cursor = node
-        while parents[cursor] is not None:
-            parent, letter = parents[cursor]
-            word.append(letter)
-            cursor = parent
-        word.reverse()
-        slot = node.index(goal)
-        word.extend(range(-slot, 0))  # -slot, ..., -1 walks the witness to slot 1
-        return tuple(word)
-
     table = _root_tuples(C)
-    heights = table.heights
     first = table.admit(start)
-    goal = table.intern(target.root)
-    parents: dict[IdTuple, tuple[IdTuple, int] | None] = {first: None}
-    if goal in first:
-        return SearchOutcome(finish(first), True, 1)
-    if any(heights[g] > height_cap for g in first):
+    beta = target.root
+    roots = table.roots_of(first)
+    if beta in roots:
+        return SearchOutcome(tuple(range(-roots.index(beta), 0)), True, 1)
+    if max(table.heights[g] for g in first) > height_cap:
         raise ValueError(f"the start has a root taller than the height cap {height_cap}")
-    queue = deque([first])
-    exhausted = True
-    while queue:
-        node = queue.popleft()
-        for letter, new, image in table.moves(node):
-            if image in parents:
-                continue
-            parents[image] = (node, letter)
-            if new == goal:
-                return SearchOutcome(finish(image), False, len(parents))
-            if heights[new] > height_cap:
-                continue
-            if len(parents) >= node_cap:
-                exhausted = False
-                continue
-            queue.append(image)
-    return SearchOutcome(None, exhausted, len(parents))
+    parents: dict[IdTuple, IdTuple | None] = {}
+    nodes, complete, made = table.walk(first, node_cap, height_cap, {beta}, parents)
+    if beta not in made:
+        return SearchOutcome(None, complete, len(nodes))
+    node, letter = made[beta]
+    witness = next(image for move, _, image in table.moves(node) if move == letter)
+    word = [letter]
+    while parents[node] is not None:
+        child, node = node, parents[node]
+        word.append(next(move for move, _, image in table.moves(node) if image == child))
+    word.reverse()
+    word.extend(range(-table.roots_of(witness).index(beta), 0))
+    return SearchOutcome(tuple(word), False, len(nodes))
 
 
 def dyer_prefix(C: CartanMatrix, t: Reflection, coxeter: Matrix) -> Factorization | None:
@@ -596,10 +597,11 @@ def is_prefix_of_coxeter(
     group", Compositio 1972, Lemma 2; on rank 2, t c has determinant -1, so
     rank 1 makes it a reflection), and the two are cross-checked.  Other
     infinite types report YES with a certificate or UNKNOWN, never an
-    uncertified NO.  Their certificate comes from a breadth-first search of
-    the Hurwitz orbit of the canonical factorization, on root-id tuples, that
-    does not expand tuples with a root taller than DEFAULT_PRUNE_MULTIPLIER
-    times the height of beta; the braid word it finds is replayed by
+    uncertified NO.  Their certificate comes from the orbit walk of the
+    canonical factorization, on root-id tuples, that wants the root of t
+    and does not expand tuples with a root taller than
+    DEFAULT_PRUNE_MULTIPLIER times the height of beta
+    (_targeted_orbit_search); the braid word it finds is replayed by
     braid_move and the witness must start with t.
     """
     t = weyl.reflection_for_root(C, beta)

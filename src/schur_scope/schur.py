@@ -185,10 +185,12 @@ def verify_conjecture(
     The harvest runs first.  Where is_schur_root runs the height-pruned
     orbit search (the types hurwitz._dyer_decides leaves out), a root beta
     outside S is UNKNOWN with no search when the harvest finished below its
-    node cap: its prune height covers that of beta's search
-    (hurwitz._ReflectionTable.harvest), so it met every tuple that search
-    could meet, and none of them holds beta.  Where Dyer's search decides P,
-    nothing is inferred.
+    node cap.  The harvest and beta's search are one walk from the same
+    start (hurwitz._ReflectionTable.walk) at two prune heights, 4 * bound
+    for the harvest and 4 * height(beta) <= 4 * bound for the search, so
+    the finished harvest met every tuple that the search could meet, and
+    none of them holds beta.  Where Dyer's search decides P, nothing is
+    inferred.
     """
     C = o.cartan
     finite = classify_type(C) is TypeClass.FINITE

@@ -215,7 +215,7 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     return Reflection(beta, row)
 
 
-def _bounded_closure(starts, moves, node_cap, expand=None, levels=None):
+def _bounded_closure(starts, moves, node_cap, expand=None, parents=None):
     """Breadth-first closure of the starts under moves, keeping at most
     node_cap nodes; returns (nodes in discovery order, complete).
 
@@ -225,19 +225,18 @@ def _bounded_closure(starts, moves, node_cap, expand=None, levels=None):
     is false is recorded but not expanded.  The walk goes one breadth-first
     level at a time, which meets the nodes in the order of a queue.
 
-    Each kept node is recorded with its level: 0 for the starts, and one
-    more than the node whose moves first met it.  In a complete walk that
-    expanded every node, that is its distance from the starts in the graph
-    of the moves.  A caller that wants the levels passes an empty dict as
-    levels, and the walk records the nodes in it.
+    Each kept node is recorded with its parent, the node whose moves first
+    met it, and the starts with None; so a node's parent is kept before it.
+    In a complete walk that expanded every node, the parent chain of a node
+    is a shortest path to it from the starts in the graph of the moves.  A
+    caller that wants the parents passes an empty dict as parents, and the
+    walk records the nodes in it.
     """
-    seen = {} if levels is None else levels
-    seen.update(dict.fromkeys(starts, 0))
+    seen = {} if parents is None else parents
+    seen.update(dict.fromkeys(starts))
     frontier = list(seen)
-    depth = 0
     complete = True
     while frontier:
-        depth += 1
         found = []
         for node in frontier:
             if expand is not None and not expand(node):
@@ -248,7 +247,7 @@ def _bounded_closure(starts, moves, node_cap, expand=None, levels=None):
                 if len(seen) >= node_cap:
                     complete = False
                     continue
-                seen[image] = depth
+                seen[image] = node
                 found.append(image)
         frontier = found
     return tuple(seen), complete
@@ -451,10 +450,11 @@ def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
     identity in the Cayley graph on all reflections T, so the table is one
     breadth-first walk: the closure of the identity (the ids of the simple
     roots) under left multiplication by every reflection, each t w being t's
-    permutation of Phi applied to w's n ids, with each element's level as
-    its length.  Carter's lemma, l(w) = rank(w - id) ("Conjugacy classes in
-    the Weyl group", Compositio 1972, Lemma 2), is the reference the tests
-    hold it to (tests/test_group_id_table.py, tests/test_matrix.py).
+    permutation of Phi applied to w's n ids, with each element's length one
+    more than that of its parent in the walk.  Carter's lemma, l(w) =
+    rank(w - id) ("Conjugacy classes in the Weyl group", Compositio 1972,
+    Lemma 2), is the reference the tests hold it to
+    (tests/test_group_id_table.py, tests/test_matrix.py).
 
     A group with more than _FINITE_CLOSURE_CAP elements is refused before
     any table is built (ValueError).  The walk keeps at most group_order(C)
@@ -474,8 +474,11 @@ def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
     def moves(w: Element) -> list[Element]:
         return [_act(t, w) for t in permutations]
 
+    parents: dict[Element, Element | None] = {}
+    _, complete = _bounded_closure([one], moves, order, parents=parents)
     table: dict[Element, int] = {}
-    _, complete = _bounded_closure([one], moves, order, levels=table)
+    for w, parent in parents.items():  # a parent is met before its children
+        table[w] = 0 if parent is None else table[parent] + 1
     if not complete or len(table) != order:
         raise ArithmeticError(
             f"enumerated {len(table)} group elements, but |W| = {order}; upstream bug"

@@ -28,7 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from schur_scope import cli
+from schur_scope import cartan, cli, weyl
 
 CORPUS = Path(__file__).with_name("cli.jsonl")
 RENDER_OUT = "curve.svg"
@@ -122,12 +122,49 @@ _CI_LINES = [
 # A prefix search that ends UNKNOWN (exit 2) under the default orbit cap.
 _UNKNOWN_LINES = [["--type", "affine-A2", "--height", "4", "schur", "check", "--root", "1,2,1"]]
 
+# The orbit searches: every positive real root up to height 6 of these
+# presets, in the identity and reversed orders, at the default cap and at
+# tight ones.
+_SEARCH_PRESETS = ("universal:3:2", "affine-A2", "affine-A3", "universal:4:2")
+_SEARCH_HEIGHT = 6
+
+# Freely reduced length-4 words on universal:3:2 whose curves are simple,
+# with their ends.
+_SIMPLE_WORDS = [
+    ((1, 2, 1, 2), 1), ((1, 2, 1, 3), 1), ((1, 2, 3, 1), 2), ((1, 2, 3, 1), 3),
+    ((1, 2, 3, 2), 1), ((1, 2, 3, 2), 3), ((1, 3, 1, 3), 1), ((1, 3, 1, 3), 2),
+    ((1, 3, 2, 3), 1), ((1, 3, 2, 3), 2), ((2, 1, 2, 1), 2), ((2, 3, 2, 3), 2),
+    ((3, 1, 2, 1), 2), ((3, 1, 2, 1), 3), ((3, 1, 3, 1), 2), ((3, 1, 3, 1), 3),
+    ((3, 2, 1, 2), 1), ((3, 2, 1, 2), 3), ((3, 2, 1, 3), 1), ((3, 2, 1, 3), 2),
+    ((3, 2, 3, 1), 3), ((3, 2, 3, 2), 3),
+]
+
+
+def _search_lines() -> list[list[str]]:
+    lines = []
+    for name in _SEARCH_PRESETS:
+        n = _PRESETS[name][0]
+        roots = weyl.positive_real_roots(cartan.preset(name), _SEARCH_HEIGHT)
+        for order in ([], ["--order", _csv(range(n, 0, -1))]):
+            session = ["--type", name, *order]
+            for cap in ([], ["--orbit-cap", "10"]):
+                check = session + cap + ["schur", "check", "--root"]
+                lines += [check + [_csv(root)] for root in roots]
+            for cap in ([], ["--orbit-cap", "10"], ["--orbit-cap", "50"]):
+                lines.append(session + cap + ["--height", str(_SEARCH_HEIGHT), "schur", "verify"])
+    for letters, end in _SIMPLE_WORDS:
+        lines.append(["--type", "universal:3:2", "curve", "simple",
+                      "--word", _csv(letters), "--end", str(end)])
+    return lines
+
+
 _FIXTURES = ("example-2.6", "example-3.6", "table-4")
 
 
 def corpus_lines() -> list[list[str]]:
     lines = [line for name in _PRESETS for line in _preset_lines(name)]
-    lines += _CI_LINES + _UNKNOWN_LINES + [["repro", fixture] for fixture in _FIXTURES]
+    lines += _CI_LINES + _UNKNOWN_LINES + _search_lines()
+    lines += [["repro", fixture] for fixture in _FIXTURES]
     return [argv for line in lines for argv in (line, ["--json", *line])]
 
 

@@ -315,6 +315,18 @@ def test_a_joined_double_dash_is_a_plain_value(capsys):
     assert captured.err.endswith(
         "\nschur-scope: error: argument --height: invalid int value: '--'\n"
     )
+    # A command's own int option is refused by that command's parser.
+    for argv, name in [
+        (["--type", "A2", "curve", "root", "--end=--"], "--end"),
+        (["--type", "A2", "curve", "spiral", "--end", "1", "--k=--"], "--k"),
+    ]:
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: schur-scope curve [-h]")
+        assert captured.err.endswith(
+            f"\nschur-scope curve: error: argument {name}: invalid int value: '--'\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -420,38 +420,42 @@ def _reference_orbit(start, node_cap):
 
 
 def _reference_targeted_search(start, target, node_cap, height_cap):
-    def finish(node):
-        word = []
-        cursor = node
-        while parents[cursor] is not None:
-            cursor, letter = parents[cursor]
-            word.append(letter)
-        word.reverse()
-        slot = node.parts.index(target)
-        return tuple(word) + tuple(range(-slot, 0))
+    """The targeted search on Factorizations moved by braid_move: a
+    breadth-first walk that keeps at most node_cap of them, expands none
+    with a root taller than height_cap, and expands none once a move has
+    made the target, whether its image is kept or dropped at the cap."""
 
-    parents = {start: None}
+    def finish(f, word):
+        return tuple(word) + tuple(range(-f.parts.index(target), 0))
+
     if target in start.parts:
-        return SearchOutcome(finish(start), True, 1)
-    queue = deque([start])
-    exhausted = True
-    while queue:
+        return SearchOutcome(finish(start, []), True, 1)
+    parents = {start: None}
+    queue, complete, made = deque([start]), True, None
+    while queue and made is None:
         f = queue.popleft()
+        if any(weyl.height(r) > height_cap for r in f.roots()):
+            continue
         for i in range(1, f.n):
             for letter in (i, -i):
                 image = braid_move(f, i, inverse=letter < 0)
+                if made is None and target in image.parts:
+                    made = f, letter, image
                 if image in parents:
                     continue
-                parents[image] = (f, letter)
-                if target in image.parts:
-                    return SearchOutcome(finish(image), False, len(parents))
-                if any(weyl.height(r) > height_cap for r in image.roots()):
-                    continue
                 if len(parents) >= node_cap:
-                    exhausted = False
+                    complete = False
                     continue
+                parents[image] = (f, letter)
                 queue.append(image)
-    return SearchOutcome(None, exhausted, len(parents))
+    if made is None:
+        return SearchOutcome(None, complete, len(parents))
+    f, letter, image = made
+    word = [letter]
+    while parents[f] is not None:
+        f, letter = parents[f]
+        word.append(letter)
+    return SearchOutcome(finish(image, word[::-1]), False, len(parents))
 
 
 def _orders(C):
@@ -555,7 +559,9 @@ def test_targeted_search_matches_braid_move_reference(name):
     C = preset(name)
     start = canonical_factorization(C)
     kinds = set()
-    for node_cap, height_cap in ((3, 2), (8, 4), (60, 8)):
+    # At (8, 4) every search on universal:3:2 finds its root; (60, 2) is a
+    # height cap low enough that some searches exhaust their region.
+    for node_cap, height_cap in ((3, 2), (8, 4), (60, 8), (60, 2)):
         for beta in weyl.positive_real_roots(C, 6):
             target = weyl.reflection_for_root(C, beta)
             outcome = _targeted_orbit_search(C, start, target, node_cap, height_cap)
@@ -567,6 +573,24 @@ def test_targeted_search_matches_braid_move_reference(name):
                 kinds.add("exhausted" if outcome.exhausted else "capped")
     # The caps are small enough that every kind of outcome is compared.
     assert kinds == {"found", "exhausted", "capped"}
+
+
+@pytest.mark.parametrize("name", ["universal:3:2", "affine-A2", "universal:4:2"])
+def test_the_node_cap_bounds_the_targeted_search(name):
+    # The search keeps at most node_cap tuples, and a YES under a tight cap
+    # is the YES of the default cap: the same walk, cut shorter.
+    C = preset(name)
+    start = canonical_factorization(C)
+    for beta in weyl.positive_real_roots(C, 6):
+        target = weyl.reflection_for_root(C, beta)
+        height_cap = hurwitz.DEFAULT_PRUNE_MULTIPLIER * weyl.height(beta)
+        default = is_prefix_of_coxeter(beta, C).factorization
+        for node_cap in (1, 2, 10, 50, 200):
+            outcome = _targeted_orbit_search(C, start, target, node_cap, height_cap)
+            assert outcome.nodes <= node_cap, (beta, node_cap)
+            verdict = is_prefix_of_coxeter(beta, C, node_cap=node_cap)
+            if verdict.answer is Ternary.YES:
+                assert verdict.factorization == default, (beta, node_cap)
 
 
 def test_orbit_rejects_reflection_with_wrong_root():

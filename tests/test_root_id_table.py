@@ -82,35 +82,40 @@ def _reference_orbit(table, start, node_cap):
 
 
 def _reference_search(table, start, target, node_cap, height_cap):
-    def finish(node):
-        word, cursor = [], node
-        while parents[cursor] is not None:
-            cursor, letter = parents[cursor]
-            word.append(letter)
-        word.reverse()
-        word.extend(range(-node.index(target.root), 0))
-        return tuple(word)
+    """The targeted search's walk on root tuples: at most node_cap tuples
+    kept, none with a root taller than height_cap expanded, and none
+    expanded once a move has made the target's root."""
+
+    def finish(node, word):
+        return tuple(word) + tuple(range(-node.index(target.root), 0))
 
     first = table.admit(start)
-    parents = {first: None}
     if target.root in first:
-        return finish(first), True, 1
-    queue, exhausted = deque([first]), True
-    while queue:
+        return finish(first, []), True, 1
+    parents = {first: None}
+    queue, complete, made = deque([first]), True, None
+    while queue and made is None:
         node = queue.popleft()
+        if any(height(r) > height_cap for r in node):
+            continue
         for letter, image in table.moves(node):
+            if made is None and target.root in image:
+                made = node, letter, image
             if image in parents:
                 continue
-            parents[image] = (node, letter)
-            if target.root in image:
-                return finish(image), False, len(parents)
-            if any(height(r) > height_cap for r in image):
-                continue
             if len(parents) >= node_cap:
-                exhausted = False
+                complete = False
                 continue
+            parents[image] = (node, letter)
             queue.append(image)
-    return None, exhausted, len(parents)
+    if made is None:
+        return None, complete, len(parents)
+    node, letter, image = made
+    word = [letter]
+    while parents[node] is not None:
+        node, letter = parents[node]
+        word.append(letter)
+    return finish(image, word[::-1]), False, len(parents)
 
 
 def _reference_harvest(table, o, height_bound, node_cap):

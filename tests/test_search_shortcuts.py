@@ -36,41 +36,43 @@ from schur_scope.weyl import Reflection, height
 
 
 def _full_image_search(C, start, target, node_cap, height_cap):
-    """The targeted search as it was: every root of every image is compared
-    with the goal and with the height cap."""
+    """The targeted search with every root of every image compared with the
+    goal, and every root of a tuple with the height cap before the tuple is
+    expanded."""
 
-    def finish(node):
-        word, cursor = [], node
-        while parents[cursor] is not None:
-            cursor, letter = parents[cursor]
-            word.append(letter)
-        word.reverse()
-        word.extend(range(-node.index(goal), 0))
-        return tuple(word)
+    def finish(node, word):
+        return tuple(word) + tuple(range(-node.index(goal), 0))
 
     table = _root_tuples(C)
     heights = table.heights
     first = table.admit(start)
     goal = table.intern(target.root)
-    parents = {first: None}
     if goal in first:
-        return SearchOutcome(finish(first), True, 1)
-    queue, exhausted = deque([first]), True
-    while queue:
+        return SearchOutcome(finish(first, []), True, 1)
+    parents = {first: None}
+    queue, complete, made = deque([first]), True, None
+    while queue and made is None:
         node = queue.popleft()
+        if any(heights[g] > height_cap for g in node):
+            continue
         for letter, _, image in table.moves(node):
+            if made is None and goal in image:
+                made = node, letter, image
             if image in parents:
                 continue
-            parents[image] = (node, letter)
-            if goal in image:
-                return SearchOutcome(finish(image), False, len(parents))
-            if any(heights[g] > height_cap for g in image):
-                continue
             if len(parents) >= node_cap:
-                exhausted = False
+                complete = False
                 continue
+            parents[image] = (node, letter)
             queue.append(image)
-    return SearchOutcome(None, exhausted, len(parents))
+    if made is None:
+        return SearchOutcome(None, complete, len(parents))
+    node, letter, image = made
+    word = [letter]
+    while parents[node] is not None:
+        node, letter = parents[node]
+        word.append(letter)
+    return SearchOutcome(finish(image, word[::-1]), False, len(parents))
 
 
 SEARCH_CASES = [

@@ -593,18 +593,30 @@ def test_bounded_closure_expand_and_several_starts():
     assert weyl._bounded_closure([7, 0], step, 3) == ((7, 0, 8), False)
 
 
+def _levels(parents):
+    """Each node's level, one more than its parent's, read in discovery order."""
+    levels = {}
+    for node, parent in parents.items():
+        levels[node] = 0 if parent is None else levels[parent] + 1
+    return levels
+
+
 def test_bounded_closure_records_breadth_first_levels():
     def moves(x):
         return [(x + 1) % 10, (2 * x) % 10]
 
-    levels = {}
-    nodes, complete = weyl._bounded_closure([0], moves, 10, levels=levels)
-    assert complete and tuple(levels) == nodes
-    # 0 -> 1 -> 2 -> {3, 4} -> {6, 5, 8} -> {7, 9}: the shortest move counts.
-    assert levels == {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 6: 4, 5: 4, 8: 4, 7: 5, 9: 5}
+    parents = {}
+    nodes, complete = weyl._bounded_closure([0], moves, 10, parents=parents)
+    assert complete and tuple(parents) == nodes
+    # Each node's parent is the first node whose moves met it.
+    assert parents == {0: None, 1: 0, 2: 1, 3: 2, 4: 2, 6: 3, 5: 4, 8: 4, 7: 6, 9: 8}
+    # 0 -> 1 -> 2 -> {3, 4} -> {6, 5, 8} -> {7, 9}: the levels are the
+    # breadth-first distances, the shortest move counts.
+    assert _levels(parents) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 6: 4, 5: 4, 8: 4, 7: 5, 9: 5}
     several = {}
-    weyl._bounded_closure([7, 0], lambda x: [(x + 1) % 10], 10, levels=several)
-    assert several == {7: 0, 0: 0, 8: 1, 1: 1, 9: 2, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+    weyl._bounded_closure([7, 0], lambda x: [(x + 1) % 10], 10, parents=several)
+    assert _levels(several) == {7: 0, 0: 0, 8: 1, 1: 1, 9: 2, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+    assert several[7] is several[0] is None and several[8] == 7 and several[1] == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
