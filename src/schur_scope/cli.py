@@ -11,7 +11,6 @@ a command loads only its own layers.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections import namedtuple
@@ -48,7 +47,9 @@ def _parse_element(text: str, session: Session):
     """A Weyl element: JSON row-major matrix, or a root meaning its reflection."""
     stripped = text.strip()
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        import json
+
+        data = json.loads(stripped)  # JSONDecodeError is a ValueError
         n = session.cartan.n
         # type() rather than isinstance: JSON true/false decode to bool, an int.
         if not (
@@ -424,6 +425,72 @@ _HANDLERS = {
 }
 
 
+# --- the output ---------------------------------------------------------------
+#
+# A report is written as JSON: --json writes the payload as
+# json.dumps(payload, sort_keys=True, indent=2), and text mode writes each
+# leaf as json.dumps(leaf).  Importing json is about a third of the package's
+# own import, so _plain_json writes a plain value itself, byte for byte as
+# json.dumps would, and json writes every other value.  Nearly every payload
+# is plain; the DOT graph of `nc list --dot`, whose lines json escapes, is
+# not.  tests/test_cli.py checks the two routes against each other.
+
+
+def _plain_string(text: str) -> bool:
+    """Printable ASCII without '"' or backslash: json writes it as it is."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _plain_json(value, newline: str | None) -> str | None:
+    """json.dumps(value) for newline None, else json.dumps(value,
+    sort_keys=True, indent=2) indented from newline ("\n" at the top); None
+    unless value is made of None, bools, ints, plain strings (_plain_string),
+    lists, tuples and dicts whose keys are plain strings."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return f'"{value}"' if _plain_string(value) else None
+    inner = newline and newline + "  "
+    if kind is dict:
+        if not all(type(key) is str and _plain_string(key) for key in value):
+            return None
+        brackets, keys = "{}", sorted(value) if newline else value
+        items = [(f'"{key}": ', value[key]) for key in keys]
+    elif kind is list or kind is tuple:
+        brackets, items = "[]", [("", item) for item in value]
+    else:
+        return None
+    if not items:
+        return brackets
+    parts = []
+    for label, item in items:
+        text = _plain_json(item, inner)
+        if text is None:
+            return None
+        parts.append(label + text)
+    if newline:
+        return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+    return brackets[0] + ", ".join(parts) + brackets[1]
+
+
+def _json_text(value, indent: bool) -> str:
+    """json.dumps(value), or with indent json.dumps(value, sort_keys=True,
+    indent=2); json is imported only for a value that is not plain."""
+    text = _plain_json(value, "\n" if indent else None)
+    if text is None:
+        import json
+
+        text = json.dumps(value, sort_keys=True, indent=2) if indent else json.dumps(value)
+    return text
+
+
 def _render_text(payload: dict, prefix: str = "") -> list[str]:
     """Stable \"key = value\" lines; nested dicts and short lists flattened."""
     lines = []
@@ -433,13 +500,13 @@ def _render_text(payload: dict, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines += _render_text(value, prefix=f"{path}.")
         else:
-            lines.append(f"{path} = {json.dumps(value)}")
+            lines.append(f"{path} = {_json_text(value, False)}")
     return lines
 
 
 def emit(payload: dict, json_mode: bool) -> str:
     if json_mode:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _json_text(payload, True)
     return "\n".join(_render_text(payload))
 
 
@@ -451,7 +518,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         session = _build_session(args)
         payload, code = _HANDLERS[args.command](session, args)
-    except (CartanError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CartanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # a safety cap fired

@@ -85,7 +85,7 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     members = [
         w
         for w in weyl.enumerate_group(C)
-        if table[w] + table[weyl._act(c_inverse, w)] == length_c
+        if table[w] + table[weyl._act_on(w)(c_inverse)] == length_c
     ]
     matrices = {w: weyl._element_matrix(C, w) for w in members}
     members.sort(key=lambda w: (table[w], matrices[w]))
@@ -95,9 +95,8 @@ def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPos
     covers = sorted(
         (i, j)
         for i, u in enumerate(members)
-        for t in reflections
-        if (j := index.get(weyl._act(t, u))) is not None
-        and ranks[j] == ranks[i] + 1
+        for j in map(index.get, map(weyl._act_on(u), reflections))
+        if j is not None and ranks[j] == ranks[i] + 1
     )
     return NCPoset(C, order, tuple(matrices[w] for w in members), ranks, tuple(covers))
 

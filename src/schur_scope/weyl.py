@@ -9,9 +9,11 @@ The tables of a finite-type group (enumerate_group, _absolute_length_table)
 hold an element w as the root ids of its columns w(alpha_1), ..., w(alpha_n),
 with the ids of _root_ids; this module alone reads that format.  Left
 multiplication by x is then x's permutation of the root ids applied to each
-id (_act), and _element_matrix turns an element back into its matrix.  One
-breadth-first walk of the identity under every reflection builds both
-tables: an element's level in it is its absolute length, by definition, and
+id, and _act_on(w), built once per element w, is x -> x w for every x, so a
+node of a walk makes all its products with one lookup function;
+_element_matrix turns an element back into its matrix.  One breadth-first
+walk of the identity under every reflection builds both tables: an
+element's level in it is its absolute length, by definition, and
 enumerate_group is the set of elements the walk met.
 """
 
@@ -400,13 +402,15 @@ def _root_ids(C: CartanMatrix) -> _RootIds:
     return _RootIds(roots, index, tuple(_permute(roots, index, t.apply) for t in ts))
 
 
-def _act(permutation: Element, w: Element) -> Element:
-    """x w, for x given as its permutation of the root ids: w's ids looked
-    up in x's permutation.  itemgetter of one id returns that id, not a
+def _act_on(w: Element):
+    """x -> x w, for x given as its permutation of the root ids: w's ids
+    looked up in x's permutation.  One function serves every product with w
+    as its right factor.  itemgetter of one id returns that id, not a
     1-tuple, so rank 1 takes the branch."""
     if len(w) == 1:
-        return (permutation[w[0]],)
-    return itemgetter(*w)(permutation)
+        (k,) = w
+        return lambda permutation: (permutation[k],)
+    return itemgetter(*w)
 
 
 def _element_ids(C: CartanMatrix, m: Matrix) -> Element:
@@ -472,7 +476,7 @@ def _absolute_length_table(C: CartanMatrix) -> dict[Element, int]:
     permutations = _root_ids(C).permutations
 
     def moves(w: Element) -> list[Element]:
-        return [_act(t, w) for t in permutations]
+        return list(map(_act_on(w), permutations))
 
     parents: dict[Element, Element | None] = {}
     _, complete = _bounded_closure([one], moves, order, parents=parents)

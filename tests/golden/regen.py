@@ -158,6 +158,23 @@ def _search_lines() -> list[list[str]]:
     return lines
 
 
+# The group tables of the finite presets past rank 4, as `nc list` and the
+# benchmark's groups workload read them, in the identity and reversed orders.
+# With --dot, the payload holds a string with newlines.
+_GROUP_PRESETS = {"A5": 5, "B4": 4, "D5": 5, "D6": 6}
+
+
+def _group_lines() -> list[list[str]]:
+    lines = []
+    for name, n in _GROUP_PRESETS.items():
+        for order in ([], ["--order", _csv(range(n, 0, -1))]):
+            session = ["--type", name, *order]
+            for tail in (["nc", "list"], ["nc", "list", "--dot"], ["group", "order"],
+                         ["roots", "list"], ["orbit", "count"]):
+                lines.append(session + tail)
+    return lines
+
+
 _FIXTURES = ("example-2.6", "example-3.6", "table-4")
 
 
@@ -165,6 +182,8 @@ def corpus_lines() -> list[list[str]]:
     lines = [line for name in _PRESETS for line in _preset_lines(name)]
     lines += _CI_LINES + _UNKNOWN_LINES + _search_lines()
     lines += [["repro", fixture] for fixture in _FIXTURES]
+    # D6 `nc list` is a CI line too; each line is kept once, where it first comes.
+    lines += [line for line in _group_lines() if line not in lines]
     return [argv for line in lines for argv in (line, ["--json", *line])]
 
 

@@ -1,4 +1,8 @@
+import contextlib
+import enum
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from schur_scope import cartan, curves, hurwitz, repro, weyl
+from golden import regen
+from schur_scope import cartan, cli, curves, hurwitz, repro, weyl
 from schur_scope._matrix import matmul
 from schur_scope.cli import (
     EXIT_INTERNAL,
@@ -377,6 +382,86 @@ def test_nc_list_json_matches_its_golden_digest(capsys, session):
     assert hashlib.sha256(out.encode()).hexdigest() == NC_LIST_DIGESTS[session]
 
 
+def _outcome(write, value):
+    """What write(value) returns, or the type of the exception it raises."""
+    try:
+        return write(value)
+    except TypeError as exc:  # json refuses keys that it cannot sort
+        return type(exc)
+
+
+def _text_by_json(monkeypatch, payload) -> str:
+    """emit's text with the plain writer switched off: json writes each leaf."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_plain_json", lambda value, newline: None)
+        return emit(payload, False)
+
+
+def _corpus_payloads(tmp_path, monkeypatch) -> list[dict]:
+    """The payload of every golden-corpus line, captured from emit in-process
+    (the text lines: a --json line has the same payload)."""
+    payloads = []
+
+    def capture(payload, json_mode):
+        payloads.append(payload)
+        return ""
+
+    regen.prepare(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "emit", capture)
+        for argv in regen.corpus_lines():
+            if argv[0] != "--json":
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    run(argv)
+                if os.path.exists(regen.RENDER_OUT):
+                    os.remove(regen.RENDER_OUT)
+    return payloads
+
+
+def test_the_plain_writer_writes_every_corpus_payload_as_json_does(tmp_path, monkeypatch):
+    payloads = _corpus_payloads(tmp_path, monkeypatch)
+    assert len(payloads) > 800
+    for payload in payloads:
+        assert emit(payload, True) == json.dumps(payload, sort_keys=True, indent=2)
+        assert emit(payload, False) == _text_by_json(monkeypatch, payload)
+        # Only the DOT graph, whose lines json escapes, needs json.
+        plain = cli._plain_json(payload, "\n") is not None
+        assert plain == ("dot" not in payload), payload
+
+
+class _Answer(str, enum.Enum):
+    YES = "yes"
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+# Values past the plain writer's reach, and plain ones beside them.
+_CRAFTED = [
+    None, True, False, 0, -7, 10**40, "", "plain text", "caf\u00e9", "\u2203",
+    'say "yes"', "back\\slash", "two\nlines", "tab\there", "del\x7f", "bell\x07",
+    "nul\x00", "\x1f", 0.5, float("nan"), float("inf"), -float("inf"), [], {}, (),
+    [[]], [{}], {"a": []}, {"a": {}}, (1, (2, 3)), [True, 1, False, 0], {"k": True, "j": 1},
+    {"b": 1, "a": {"d": [1, {"z": None, "y": "x"}], "c": ()}}, {1: "one"}, {1: "a", "1": "b"},
+    {"a": 1, 2: "b"}, {True: 1}, {None: 1}, {"caf\u00e9": 1}, {'q"': 1}, {"n\n": 1},
+    [1, "a", None, [2.5]], _Answer.YES, [_Answer.YES], {"count": _Count.ONE},
+    {"nested": [[1, 2], [3, [4, [5, []]]]]},
+]
+
+
+@pytest.mark.parametrize("value", _CRAFTED, ids=repr)
+def test_the_plain_writer_falls_back_to_json(monkeypatch, value):
+    indented = functools.partial(json.dumps, sort_keys=True, indent=2)
+    assert _outcome(lambda v: cli._json_text(v, True), value) == _outcome(indented, value)
+    assert _outcome(lambda v: cli._json_text(v, False), value) == _outcome(json.dumps, value)
+    payload = {"value": value, "other": [value, {"inner": value}]}
+    assert _outcome(lambda p: emit(p, True), payload) == _outcome(indented, payload)
+    assert emit(payload, False) == _text_by_json(monkeypatch, payload)
+
+
 def test_nc_list_text_dot_matches_its_golden_digest(capsys):
     code, out = _run(capsys, ["--type", "D4", "nc", "list", "--dot"])
     assert code == EXIT_OK
@@ -505,9 +590,10 @@ def test_nc_leq_cli(capsys):
     assert 'answer = "yes"' in out.splitlines()
 
 
-@pytest.mark.parametrize("u", ["[[1.5,0],[0,1]]", "[1,2]", "[[true,0],[0,1]]"])
+@pytest.mark.parametrize("u", ["[[1.5,0],[0,1]]", "[1,2]", "[[true,0],[0,1]]", "[[1,0],[0,"])
 def test_nc_leq_rejects_non_integer_matrix(capsys, u):
     # 1.5 used to truncate to the identity (answer yes), [1,2] to raise TypeError.
+    # Malformed JSON raises json.JSONDecodeError, a ValueError.
     code = run(["--type", "A2", "nc", "leq", "--u", u, "--w", "1,0"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -636,6 +722,9 @@ _HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
 # a cold command's own start-up.  cli builds it only for a line that is not
 # plain (cli._plain), and every line below is plain.
 _PARSER_STDLIB = {"argparse", "gettext", "locale"}
+# About a third of the package's own import; cli writes a plain payload
+# without it (cli._plain_json), and every payload below is plain.
+_JSON_STDLIB = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
 _UPPER_LAYERS = {f"schur_scope.{name}" for name in ("curves", "schur", "ncposet", "repro")}
 
 
@@ -659,4 +748,5 @@ def test_a_cold_command_imports_only_its_own_layers(command, layers):
     assert "schur_scope.hurwitz" in extra  # the listing is read correctly
     assert not extra & _HEAVY_STDLIB
     assert not extra & _PARSER_STDLIB
+    assert not extra & _JSON_STDLIB
     assert extra & _UPPER_LAYERS == layers

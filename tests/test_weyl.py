@@ -622,14 +622,17 @@ def test_bounded_closure_records_breadth_first_levels():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_act_matches_the_lookup_loop(n):
     # itemgetter of one id returns the id itself, so rank 1 is the case to pin.
+    # One function of w serves every left factor, as in the table walk.
     rng = random.Random(n)
     for _ in range(200):
         size = rng.randint(2, 40)
-        p = tuple(rng.sample(range(size), size))
         w = tuple(rng.randrange(size) for _ in range(n))
-        product = weyl._act(p, w)
-        assert type(product) is tuple
-        assert product == tuple([p[k] for k in w])
+        times_w = weyl._act_on(w)
+        for _ in range(3):
+            p = tuple(rng.sample(range(size), size))
+            product = times_w(p)
+            assert type(product) is tuple
+            assert product == tuple([p[k] for k in w])
 
 
 @pytest.mark.parametrize("name", ["A1", "B2", "G2", "A3", "D4"])
