@@ -241,14 +241,15 @@ _PRESET_RE = re.compile(r"^([a-g])(\d+)$")
 
 def preset(name: str) -> CartanMatrix:
     """Standard matrices by label: A_n, B_n, C_n, D_n, E6-E8, F4, G2,
-    affine-A_n, and universal:rank:weight (all off-diagonal entries -weight).
+    affine-A_n, and universal:rank:weight (all off-diagonal entries -weight;
+    a label with other than these three fields is refused).
     """
     key = name.strip().lower().replace("_", "")
     if key.startswith("universal:"):
-        parts = key.split(":")
         try:
-            k, m = int(parts[1]), int(parts[2])
-        except (IndexError, ValueError):
+            _, k, m = key.split(":")
+            k, m = int(k), int(m)
+        except ValueError:
             raise CartanError("preset", f"malformed universal preset {name!r}") from None
         if k < 1:
             raise CartanError("preset", "universal preset needs rank >= 1")

@@ -20,8 +20,8 @@ finite orbit that fits its cap is walked under sigma_1 and delta = sigma_1
 slot.  The curve harvest and the targeted prefix search are one walk
 (_ReflectionTable.walk) that expands no tuple with a root taller than its
 prune height, and none once it has met every root it wants: the harvest
-wants every enumerated root up to its bound, the search one root, and reads
-its braid word off the walk's parents.  A root's row is made when the
+wants every enumerated root up to its bound, the search one root, and hands
+back the tuple whose move made it.  A root's row is made when the
 root first acts in a move, not when it is first met, and is checked then,
 once, against an independent route.  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
@@ -251,10 +251,10 @@ class _ReflectionTable:
             )
         return row
 
-    def moves(self, node: IdTuple) -> list[tuple[int, int, IdTuple]]:
-        """(letter, new, image) for the generator move and its inverse at
-        every slot, in the order +1, -1, +2, -2, ...; the same moves
-        braid_move makes.  new is the id of the one root the move creates:
+    def moves(self, node: IdTuple) -> list[tuple[int, IdTuple]]:
+        """(new, image) for the generator move and its inverse at every
+        slot, in the order +1, -1, +2, -2, ...; the same moves braid_move
+        makes.  new is the id of the one root the move creates:
         the move at slot i swaps beta_b (or beta_a, for the inverse) for it,
         so every other root of the image is a root of the node."""
         pairs = self.pairs
@@ -265,15 +265,15 @@ class _ReflectionTable:
             g = pairs.get((a, b))
             if g is None:
                 g = self._moved(a, b)
-            found.append((i, g, head + (g, a) + tail))
+            found.append((g, head + (g, a) + tail))
             g = pairs.get((b, a))
             if g is None:
                 g = self._moved(b, a)
-            found.append((-i, g, head + (b, g) + tail))
+            found.append((g, head + (b, g) + tail))
         return found
 
     def images(self, node: IdTuple) -> list[IdTuple]:
-        return [image for _, _, image in self.moves(node)]
+        return [image for _, image in self.moves(node)]
 
     def generator_images(self, node: IdTuple) -> list[IdTuple]:
         """The images of node = (t_1, ..., t_n) under sigma_1 and
@@ -310,8 +310,8 @@ class _ReflectionTable:
         self.pairs[a, b] = g
         return g
 
-    def walk(self, first: IdTuple, node_cap: int, expand_height: int, wanted=None,
-             parents=None) -> tuple[tuple[IdTuple, ...], bool, dict]:
+    def walk(self, first: IdTuple, node_cap: int, expand_height: int,
+             wanted=None) -> tuple[tuple[IdTuple, ...], bool, dict]:
         """The height-pruned orbit walk of the harvest and the targeted
         search: weyl._bounded_closure of first under moves, keeping at most
         node_cap tuples; returns (nodes, complete, made).
@@ -320,33 +320,31 @@ class _ReflectionTable:
         when given, holds roots; once each of them has been met, no
         tuple is expanded at all.  A move's new root is the only root its
         image adds, so it is the one looked up, and made maps each wanted
-        root outside first to the (tuple, letter) of the move that first
-        created it.  That is read off the move list before the cap decides
-        whether the image is kept, so a root first met in a dropped image
-        counts as met.  wanted=None walks the whole bounded closure.
-        parents, an empty dict when given, receives each kept tuple's parent
-        (weyl._bounded_closure).
+        root outside first to the image tuple of the move that first created
+        it.  That is read off the move list before the cap decides whether
+        the image is kept, so a root first met in a dropped image counts as
+        met.  wanted=None walks the whole bounded closure.
         """
         heights, stored = self.heights, self.roots
-        made: dict[Root, tuple[IdTuple, int]] = {}
+        made: dict[Root, IdTuple] = {}
         unmet = None if wanted is None else set(wanted).difference(self.roots_of(first))
 
         def images(node: IdTuple) -> list[IdTuple]:
             found = self.moves(node)
             if unmet:
-                for letter, g, _ in found:
+                for g, image in found:
                     root = stored[g]
                     if root in unmet:
                         unmet.remove(root)
-                        made[root] = node, letter
-            return [image for _, _, image in found]
+                        made[root] = image
+            return [image for _, image in found]
 
         def expandable(node: IdTuple) -> bool:
             if unmet is not None and not unmet:
                 return False  # every wanted root has been met
             return all(heights[g] <= expand_height for g in node)
 
-        return (*weyl._bounded_closure([first], images, node_cap, expandable, parents), made)
+        return (*weyl._bounded_closure([first], images, node_cap, expandable), made)
 
     def harvest(self, start: Factorization, node_cap: int, height_bound: int,
                 roots: tuple[Root, ...] | None = None) -> tuple[set[Root], bool]:
@@ -497,9 +495,10 @@ def factorization_count_formula(C: CartanMatrix) -> int:
     return numerator // group_order
 
 
-class SearchOutcome(namedtuple("SearchOutcome", "word exhausted nodes")):
-    """Result of a bounded targeted orbit search: the braid word (or None),
-    whether the search region was exhausted, and the nodes it met."""
+class SearchOutcome(namedtuple("SearchOutcome", "found exhausted nodes")):
+    """Result of a bounded targeted orbit search: the product-checked
+    Factorization of the first tuple found to hold the target's root (or
+    None), whether the search region was exhausted, and the nodes it met."""
 
     __slots__ = ()
 
@@ -517,35 +516,25 @@ def _targeted_orbit_search(
     created the root.  That is sound for reporting found-witnesses, never
     for claiming absence.
 
-    The braid word reaching the witness, with the target moved to the front,
-    is read off the walk's parents: for each tuple up the chain, the first
-    of its parent's moves whose image it is; then the move that created the
-    root; then -slot, ..., -1.  exhausted is True iff the walk finished
-    below node_cap without meeting the root, or the start holds it.  A
-    start with a root taller than height_cap is refused (ValueError); the
-    canonical start's roots are simple, of height 1.
+    found is the start if it holds the root, else the image tuple of the
+    move that created it, as a Factorization of the table's checked rows,
+    product-checked again.  exhausted is True iff the walk finished below
+    node_cap without meeting the root, or the start holds it.  A start with
+    a root taller than height_cap is refused (ValueError); the canonical
+    start's roots are simple, of height 1.
     """
     table = _root_tuples(C)
     first = table.admit(start)
     beta = target.root
-    roots = table.roots_of(first)
-    if beta in roots:
-        return SearchOutcome(tuple(range(-roots.index(beta), 0)), True, 1)
+    if beta in table.roots_of(first):
+        return SearchOutcome(start, True, 1)
     if max(table.heights[g] for g in first) > height_cap:
         raise ValueError(f"the start has a root taller than the height cap {height_cap}")
-    parents: dict[IdTuple, IdTuple | None] = {}
-    nodes, complete, made = table.walk(first, node_cap, height_cap, {beta}, parents)
+    nodes, complete, made = table.walk(first, node_cap, height_cap, {beta})
     if beta not in made:
         return SearchOutcome(None, complete, len(nodes))
-    node, letter = made[beta]
-    witness = next(image for move, _, image in table.moves(node) if move == letter)
-    word = [letter]
-    while parents[node] is not None:
-        child, node = node, parents[node]
-        word.append(next(move for move, _, image in table.moves(node) if image == child))
-    word.reverse()
-    word.extend(range(-table.roots_of(witness).index(beta), 0))
-    return SearchOutcome(tuple(word), False, len(nodes))
+    found = table.factorization(table.roots_of(made[beta]), start.coxeter)
+    return SearchOutcome(found, False, len(nodes))
 
 
 def dyer_prefix(C: CartanMatrix, t: Reflection, coxeter: Matrix) -> Factorization | None:
@@ -601,8 +590,10 @@ def is_prefix_of_coxeter(
     canonical factorization, on root-id tuples, that wants the root of t
     and does not expand tuples with a root taller than
     DEFAULT_PRUNE_MULTIPLIER times the height of beta
-    (_targeted_orbit_search); the braid word it finds is replayed by
-    braid_move and the witness must start with t.
+    (_targeted_orbit_search).  The search hands back the product-checked
+    tuple that holds the root of t; the moves -k, ..., -1 of braid_move
+    bring that root from slot k + 1 to the front, and the witness must
+    start with t.
     """
     t = weyl.reflection_for_root(C, beta)
     canonical = canonical_factorization(C, order)
@@ -624,11 +615,12 @@ def is_prefix_of_coxeter(
     # Orbit certificate search, pruned by component root height.
     height_cap = DEFAULT_PRUNE_MULTIPLIER * height(t.root)
     outcome = _targeted_orbit_search(C, canonical, t, node_cap, height_cap)
-    if outcome.word is not None:
-        witness = apply_braid_word(canonical, outcome.word)
+    if outcome.found is not None:
+        slot = outcome.found.roots().index(t.root)
+        witness = apply_braid_word(outcome.found, tuple(range(-slot, 0)))
         if witness.parts[0] != t:
             raise ArithmeticError(
-                "replayed witness does not start with the target; upstream bug"
+                "rotated witness does not start with the target; upstream bug"
             )
         return PrefixVerdict(Ternary.YES, witness)
     return PrefixVerdict(Ternary.UNKNOWN, None, exhausted=outcome.exhausted)

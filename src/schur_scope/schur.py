@@ -65,10 +65,10 @@ def is_schur_root(
     factorization.
 
     Finite types (where every positive root passes, by Bessis) and rank 2 are
-    decided exactly.  On other infinite types the witness is the canonical
-    factorization moved by a braid word that a height-pruned orbit search
-    found, so it starts with the reflection of |beta|; when that search finds
-    none the answer is UNKNOWN.
+    decided exactly.  On other infinite types the witness is the first
+    factorization in a height-pruned orbit search of the canonical one that
+    holds the reflection of |beta|, product-checked, with that reflection
+    moved to the front; when that search finds none the answer is UNKNOWN.
     """
     return hurwitz.is_prefix_of_coxeter(beta, o.cartan, o.order, node_cap=node_cap)
 

@@ -158,6 +158,29 @@ def _search_lines() -> list[list[str]]:
     return lines
 
 
+# The prefix certificates past _SEARCH_HEIGHT: `--json schur check` on every
+# positive real root of each preset between its two heights, in the identity
+# and reversed orders, at the default cap and at a tight one.  These lines
+# come in --json only.
+_PREFIX_SLICE = {
+    "universal:3:3": (1, 10), "affine-A4": (1, 7), "universal:5:2": (1, 5),
+    "universal:3:2": (7, 12), "affine-A2": (7, 12), "affine-A3": (7, 10),
+    "universal:4:2": (7, 7),
+}
+
+
+def _prefix_lines() -> list[list[str]]:
+    lines = []
+    for name, (low, high) in _PREFIX_SLICE.items():
+        C = cartan.preset(name)
+        roots = [root for root in weyl.positive_real_roots(C, high) if weyl.height(root) >= low]
+        for order in ([], ["--order", _csv(range(C.n, 0, -1))]):
+            for cap in ([], ["--orbit-cap", "10"]):
+                check = ["--json", "--type", name, *order, *cap, "schur", "check", "--root"]
+                lines += [check + [_csv(root)] for root in roots]
+    return lines
+
+
 # The group tables of the finite presets past rank 4, as `nc list` and the
 # benchmark's groups workload read them, in the identity and reversed orders.
 # With --dot, the payload holds a string with newlines.
@@ -184,7 +207,7 @@ def corpus_lines() -> list[list[str]]:
     lines += [["repro", fixture] for fixture in _FIXTURES]
     # D6 `nc list` is a CI line too; each line is kept once, where it first comes.
     lines += [line for line in _group_lines() if line not in lines]
-    return [argv for line in lines for argv in (line, ["--json", *line])]
+    return [argv for line in lines for argv in (line, ["--json", *line])] + _prefix_lines()
 
 
 def _sha(data: bytes) -> str:

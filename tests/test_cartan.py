@@ -160,9 +160,12 @@ def test_preset_values():
 
 
 def test_preset_errors():
-    for bad in ("H3", "A0", "universal:2:1", "universal:x:2", "Q5"):
-        with pytest.raises(CartanError):
+    # A universal label has exactly three fields: universal, rank and weight.
+    for bad in ("H3", "A0", "universal:2:1", "universal:x:2", "Q5", "universal:3",
+                "universal:3:2:junk", "universal:3:2:", "universal:3:2:2"):
+        with pytest.raises(CartanError) as caught:
             preset(bad)
+        assert caught.value.kind == "preset", bad
 
 
 def test_preset_d4_shape():

@@ -111,6 +111,9 @@ def test_usage_errors(capsys):
     assert run(["--type", "A2", "schur", "check"]) == EXIT_USAGE
     assert run(["--type", "A2", "--order", "2,2", "roots", "list"]) == EXIT_USAGE
     assert run(["--type", "A2", "--cartan", "x", "roots", "list"]) == EXIT_USAGE
+    # A universal label with a field past rank and weight.
+    assert run(["--type", "universal:3:2:junk", "mutate", "source"]) == EXIT_USAGE
+    assert run(["--type", "universal:3:2:", "mutate", "source"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
     # Refused by the argument parser: a missing required option, an unknown
     # command and an unknown option; --help is not an error.

@@ -9,7 +9,6 @@ from schur_scope._matrix import matmul, matvec
 from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset
 from schur_scope.hurwitz import (
     Factorization,
-    SearchOutcome,
     Ternary,
     _full_orbit,
     _targeted_orbit_search,
@@ -423,13 +422,16 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
     """The targeted search on Factorizations moved by braid_move: a
     breadth-first walk that keeps at most node_cap of them, expands none
     with a root taller than height_cap, and expands none once a move has
-    made the target, whether its image is kept or dropped at the cap."""
+    made the target, whether its image is kept or dropped at the cap.
+    Returns (word, exhausted, nodes), where word, or None, moves start to
+    the first factorization found to hold the target and then moves the
+    target to the front."""
 
     def finish(f, word):
         return tuple(word) + tuple(range(-f.parts.index(target), 0))
 
     if target in start.parts:
-        return SearchOutcome(finish(start, []), True, 1)
+        return finish(start, []), True, 1
     parents = {start: None}
     queue, complete, made = deque([start]), True, None
     while queue and made is None:
@@ -449,13 +451,13 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
                 parents[image] = (f, letter)
                 queue.append(image)
     if made is None:
-        return SearchOutcome(None, complete, len(parents))
+        return None, complete, len(parents)
     f, letter, image = made
     word = [letter]
     while parents[f] is not None:
         f, letter = parents[f]
         word.append(letter)
-    return SearchOutcome(finish(image, word[::-1]), False, len(parents))
+    return finish(image, word[::-1]), False, len(parents)
 
 
 def _orders(C):
@@ -565,9 +567,20 @@ def test_targeted_search_matches_braid_move_reference(name):
         for beta in weyl.positive_real_roots(C, 6):
             target = weyl.reflection_for_root(C, beta)
             outcome = _targeted_orbit_search(C, start, target, node_cap, height_cap)
-            reference = _reference_targeted_search(start, target, node_cap, height_cap)
-            assert outcome == reference, (beta, node_cap, height_cap)
-            if outcome.word is not None:
+            word, exhausted, nodes = _reference_targeted_search(
+                start, target, node_cap, height_cap
+            )
+            case = beta, node_cap, height_cap
+            assert (outcome.found is None, outcome.exhausted, outcome.nodes) == (
+                word is None, exhausted, nodes
+            ), case
+            if word is not None:
+                # The reference's braid word replayed from the start is the
+                # found factorization with the target moved to the front by
+                # -k, ..., -1, as is_prefix_of_coxeter moves it.
+                slot = outcome.found.roots().index(beta)
+                rotated = apply_braid_word(outcome.found, tuple(range(-slot, 0)))
+                assert apply_braid_word(start, word) == rotated, case
                 kinds.add("found")
             else:
                 kinds.add("exhausted" if outcome.exhausted else "capped")
@@ -616,7 +629,7 @@ def test_root_tuple_searches_make_no_braid_move(monkeypatch):
     C = preset("universal:3:2")
     target = weyl.reflection_for_root(C, (2, 0, 1))
     outcome = _targeted_orbit_search(C, canonical_factorization(C), target, 10**4, 8)
-    assert outcome.word is not None
+    assert target in outcome.found.parts
 
 
 def test_orbit_builds_no_factorization_and_conjugates_each_pair_once(monkeypatch):

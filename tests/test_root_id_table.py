@@ -5,7 +5,7 @@ The reference table walks tuples of roots and makes and checks the row of
 every root when the root is first met; the searches below are the ones that
 ran on it.  The table in hurwitz walks tuples of root ids and makes a row
 only when its root first acts.  Both must give the same sorted orbits, the
-same search outcomes (braid word, exhausted, node count) and the same
+same search outcomes (found tuple, exhausted, node count) and the same
 harvests.
 """
 
@@ -51,16 +51,13 @@ class _EagerRootTable:
                 raise ArithmeticError(f"start part {part} is not its root's reflection")
         return start.roots()
 
-    def moves(self, node):
+    def images(self, node):
         pairs = self.pairs
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
-            yield i, head + (pairs.get((a, b)) or self._moved(a, b), a) + tail
-            yield -i, head + (b, pairs.get((b, a)) or self._moved(b, a)) + tail
-
-    def images(self, node):
-        return (image for _, image in self.moves(node))
+            yield head + (pairs.get((a, b)) or self._moved(a, b), a) + tail
+            yield head + (b, pairs.get((b, a)) or self._moved(b, a)) + tail
 
     def _moved(self, a, b):
         t_a = self.reflections[a]
@@ -84,38 +81,28 @@ def _reference_orbit(table, start, node_cap):
 def _reference_search(table, start, target, node_cap, height_cap):
     """The targeted search's walk on root tuples: at most node_cap tuples
     kept, none with a root taller than height_cap expanded, and none
-    expanded once a move has made the target's root."""
-
-    def finish(node, word):
-        return tuple(word) + tuple(range(-node.index(target.root), 0))
-
+    expanded once a move has made the target's root.  Returns the first
+    tuple found to hold the root (or None), exhausted and the node count."""
     first = table.admit(start)
     if target.root in first:
-        return finish(first, []), True, 1
-    parents = {first: None}
-    queue, complete, made = deque([first]), True, None
-    while queue and made is None:
+        return first, True, 1
+    seen = {first}
+    queue, complete, found = deque([first]), True, None
+    while queue and found is None:
         node = queue.popleft()
         if any(height(r) > height_cap for r in node):
             continue
-        for letter, image in table.moves(node):
-            if made is None and target.root in image:
-                made = node, letter, image
-            if image in parents:
+        for image in table.images(node):
+            if found is None and target.root in image:
+                found = image
+            if image in seen:
                 continue
-            if len(parents) >= node_cap:
+            if len(seen) >= node_cap:
                 complete = False
                 continue
-            parents[image] = (node, letter)
+            seen.add(image)
             queue.append(image)
-    if made is None:
-        return None, complete, len(parents)
-    node, letter, image = made
-    word = [letter]
-    while parents[node] is not None:
-        node, letter = parents[node]
-        word.append(letter)
-    return finish(image, word[::-1]), False, len(parents)
+    return found, complete and found is None, len(seen)
 
 
 def _reference_harvest(table, o, height_bound, node_cap):
@@ -153,8 +140,9 @@ def test_targeted_searches_match_the_eager_table(name, max_height):
             args = (start, target, node_cap, DEFAULT_PRUNE_MULTIPLIER * height(beta))
             outcome = _targeted_orbit_search(C, *args)
             expected = _reference_search(reference, *args)
-            assert (outcome.word, outcome.exhausted, outcome.nodes) == expected, beta
-            flags.add((outcome.word is None, outcome.exhausted))
+            found = None if outcome.found is None else outcome.found.roots()
+            assert (found, outcome.exhausted, outcome.nodes) == expected, beta
+            flags.add((found is None, outcome.exhausted))
     assert {(False, False), (True, False)} <= flags  # found, and stopped by the cap
 
 

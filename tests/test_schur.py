@@ -447,7 +447,7 @@ def test_curve_harvest_moves_no_curve_words(monkeypatch):
 
 def test_queries_from_one_start_share_its_reflection_table(monkeypatch):
     # The second query meets only roots the first one already checked.  The
-    # root is an unknown, so no braid word is replayed.
+    # root is an unknown, so no witness is built or rotated.
     o = _o("universal:3:2")
     is_schur_root((1, 6, 2), o)
     conjugations = []

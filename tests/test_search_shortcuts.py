@@ -39,40 +39,32 @@ def _full_image_search(C, start, target, node_cap, height_cap):
     """The targeted search with every root of every image compared with the
     goal, and every root of a tuple with the height cap before the tuple is
     expanded."""
-
-    def finish(node, word):
-        return tuple(word) + tuple(range(-node.index(goal), 0))
-
     table = _root_tuples(C)
     heights = table.heights
     first = table.admit(start)
     goal = table.intern(target.root)
     if goal in first:
-        return SearchOutcome(finish(first, []), True, 1)
-    parents = {first: None}
-    queue, complete, made = deque([first]), True, None
-    while queue and made is None:
+        return SearchOutcome(start, True, 1)
+    seen = {first}
+    queue, complete, found = deque([first]), True, None
+    while queue and found is None:
         node = queue.popleft()
         if any(heights[g] > height_cap for g in node):
             continue
-        for letter, _, image in table.moves(node):
-            if made is None and goal in image:
-                made = node, letter, image
-            if image in parents:
+        for _, image in table.moves(node):
+            if found is None and goal in image:
+                found = image
+            if image in seen:
                 continue
-            if len(parents) >= node_cap:
+            if len(seen) >= node_cap:
                 complete = False
                 continue
-            parents[image] = (node, letter)
+            seen.add(image)
             queue.append(image)
-    if made is None:
-        return SearchOutcome(None, complete, len(parents))
-    node, letter, image = made
-    word = [letter]
-    while parents[node] is not None:
-        node, letter = parents[node]
-        word.append(letter)
-    return SearchOutcome(finish(image, word[::-1]), False, len(parents))
+    if found is None:
+        return SearchOutcome(None, complete, len(seen))
+    parts = tuple(map(table.reflection, found))
+    return SearchOutcome(Factorization(parts, start.coxeter), False, len(seen))
 
 
 SEARCH_CASES = [
@@ -94,7 +86,7 @@ def test_searches_on_the_new_root_match_the_full_image_tests(name, max_height):
             args = (C, start, target, node_cap, DEFAULT_PRUNE_MULTIPLIER * height(beta))
             outcome = _targeted_orbit_search(*args)
             assert outcome == _full_image_search(*args), (beta, node_cap)
-            flags.add((outcome.word is None, outcome.exhausted))
+            flags.add((outcome.found is None, outcome.exhausted))
     # Witnesses found, and, where some roots have none (every root of
     # universal:4:2 up to height 6 has one), searches that the node cap stops
     # and searches that exhaust the pruned region.

@@ -38,7 +38,8 @@ BUILDERS = {
         lambda: PrefixVerdict(hurwitz.Ternary.NO, None),
     ),
     "SearchOutcome": (
-        lambda: SearchOutcome((1, -1), True, 3), lambda: SearchOutcome(None, True, 3)
+        lambda: SearchOutcome(hurwitz.canonical_factorization(B2), True, 1),
+        lambda: SearchOutcome(None, True, 3),
     ),
     "ConjectureReport": (
         lambda: schur.verify_conjecture(schur.Orientation.default(B2), 3),
