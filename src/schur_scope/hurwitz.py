@@ -6,9 +6,10 @@ a product of generators reads the product right to left.
 
 A reflection is its root and coroot row (weyl.Reflection).  The generator
 move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
-gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a and has the coroot row
-phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0): O(n), no matrix.
-braid_move and apply_braid_word replay braid words on Factorization objects.
+gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a: O(n), no matrix.
+braid_move and apply_braid_word replay braid words on Factorization objects,
+and conjugate the rows too: t_a t_b t_a has the coroot row
+phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0).
 The orbit searches move on tuples of small-int root ids through one table per
 Cartan matrix, which interns each positive root once, with its height, and
 memoizes the root id of each id pair's move; a move replaces one root of a
@@ -22,8 +23,9 @@ slot.  The curve harvest and the targeted prefix search are one walk
 prune height, and none once it has met every root it wants: the harvest
 wants every enumerated root up to its bound, the search one root, and hands
 back the tuple whose move made it.  A root's row is made when the
-root first acts in a move, not when it is first met, and is checked then,
-once, against an independent route.  The product of a tuple they reach is
+root first acts in a move, not when it is first met, by the one route from a
+real root to its row: phi_gamma = 2B(., gamma) / B(gamma, gamma) off the
+symmetrized form (weyl.coroot_row).  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
 row is the true reflection of its root, and w s_beta w^-1 = s_{w beta} makes
 each move keep the product.  Callers get roots back, never ids.
@@ -164,16 +166,15 @@ class _ReflectionTable:
     maps an id pair (a, b) to the id of the root of t_a t_b t_a, so a pair
     met again costs one lookup.
 
-    reflections maps an id to its Reflection, made when the root first acts
-    as t_a in a move, not when it is first met (or when a Factorization needs
-    it; most roots a pruned search meets never act).  A root met
-    through a move keeps the pair (a, b) that first made it (origins[g]), and
-    its row is _conjugate_reflection of that pair's rows, checked against a
-    route independent of the one that made it: phi_gamma = 2B(., gamma) /
-    B(gamma, gamma), read off the symmetrized form.  A start root has no
-    such pair; its row is weyl.reflection_for_root's, and a start part must
-    equal its root's row.  A mismatch raises ArithmeticError.
-    So every row is checked before a move or a product uses it.
+    reflections maps an id to its Reflection.  A start root gets its row
+    from weyl.reflection_for_root when intern first meets it, which refuses
+    a vector that is not a real root (ValueError), and a start part must
+    equal its root's row (ArithmeticError otherwise).  Every other root is
+    t_a(beta_b) up to sign for real roots beta_a and beta_b, so it is real,
+    as W permutes the real roots.  Its row is phi_gamma = 2B(., gamma) /
+    B(gamma, gamma), read off the symmetrized form (weyl.coroot_row) when
+    the root first acts as t_a in a move, not when it is first met (or when
+    a Factorization needs it; most roots a pruned search meets never act).
 
     The move at slot i sends (beta_a, beta_b) to (root of t_a t_b t_a,
     beta_a) and its inverse sends it to (beta_b, root of t_b t_a t_b).  Every
@@ -190,21 +191,26 @@ class _ReflectionTable:
         self.roots: list[Root] = []
         self.heights: list[int] = []
         self.ids: dict[Root, int] = {}
-        self.origins: list[tuple[int, int] | None] = []
         self.reflections: dict[int, Reflection] = {}
         self.pairs: dict[tuple[int, int], int] = {}
 
     def intern(self, root: Root) -> int:
-        """The id of a start root; a root met first is stored with its height
-        and no pair."""
+        """The id of a start root; a root met first gets its row from
+        weyl.reflection_for_root, and only then is stored, with its height.
+        A negative root is refused (ArithmeticError) and not stored."""
         g = self.ids.get(root)
-        return self._add(root, height(root), None) if g is None else g
+        if g is None:
+            row = weyl.reflection_for_root(self.cartan, root)
+            if row.root != root:
+                raise ArithmeticError(f"start root {root} is not a positive root")
+            g = self._add(root, height(root))
+            self.reflections[g] = row
+        return g
 
-    def _add(self, root: Root, h: int, origin: tuple[int, int] | None) -> int:
+    def _add(self, root: Root, h: int) -> int:
         g = self.ids[root] = len(self.roots)
         self.roots.append(root)
         self.heights.append(h)
-        self.origins.append(origin)
         return g
 
     def admit(self, start: Factorization) -> IdTuple:
@@ -226,29 +232,12 @@ class _ReflectionTable:
         return Factorization(tuple(self.reflection(self.ids[r]) for r in node), coxeter)
 
     def reflection(self, g: int) -> Reflection:
-        """The row of root id g, made and checked on first use."""
+        """The row of root id g, read off the form on first use."""
         row = self.reflections.get(g)
         if row is None:
-            origin = self.origins[g]
-            if origin is None:
-                row = weyl.reflection_for_root(self.cartan, self.roots[g])
-            else:
-                a, b = map(self.reflection, origin)
-                row = self._checked(self.roots[g], _conjugate_reflection(a, b))
+            root = self.roots[g]
+            row = Reflection(root, weyl.coroot_row(self.form, root))
             self.reflections[g] = row
-        return row
-
-    def _checked(self, root: Root, row: Reflection) -> Reflection:
-        """row, once it is found to be phi_gamma = 2B(., gamma) / B(gamma, gamma)
-        for gamma = root; B(v, gamma) is column gamma of the form."""
-        column = [sum(map(mul, line, root)) for line in self.form]
-        norm = sum(map(mul, root, column))
-        if row.root != root or any(
-            2 * x != p * norm for x, p in zip(column, row.coroot)
-        ):
-            raise ArithmeticError(
-                f"conjugated row {row} is not the reflection of {root}; upstream bug"
-            )
         return row
 
     def moves(self, node: IdTuple) -> list[tuple[int, IdTuple]]:
@@ -306,7 +295,7 @@ class _ReflectionTable:
             root = positive_part(v)
         g = self.ids.get(root)
         if g is None:
-            g = self._add(root, sum(root), (a, b))
+            g = self._add(root, sum(root))
         self.pairs[a, b] = g
         return g
 
@@ -442,11 +431,11 @@ def hurwitz_orbit(
     inverse at every slot, which fixes the tuples a capped walk keeps.
 
     No Factorization is built per node.  The product of every tuple is
-    certified by the start's product check, by the table's one checked row
-    per root that acts, and by w s_beta w^-1 = s_{w beta}, which makes each
-    move keep the product (see _ReflectionTable).  A start part that is not the
-    reflection of its root in W(C) is refused (ArithmeticError, or
-    ValueError for a vector that is not a real root).
+    certified by the start's product check, by the table's one row per root
+    that acts, read off the form, and by w s_beta w^-1 = s_{w beta}, which
+    makes each move keep the product (see _ReflectionTable).  A start part
+    that is not the reflection of its root in W(C) is refused
+    (ArithmeticError, or ValueError for a vector that is not a real root).
 
     complete is True iff the closure terminated below the node cap; this always
     happens for finite types, where the orbit is the full set of reduced
@@ -517,7 +506,7 @@ def _targeted_orbit_search(
     for claiming absence.
 
     found is the start if it holds the root, else the image tuple of the
-    move that created it, as a Factorization of the table's checked rows,
+    move that created it, as a Factorization of the table's rows,
     product-checked again.  exhausted is True iff the walk finished below
     node_cap without meeting the root, or the start holds it.  A start with
     a root taller than height_cap is refused (ValueError); the canonical

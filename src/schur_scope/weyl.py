@@ -174,6 +174,21 @@ def root_of_reflection(t: Matrix) -> Root:
     return positive_part(generator)
 
 
+def coroot_row(form: Matrix, beta: Root) -> Vector:
+    """The coroot row phi_beta = 2B(., beta) / B(beta, beta) of a real root
+    beta, read off the symmetrized form B (cartan.symmetrized), so that
+    phi_beta(v) = <v, beta^vee> (Kac, "Infinite-dimensional Lie algebras",
+    1990, 5.1).  Row entry i is 2B(alpha_i, beta) / B(beta, beta), and B
+    is symmetric, so B(alpha_i, beta) is line i of the form against beta.
+    The row of every real root is integral; a non-positive norm or a row
+    that is not integral raises ArithmeticError."""
+    column = [sum(map(mul, line, beta)) for line in form]
+    norm = sum(map(mul, beta, column))
+    if norm <= 0 or any(2 * x % norm for x in column):
+        raise ArithmeticError(f"{beta} has no integral coroot row; it is not a real root")
+    return tuple([2 * x // norm for x in column])
+
+
 def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     """The reflection v -> v - <v, beta^vee> beta of a real root beta.
 
@@ -184,8 +199,8 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     applied.  A positive real root other than a simple root has such an i, and
     s_i takes it to a lower positive real root (Kac, "Infinite-dimensional Lie
     algebras", 1990, 5.1), so beta is real iff the descent reaches some
-    alpha_j, which takes at most height(beta) steps.  The descent word w gives
-    beta = w alpha_j and beta^vee = w alpha_j^vee, whence the coroot row.
+    alpha_j, which takes at most height(beta) steps.  The descent is the gate
+    only: the coroot row of the real root it admits is coroot_row's.
     """
     n = C.n
     if len(beta) != n:
@@ -200,7 +215,6 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     v = list(beta)
     # pairing[i] = <v, alpha_i^vee>, updated along with v.
     pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
-    word = []
     while sum(v) != 1:
         i = next((i for i in range(n) if pairing[i] > 0), None)
         if i is None or v[i] < pairing[i]:
@@ -209,12 +223,7 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
         v[i] -= step
         for k in range(n):
             pairing[k] -= step * a[k][i]
-        word.append(i)
-    coroot = v  # v is alpha_j; alpha_j^vee has the same simple-coroot coordinates
-    for i in reversed(word):
-        coroot[i] -= sum(a[k][i] * coroot[k] for k in range(n))
-    row = tuple(sum(coroot[i] * a[i][col] for i in range(n)) for col in range(n))
-    return Reflection(beta, row)
+    return Reflection(beta, coroot_row(symmetrized(C), beta))
 
 
 def _bounded_closure(starts, moves, node_cap, expand=None, parents=None):
@@ -594,12 +603,8 @@ def factor_into_reflections(
     steps = list(_peel(C, w))
     if (len(steps) - count) % 2:
         return None
-    # t_p's coroot row is phi(v) = B(v, beta) / d_j, as B(beta, beta) = 2 d_j.
-    form, d = symmetrized(C), symmetrizer(C)
-    inversions = [
-        Reflection(beta, tuple(sum(x * y for x, y in zip(row, beta)) // d[j] for row in form))
-        for j, beta in steps
-    ]
+    form = symmetrized(C)
+    inversions = [Reflection(beta, coroot_row(form, beta)) for _, beta in steps]
     index = {t.root: a for a, t in enumerate(inversions)}
     nodes = 0
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 
 from schur_scope import hurwitz, weyl
 from schur_scope._matrix import matmul, matvec
-from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset
+from schur_scope.cartan import CartanMatrix, TypeClass, classify_type, preset, symmetrized
 from schur_scope.hurwitz import (
     Factorization,
     Ternary,
@@ -632,36 +633,43 @@ def test_root_tuple_searches_make_no_braid_move(monkeypatch):
     assert target in outcome.found.parts
 
 
-def test_orbit_builds_no_factorization_and_conjugates_each_pair_once(monkeypatch):
+def test_orbit_builds_no_factorization_and_reads_each_row_once(monkeypatch):
     B3 = preset("B3")
     start = canonical_factorization(B3)
     # A fresh table, so that this closure meets every root for the first time.
     monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
-    checked, conjugated, applied = [], [], []
+    checked, rows, applied = [], [], []
     check = Factorization.__post_init__
-    conjugate = hurwitz._conjugate_reflection
+    coroot_row = weyl.coroot_row
     apply = weyl.Reflection.apply
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk conjugated a row")
+
     monkeypatch.setattr(
         Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
     )
     monkeypatch.setattr(
-        hurwitz,
-        "_conjugate_reflection",
-        lambda a, b: (conjugated.append((a.root, b.root)), conjugate(a, b))[1],
+        weyl, "coroot_row", lambda form, beta: (rows.append(beta), coroot_row(form, beta))[1]
     )
+    monkeypatch.setattr(hurwitz, "_conjugate_reflection", refuse)
     orbit = hurwitz_orbit(B3, start)
     assert len(orbit) == ORBIT_SIZES["B3"]
     # The start was checked when it was built, before the closure; no node is.
     assert checked == []
-    # One conjugation per root that is not a start root, no pair twice.
+    # One row per root that acts, no root twice: the start roots' rows come
+    # through weyl.reflection_for_root, every other row straight off the form.
     table = hurwitz._root_tuples(B3)
-    assert len(conjugated) == len(set(conjugated)) == len(table.reflections) - B3.n
+    simple = set(start.roots())
+    assert len(rows) == len(set(rows)) == len(table.reflections)
+    assert simple <= set(rows)
+    assert len(set(rows) - simple) == len(table.reflections) - B3.n
     # A second closure on the same table finds every pair memoized.
     monkeypatch.setattr(
         weyl.Reflection, "apply", lambda t, v: (applied.append(v), apply(t, v))[1]
     )
     assert hurwitz_orbit(B3, start) == orbit
-    assert applied == [] and len(conjugated) == len(table.reflections) - B3.n
+    assert applied == [] and len(rows) == len(table.reflections)
 
 
 def test_orbit_factorizations_are_each_product_checked(monkeypatch):
@@ -703,31 +711,45 @@ def _with_stray_row(a, b):
     return weyl.Reflection(g, tuple(x + y for x, y in zip(t.coroot, stray)))
 
 
-# The sign flip matters only for a root first met as a negative image.  No
-# A3 orbit meets one, so that mutant leaves every A3 row right; B3 meets one
-# from the order (2, 1, 3).
+# Only braid_move conjugates rows, so each mutant is aimed at apply_braid_word.
+# Dropping the correction breaks the pairing phi(gamma) = 2, which Reflection
+# refuses; a stray row is a different map, which the product check refuses.
+# Dropping the sign flip keeps the map and writes it with a negative root,
+# which no runtime check sees; B3 in the order (2, 1, 3) and G2 meet such an
+# image.  The matrix replay of tests/test_reflection_rows.py catches all three.
 @pytest.mark.parametrize(
     "mutant, starts, refusal",
     [
-        (_without_correction, [("A3", None), ("B3", None), ("G2", None)], "does not pair"),
-        (_without_sign_flip, [("B3", (2, 1, 3)), ("G2", None), ("G2", (2, 1))], "not the"),
-        (_with_stray_row, [("A3", None), ("B3", None), ("G2", None)], "not the"),
+        (_without_correction, [("A3", None), ("B3", None), ("G2", None)],
+         (ArithmeticError, "does not pair")),
+        (_without_sign_flip, [("B3", (2, 1, 3)), ("G2", None), ("G2", (2, 1))], None),
+        (_with_stray_row, [("A3", None), ("B3", None), ("G2", None)],
+         (ValueError, "differs from the Coxeter element")),
     ],
     ids=["without-correction", "without-sign-flip", "stray-row"],
 )
 def test_corrupted_row_update_is_refused(monkeypatch, mutant, starts, refusal):
-    from schur_scope import cli
+    import test_reflection_rows
 
-    monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
     monkeypatch.setattr(hurwitz, "_conjugate_reflection", mutant)
     for name, order in starts:
-        hurwitz._root_tuples.cache_clear()
-        C = preset(name)
-        with pytest.raises(ArithmeticError, match=refusal):
-            hurwitz_orbit(C, canonical_factorization(C, order))
-    hurwitz._root_tuples.cache_clear()
-    argv = ["--type", "B3", "--order", "2,1,3", "orbit", "count"]
-    assert cli.run(argv) == cli.EXIT_INTERNAL
+        start = canonical_factorization(preset(name), order)
+        words = [
+            word
+            for length in (1, 2, 3)
+            for word in itertools.product(
+                [i for k in range(1, start.n) for i in (k, -k)], repeat=length
+            )
+        ]
+        if refusal is None:
+            moved = [apply_braid_word(start, word) for word in words]
+            assert any(weyl.is_negative(r) for f in moved for r in f.roots()), name
+        else:
+            with pytest.raises(refusal[0], match=refusal[1]):
+                for word in words:
+                    apply_braid_word(start, word)
+    with pytest.raises((AssertionError, ArithmeticError, ValueError)):
+        test_reflection_rows.test_braid_words_match_the_matrix_replay()
 
 
 def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():
@@ -739,14 +761,20 @@ def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():
     start = Factorization((flipped, s2), weyl.coxeter_element(A2))
     with pytest.raises(ArithmeticError):
         hurwitz_orbit(A2, start)
+    # The shared table stores no negative root.
+    assert all(not weyl.is_negative(root) for root in hurwitz._root_tuples(A2).roots)
     # On B2, row 1 is (2, -2), so (2alpha_1, (1, -1)) is s_1 again; 2alpha_1
     # is not a root.
     B2 = preset("B2")
     s1, s2 = (weyl.simple_reflection(B2, i) for i in (1, 2))
     assert s1.coroot == (2, -2)
     doubled = weyl.Reflection((2, 0), (1, -1))
-    with pytest.raises(ValueError, match="not the norm"):
-        hurwitz_orbit(B2, Factorization((doubled, s2), weyl.coxeter_element(B2)))
+    # 2B(., 2alpha_1) / B(2alpha_1, 2alpha_1) is that row too, so a refused
+    # start must not be stored: the second admission is refused again.
+    assert weyl.coroot_row(symmetrized(B2), (2, 0)) == doubled.coroot
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not the norm"):
+            hurwitz_orbit(B2, Factorization((doubled, s2), weyl.coxeter_element(B2)))
     # A start of another Cartan matrix: s_2 of A3 is not s_2 of B3.
     with pytest.raises(ArithmeticError):
         hurwitz_orbit(preset("B3"), canonical_factorization(preset("A3")))

@@ -37,19 +37,21 @@ def test_table_rows_give_the_reflection_matrices(name):
     start = canonical_factorization(C)
     hurwitz_orbit(C, start, NODE_CAP)
     rows = hurwitz._root_tuples(C)
-    # Ids to roots, each row built (and checked) through the table.
+    # Ids to roots, each row built through the table.
     table = {root: rows.reflection(g) for g, root in enumerate(rows.roots)}
     assert len(table) > C.n
     for root, t in table.items():
         assert t.root == root
         assert t.matrix == weyl.reflection_for_root(C, root).matrix
         assert weyl.root_of_reflection(t.matrix) == root
-    # Each memoized move is the root of the conjugated matrix.
+    # Each memoized move is the root of the conjugated matrix, and its row,
+    # read off the form, is the pair's rows conjugated.
     assert rows.pairs
     for ids, moved in rows.pairs.items():
         (a, b), root = map(rows.roots.__getitem__, ids), rows.roots[moved]
         conjugated = matmul(matmul(table[a].matrix, table[b].matrix), table[a].matrix)
         assert weyl.root_of_reflection(conjugated) == root
+        assert table[root] == hurwitz._conjugate_reflection(table[a], table[b])
 
 
 def _conjugate_matrices(a, b):

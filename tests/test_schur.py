@@ -446,16 +446,16 @@ def test_curve_harvest_moves_no_curve_words(monkeypatch):
 
 
 def test_queries_from_one_start_share_its_reflection_table(monkeypatch):
-    # The second query meets only roots the first one already checked.  The
-    # root is an unknown, so no witness is built or rotated.
+    # The second query meets only roots whose rows the first one already
+    # read off the form: the one row it reads is its own target's, through
+    # weyl.reflection_for_root.  The root is an unknown, so no witness is
+    # built or rotated.
     o = _o("universal:3:2")
     is_schur_root((1, 6, 2), o)
-    conjugations = []
-    conjugate = hurwitz._conjugate_reflection
+    rows = []
+    coroot_row = weyl.coroot_row
     monkeypatch.setattr(
-        hurwitz,
-        "_conjugate_reflection",
-        lambda a, b: (conjugations.append(b.root), conjugate(a, b))[1],
+        weyl, "coroot_row", lambda form, beta: (rows.append(beta), coroot_row(form, beta))[1]
     )
     assert is_schur_root((1, 6, 2), o).answer is Ternary.UNKNOWN
-    assert conjugations == []
+    assert rows == [(1, 6, 2)]

@@ -25,6 +25,7 @@ from schur_scope.weyl import (
 from test_cartan import submatrix
 from test_group_id_table import SMALL_FINITE, matrix_group, matrix_length_table
 from test_matrix import mat_pow
+from test_reflection_rows import PRESETS as ROW_PRESETS
 
 def is_reflection(w):
     """True iff w^2 = id and w - id has rank exactly 1: the matrix-level oracle."""
@@ -158,6 +159,47 @@ def test_reflection_for_root_validates():
     assert reflection_for_root(U, (1, 2)).root == (1, 2)
     with pytest.raises(ValueError):
         reflection_for_root(U, (1, 1))  # isotropic, not a real root
+
+
+def _descent_coroot_row(C, beta):
+    """The coroot row of a positive real root by its descent word, the
+    reference coroot_row is held to: while beta is not simple, apply the
+    first s_i with <beta, alpha_i^vee> > 0, down to some alpha_j.  With w
+    the word, beta = w alpha_j and beta^vee = w alpha_j^vee, replayed
+    backwards on simple-coroot coordinates, then paired with the simple
+    roots through C."""
+    n, a = C.n, C.entries
+    v, word = list(beta), []
+    while sum(v) != 1:
+        i = next(i for i in range(n) if sum(a[i][j] * v[j] for j in range(n)) > 0)
+        v[i] -= sum(a[i][j] * v[j] for j in range(n))
+        word.append(i)
+    coroot = v  # alpha_j^vee has the simple-coroot coordinates of alpha_j
+    for i in reversed(word):
+        coroot[i] -= sum(a[k][i] * coroot[k] for k in range(n))
+    return tuple(sum(coroot[i] * a[i][col] for i in range(n)) for col in range(n))
+
+
+@pytest.mark.parametrize("name", ROW_PRESETS)
+def test_coroot_row_matches_the_descent_word_replay(name):
+    C = preset(name)
+    form = symmetrized(C)
+    roots = positive_real_roots(C, 12)
+    for beta in roots:
+        row = weyl.coroot_row(form, beta)
+        assert row == _descent_coroot_row(C, beta), beta
+        assert reflection_for_root(C, beta).coroot == row
+    assert any(height(beta) > 1 for beta in roots)
+
+
+def test_coroot_row_refuses_a_row_that_is_not_integral():
+    A2 = symmetrized(preset("A2"))
+    # B((0, 2), (0, 2)) = 8 and B(alpha_1, (0, 2)) = -2: the row would hold -1/2.
+    with pytest.raises(ArithmeticError, match="no integral coroot row"):
+        weyl.coroot_row(A2, (0, 2))
+    with pytest.raises(ArithmeticError):
+        weyl.coroot_row(symmetrized(preset("universal:2:2")), (1, 1))  # norm 0
+    assert weyl.coroot_row(A2, (1, 1)) == (1, 1)
 
 
 def _vectors_up_to(n, bound):
