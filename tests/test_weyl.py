@@ -171,8 +171,9 @@ def _descent_coroot_row(C, beta):
     n, a = C.n, C.entries
     v, word = list(beta), []
     while sum(v) != 1:
-        i = next(i for i in range(n) if sum(a[i][j] * v[j] for j in range(n)) > 0)
-        v[i] -= sum(a[i][j] * v[j] for j in range(n))
+        pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
+        i = next(i for i in range(n) if pairing[i] > 0)
+        v[i] -= pairing[i]
         word.append(i)
     coroot = v  # alpha_j^vee has the simple-coroot coordinates of alpha_j
     for i in reversed(word):
