@@ -70,10 +70,6 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        """a_ij with 1-based indices."""
-        return self.entries[i - 1][j - 1]
-
 
 def components(entries: Matrix) -> tuple[tuple[int, ...], ...]:
     """The connected components, as sorted 0-based vertex tuples, of the

@@ -368,35 +368,20 @@ def _root_tuples(C: CartanMatrix) -> _ReflectionTable:
 
 
 class OrbitResult:
-    """The root-id tuples of an orbit, in discovery order, and whether its
-    closure finished.  len() counts the tuples; roots and factorizations
-    read them as sorted root tuples, sorted on each read.  Immutable; two
-    results are equal when their roots, completeness and Coxeter element
-    are, and the table they were walked on is not compared."""
+    """The root-id tuples of an orbit, in discovery order, whether its
+    closure finished, and the table it was walked on.  len() counts the
+    tuples; roots reads them as sorted root tuples, sorted on each read, and
+    table.factorization turns one into a product-checked Factorization.
+    Immutable, and compared by identity."""
 
-    __slots__ = ("nodes", "complete", "coxeter", "table")
+    __slots__ = ("nodes", "complete", "table")
 
-    def __init__(
-        self,
-        nodes: tuple[IdTuple, ...],
-        complete: bool,
-        coxeter: Matrix,
-        table: _ReflectionTable,
-    ):
-        for name, value in zip(self.__slots__, (nodes, complete, coxeter, table)):
+    def __init__(self, nodes: tuple[IdTuple, ...], complete: bool, table: _ReflectionTable):
+        for name, value in zip(self.__slots__, (nodes, complete, table)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an OrbitResult")
-
-    def _key(self) -> tuple:
-        return self.roots, self.complete, self.coxeter
-
-    def __eq__(self, other) -> bool:
-        return type(other) is OrbitResult and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -405,11 +390,6 @@ class OrbitResult:
     def roots(self) -> tuple[RootTuple, ...]:
         """The root tuples, sorted."""
         return tuple(sorted(map(self.table.roots_of, self.nodes)))
-
-    @property
-    def factorizations(self) -> tuple[Factorization, ...]:
-        """Each tuple's Factorization, built and product-checked on every read."""
-        return tuple(self.table.factorization(node, self.coxeter) for node in self.roots)
 
 
 def hurwitz_orbit(
@@ -456,7 +436,7 @@ def hurwitz_orbit(
             f"the orbit has more than {node_cap} factorizations, more than "
             "the count formula gives; upstream bug"
         )
-    return OrbitResult(nodes, complete, start.coxeter, table)
+    return OrbitResult(nodes, complete, table)
 
 
 @functools.lru_cache(maxsize=None)

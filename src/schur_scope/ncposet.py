@@ -44,24 +44,6 @@ class NCPoset(namedtuple("NCPoset", "cartan order elements ranks covers")):
 
     __slots__ = ()
 
-    @property
-    def bottom(self) -> Matrix:
-        return self.elements[0]
-
-    @property
-    def top(self) -> Matrix:
-        return self.elements[-1]
-
-    @property
-    def n(self) -> int:
-        return self.cartan.n
-
-    def leq(self, i: int, j: int) -> bool:
-        """Order relation between element indices: one Dyer search, with the
-        ranks as the lengths."""
-        u, w = self.elements[i], self.elements[j]
-        return _below(self.cartan, u, w, self.ranks[i], self.ranks[j])
-
 
 def enumerate_nc(C: CartanMatrix, order: tuple[int, ...] | None = None) -> NCPoset:
     """Filter the full group by the membership identity and grade by length.

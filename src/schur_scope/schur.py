@@ -29,20 +29,6 @@ class Orientation(namedtuple("Orientation", "cartan order")):
     def default(cls, C: CartanMatrix) -> "Orientation":
         return cls(C, tuple(range(1, C.n + 1)))
 
-    @property
-    def n(self) -> int:
-        return self.cartan.n
-
-    @property
-    def source(self) -> int:
-        """Index of the first simple reflection of c."""
-        return self.order[0]
-
-    @property
-    def sink(self) -> int:
-        """Index of the last simple reflection of c."""
-        return self.order[-1]
-
 
 def mutate(o: Orientation, which: str) -> Orientation:
     """Source mutation rotates the order left (new c is s(c) c s(c)); sink
@@ -83,7 +69,7 @@ def schur_transversal_finite(o: Orientation) -> tuple[Root, ...]:
         raise ValueError("finite transversal requires a finite-type matrix")
     return tuple(
         curves.root_of_curve(curves.CurveWord(o.order[: k - 1], o.order[k - 1]), o.cartan)
-        for k in range(1, o.n + 1)
+        for k in range(1, o.cartan.n + 1)
     )
 
 

@@ -535,7 +535,8 @@ def _peel(C: CartanMatrix, w: Matrix):
     """Peel right descents: while some column w' alpha_j of w' (at first w)
     is negative, yield (j, -w' alpha_j) and replace w' by w' s_j, whose column
     k is w' alpha_k - a_jk w' alpha_j.  An element of W ends at the identity
-    after l(w) steps; a matrix that ends elsewhere is not in W (ValueError),
+    after l(w) steps, and the letters j + 1, last first, spell a reduced word
+    of w; a matrix that ends elsewhere is not in W (ValueError),
     and one that has not ended after _DYER_CAP steps raises RuntimeError.
     Before any step, w u_S = sum_{j in S} w alpha_j must be non-negative for
     each S of _fundamental_sets; a matrix that fails is not in W
@@ -562,13 +563,6 @@ def _peel(C: CartanMatrix, w: Matrix):
             for k, column in enumerate(columns)
         )
     raise RuntimeError(f"reduced word exceeded the safety cap of {_DYER_CAP} steps")
-
-
-def reduced_word(C: CartanMatrix, w: Matrix) -> tuple[int, ...]:
-    """(i_1, ..., i_m) with w = s_{i_1} ... s_{i_m} reduced: _peel's letters,
-    last first.  No command calls it; it is _peel's public form, through
-    which the tests check the peel."""
-    return tuple(j + 1 for j, _ in _peel(C, w))[::-1]
 
 
 def factor_into_reflections(

@@ -200,6 +200,16 @@ def _group_lines() -> list[list[str]]:
 
 _FIXTURES = ("example-2.6", "example-3.6", "table-4")
 
+# Entry and error paths that no other line runs (tests/test_reach.py): an
+# abbreviated option, which only argparse reads; an unknown preset and an
+# unknown fixture (exit 1); and the rank-1 group table.
+_ENTRY_LINES = [
+    ["--typ", "A2", "roots", "list"],
+    ["--type", "Z9", "roots", "list"],
+    ["repro", "no-such-fixture"],
+    ["--type", "A1", "nc", "list"],
+]
+
 
 def corpus_lines() -> list[list[str]]:
     lines = [line for name in _PRESETS for line in _preset_lines(name)]
@@ -207,6 +217,7 @@ def corpus_lines() -> list[list[str]]:
     lines += [["repro", fixture] for fixture in _FIXTURES]
     # D6 `nc list` is a CI line too; each line is kept once, where it first comes.
     lines += [line for line in _group_lines() if line not in lines]
+    lines += _ENTRY_LINES
     return [argv for line in lines for argv in (line, ["--json", *line])] + _prefix_lines()
 
 

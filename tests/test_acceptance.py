@@ -53,8 +53,10 @@ def test_criterion_2_every_orbit_component_is_a_prefix():
     started = time.monotonic()
     for name in ("A2", "B2", "G2", "A3", "B3"):
         C = preset(name)
-        orbit = hurwitz.hurwitz_orbit(C, hurwitz.canonical_factorization(C))
-        for factorization in orbit.factorizations:
+        start = hurwitz.canonical_factorization(C)
+        orbit = hurwitz.hurwitz_orbit(C, start)
+        for roots in orbit.roots:
+            factorization = orbit.table.factorization(roots, start.coxeter)
             for part in factorization.parts:
                 verdict = hurwitz.is_prefix_of_coxeter(part.root, C)
                 assert verdict.answer is Ternary.YES, (name, part.root)
@@ -96,15 +98,15 @@ def test_criterion_5_finite_orbit_census():
         o = _orientation(name)
         orbits = c_orbit_census_finite(o)
         h = weyl.coxeter_number(o.cartan)
-        assert len(orbits) == o.n, name
+        assert len(orbits) == o.cartan.n, name
         assert all(len(orbit) == h for orbit in orbits), name
-        assert sum(len(orbit) for orbit in orbits) == o.n * h, name
+        assert sum(len(orbit) for orbit in orbits) == o.cartan.n * h, name
         covered = set().union(*map(set, orbits))
         assert covered == set(weyl.enumerate_real_roots(o.cartan, 1)), name
         homes = []
         for beta in schur_transversal_finite(o):
             homes.append(next(i for i, orb in enumerate(orbits) if beta in orb))
-        assert len(set(homes)) == o.n, name
+        assert len(set(homes)) == o.cartan.n, name
     _report(5, "finite types split into n coxeter orbits of size h with "
                "transversal representatives", started, None)
 

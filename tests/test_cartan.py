@@ -32,7 +32,7 @@ def submatrix(C, indices):
     """C restricted to the given 1-based vertices, which may be reducible.
     The reducible-diagram tests of the Cartan, braid and Weyl modules
     import it from here."""
-    return CartanMatrix(tuple(tuple(C.entry(i, j) for j in indices) for i in indices))
+    return CartanMatrix(tuple(tuple(C.entries[i - 1][j - 1] for j in indices) for i in indices))
 
 
 def coxeter_exponent(C, i, j):
@@ -40,7 +40,7 @@ def coxeter_exponent(C, i, j):
     stabilizer words of the braid tests import it from here."""
     if i == j:
         raise ValueError("coxeter_exponent requires i != j")
-    return {0: 2, 1: 3, 2: 4, 3: 6}.get(C.entry(i, j) * C.entry(j, i))
+    return {0: 2, 1: 3, 2: 4, 3: 6}.get(C.entries[i - 1][j - 1] * C.entries[j - 1][i - 1])
 
 
 def test_parse_a2():

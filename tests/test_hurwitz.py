@@ -180,11 +180,18 @@ def test_orbit_respects_node_cap():
     assert len(orbit) <= 25
 
 
+def orbit_factorizations(orbit, coxeter):
+    """Each root tuple of the orbit, sorted, as a Factorization of coxeter,
+    built through the orbit's table and product-checked."""
+    return tuple(orbit.table.factorization(roots, coxeter) for roots in orbit.roots)
+
+
 def test_orbit_deterministic():
     A3 = preset("A3")
-    first = hurwitz_orbit(A3, canonical_factorization(A3))
+    start = canonical_factorization(A3)
+    first = hurwitz_orbit(A3, start)
     second = hurwitz_orbit(A3, canonical_factorization(A3))
-    assert first.factorizations == second.factorizations
+    assert orbit_factorizations(first, start.coxeter) == orbit_factorizations(second, start.coxeter)
 
 
 def test_orbit_size_is_order_independent():
@@ -240,7 +247,8 @@ def test_prefix_yes_for_all_orbit_components():
     # reflection-by-reflection in the route cross-check test below.
     for name in ("A2", "B2", "G2", "A3", "B3", "A4", "D4"):
         C = preset(name)
-        for f in hurwitz_orbit(C, canonical_factorization(C)).factorizations:
+        start = canonical_factorization(C)
+        for f in orbit_factorizations(hurwitz_orbit(C, start), start.coxeter):
             for part in f.parts:
                 assert is_prefix_of_coxeter(part.root, C).answer is Ternary.YES
 
@@ -320,7 +328,8 @@ def test_prefix_routes_cross_checked_on_all_reflections():
             if verdict.answer is Ternary.YES:
                 assert verdict.factorization.parts[0] == t
                 yes.add(t.root)
-        in_orbit = {r for f in _full_orbit(C, None).factorizations for r in f.roots()}
+        c = weyl.coxeter_element(C)
+        in_orbit = {r for f in orbit_factorizations(_full_orbit(C, None), c) for r in f.roots()}
         assert yes == in_orbit == set(weyl.positive_real_roots(C, 1)), name
 
 
@@ -504,7 +513,8 @@ def test_orbit_matches_braid_move_reference(name, node_cap):
     for order in _orders(C) if finite else [None]:
         start = canonical_factorization(C, order)
         orbit = hurwitz_orbit(C, start, node_cap=node_cap)
-        assert (orbit.factorizations, orbit.complete) == _reference_orbit(start, node_cap)
+        found = orbit_factorizations(orbit, start.coxeter), orbit.complete
+        assert found == _reference_orbit(start, node_cap)
         if finite and orbit.complete:
             assert len(orbit) == factorization_count_formula(C)
 
@@ -668,19 +678,21 @@ def test_orbit_builds_no_factorization_and_reads_each_row_once(monkeypatch):
     monkeypatch.setattr(
         weyl.Reflection, "apply", lambda t, v: (applied.append(v), apply(t, v))[1]
     )
-    assert hurwitz_orbit(B3, start) == orbit
+    again = hurwitz_orbit(B3, start)
+    assert (again.roots, again.complete) == (orbit.roots, orbit.complete)
     assert applied == [] and len(rows) == len(table.reflections)
 
 
 def test_orbit_factorizations_are_each_product_checked(monkeypatch):
     D4 = preset("D4")
-    orbit = hurwitz_orbit(D4, canonical_factorization(D4))
+    start = canonical_factorization(D4)
+    orbit = hurwitz_orbit(D4, start)
     checked = []
     check = Factorization.__post_init__
     monkeypatch.setattr(
         Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
     )
-    factorizations = orbit.factorizations
+    factorizations = orbit_factorizations(orbit, start.coxeter)
     assert checked == [f.roots() for f in factorizations] == list(orbit.roots)
 
 

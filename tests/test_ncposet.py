@@ -1,6 +1,6 @@
 import pytest
 
-from schur_scope import hurwitz, weyl
+from schur_scope import hurwitz, ncposet, weyl
 from schur_scope._matrix import inverse, matmul
 from schur_scope.cartan import preset
 from schur_scope.hurwitz import Ternary
@@ -33,11 +33,17 @@ def maximal_chain_count(p):
     return counts[-1]
 
 
+def poset_leq(p, i, j):
+    """Order relation between element indices: the library's one Dyer search,
+    with the ranks as the lengths."""
+    return ncposet._below(p.cartan, p.elements[i], p.elements[j], p.ranks[i], p.ranks[j])
+
+
 def is_lattice(p):
     """Every pair has a meet and a join: among its common lower (upper) bounds
     one lies above (below) all the others."""
     size = len(p.elements)
-    leq = [[p.leq(i, j) for j in range(size)] for i in range(size)]
+    leq = [[poset_leq(p, i, j) for j in range(size)] for i in range(size)]
 
     def has_extreme(bounds, upper):
         return any(all(leq[x][z] if upper else leq[z][x] for x in bounds) for z in bounds)
@@ -104,7 +110,7 @@ def test_poset_leq_matches_table(name):
     poset = enumerate_nc(preset(name))
     for i, u in enumerate(poset.elements):
         for j, w in enumerate(poset.elements):
-            assert poset.leq(i, j) == _table_leq(poset.cartan, u, w), (i, j)
+            assert poset_leq(poset, i, j) == _table_leq(poset.cartan, u, w), (i, j)
 
 
 def test_length_lower_bound_certifies_coxeter():
@@ -172,7 +178,7 @@ def test_members_match_per_element_filter(name, order):
 def test_nc_sizes():
     for name, counts in NC_RANK_COUNTS.items():
         poset = enumerate_nc(preset(name))
-        assert tuple(poset.ranks.count(r) for r in range(poset.n + 1)) == counts
+        assert tuple(poset.ranks.count(r) for r in range(poset.cartan.n + 1)) == counts
         assert len(poset.elements) == sum(counts)
 
 
@@ -183,17 +189,17 @@ def test_nc_requires_finite():
 
 def test_nc_grading_and_covers():
     poset = enumerate_nc(preset("A3"))
-    assert poset.ranks[0] == 0 and poset.ranks[-1] == poset.n
-    assert poset.bottom == weyl.identity(3)
-    assert poset.top == weyl.coxeter_element(preset("A3"))
+    assert poset.ranks[0] == 0 and poset.ranks[-1] == poset.cartan.n
+    assert poset.elements[0] == weyl.identity(3)
+    assert poset.elements[-1] == weyl.coxeter_element(preset("A3"))
     for lo, hi in poset.covers:
         assert poset.ranks[hi] == poset.ranks[lo] + 1
-        assert poset.leq(lo, hi)
+        assert poset_leq(poset, lo, hi)
     # Complement identity: l(w) + l(w^-1 c) = n for every member.
     table = matrix_length_table(preset("A3"))
     for w in poset.elements:
-        quotient = matmul(inverse(w), poset.top)
-        assert table[w] + table[quotient] == poset.n
+        quotient = matmul(inverse(w), poset.elements[-1])
+        assert table[w] + table[quotient] == poset.cartan.n
 
 
 def test_interval_factorization_examples():
@@ -230,7 +236,7 @@ def test_interval_lengths_match_rank_difference():
     poset = enumerate_nc(preset("A3"))
     for i, u in enumerate(poset.elements):
         for j, w in enumerate(poset.elements):
-            if not poset.leq(i, j):
+            if not poset_leq(poset, i, j):
                 continue
             witness = interval_factorization(u, w, poset.cartan, poset.order)
             assert len(witness.steps) == poset.ranks[j] - poset.ranks[i]
@@ -281,7 +287,7 @@ def test_interval_climb_matches_bfs_reference(name, order):
     pairs = 0
     for i, u in enumerate(poset.elements):
         for j, w in enumerate(poset.elements):
-            if poset.leq(i, j):
+            if poset_leq(poset, i, j):
                 steps = interval_factorization(u, w, poset.cartan, order).steps
                 assert steps == _bfs_climb(u, w, poset), (i, j)
                 pairs += 1
@@ -321,6 +327,6 @@ def test_poset_properties_values():
     # Rank profiles (atoms at rank 1, self-dual) and the lattice property.
     for name, rank_counts in (("A2", (1, 3, 1)), ("B2", (1, 4, 1)), ("A3", (1, 6, 6, 1))):
         poset = enumerate_nc(preset(name))
-        assert tuple(map(poset.ranks.count, range(poset.n + 1))) == rank_counts
+        assert tuple(map(poset.ranks.count, range(poset.cartan.n + 1))) == rank_counts
         assert is_lattice(poset), name
     assert maximal_chain_count(enumerate_nc(preset("A3"))) == 16

@@ -35,6 +35,9 @@ def _matrix_product(parts):
 def test_table_rows_give_the_reflection_matrices(name):
     C = preset(name)
     start = canonical_factorization(C)
+    # The table is shared by every search on C; a fresh one holds the rows
+    # and pairs of this walk alone, whatever ran before.
+    hurwitz._root_tuples.cache_clear()
     hurwitz_orbit(C, start, NODE_CAP)
     rows = hurwitz._root_tuples(C)
     # Ids to roots, each row built through the table.
@@ -88,9 +91,10 @@ def test_braid_words_match_the_matrix_replay():
 @pytest.mark.parametrize("name", PRESETS)
 def test_row_product_check_agrees_with_matmul(name):
     C = preset(name)
-    orbit = hurwitz_orbit(C, canonical_factorization(C), NODE_CAP)
+    start = canonical_factorization(C)
+    orbit = hurwitz_orbit(C, start, NODE_CAP)
     kinds = set()
-    for f in orbit.factorizations:
+    for f in (orbit.table.factorization(roots, start.coxeter) for roots in orbit.roots):
         assert _matrix_product(f.parts) == f.coxeter
         assert Factorization(f.parts, f.coxeter) == f
         for i in range(1, f.n):

@@ -26,7 +26,7 @@ def _o(name, order=None):
 def schur_transversal_affine(o):
     """The 2n words s_{o1}..s_{o(k-1)} alpha_{ok} and s_{on}..s_{o(k+1)} alpha_{ok},
     each paired with the root it evaluates to."""
-    ks = range(1, o.n + 1)
+    ks = range(1, o.cartan.n + 1)
     words = [CurveWord(o.order[: k - 1], o.order[k - 1]) for k in ks]
     words += [CurveWord(tuple(reversed(o.order[k:])), o.order[k - 1]) for k in ks]
     return tuple((w, curves.root_of_curve(w, o.cartan)) for w in words)
@@ -96,7 +96,7 @@ def rank2_closed_forms(o, exponent_range):
 def mutation_verdicts(beta, o):
     """The Schur verdicts of beta in o and of s_source(beta) in the
     source-mutated orientation."""
-    image = weyl.simple_reflection(o.cartan, o.source).apply(beta)
+    image = weyl.simple_reflection(o.cartan, o.order[0]).apply(beta)
     return is_schur_root(beta, o).answer, is_schur_root(image, mutate(o, "source")).answer
 
 
@@ -104,7 +104,7 @@ def test_orientation_validates():
     with pytest.raises(ValueError):
         Orientation(preset("A3"), (1, 2))
     o = _o("A3")
-    assert o.source == 1 and o.sink == 3
+    assert o.order[0] == 1 and o.order[-1] == 3
 
 
 def test_is_schur_root_finite():
@@ -139,7 +139,7 @@ def test_certificates_revalidate():
             verdict = is_schur_root(beta, o)
             assert verdict.answer is Ternary.YES
             assert verdict.factorization.parts[0].root == beta
-            assert len(verdict.factorization.parts) == o.n
+            assert len(verdict.factorization.parts) == o.cartan.n
 
 
 def test_transversal_finite():
@@ -207,14 +207,14 @@ def test_census_finite():
         o = _o(name)
         orbits = c_orbit_census_finite(o)
         h = weyl.coxeter_number(o.cartan)
-        assert len(orbits) == n_orbits == o.n
+        assert len(orbits) == n_orbits == o.cartan.n
         assert all(len(orbit) == h for orbit in orbits)
         covered = {root for orbit in orbits for root in orbit}
-        assert len(covered) == o.n * h
+        assert len(covered) == o.cartan.n * h
         transversal = schur_transversal_finite(o)
         homes = [next(i for i, orb in enumerate(orbits) if beta in orb)
                  for beta in transversal]
-        assert len(set(homes)) == o.n
+        assert len(set(homes)) == o.cartan.n
 
 
 def test_census_raises_when_an_orbit_does_not_close(monkeypatch):
@@ -244,7 +244,7 @@ def test_mutate_rotations():
 
 def test_mutated_coxeter_is_conjugate():
     o, mutated = _o("A3"), mutate(_o("A3"), "source")
-    s = weyl.simple_reflection(o.cartan, o.source).matrix
+    s = weyl.simple_reflection(o.cartan, o.order[0]).matrix
     expected = matmul(matmul(s, weyl.coxeter_element(o.cartan, o.order)), s)
     assert weyl.coxeter_element(mutated.cartan, mutated.order) == expected
 
@@ -266,7 +266,7 @@ def test_mutation_equivalence_universal():
 def test_schur_set_mutation_invariance_a3():
     o = _o("A3")
     mutated = mutate(o, "source")
-    s = weyl.simple_reflection(o.cartan, o.source).matrix
+    s = weyl.simple_reflection(o.cartan, o.order[0]).matrix
     schur_before = {
         beta
         for beta in weyl.positive_real_roots(o.cartan, 10)
@@ -374,7 +374,7 @@ def _matrix_keyed_harvest(o, height_bound, node_cap):
         harvested.update(r for r in roots if weyl.height(r) <= height_bound)
         if any(weyl.height(r) > cap for r in roots):
             continue
-        for i in range(1, o.n):
+        for i in range(1, o.cartan.n):
             for inverse in (False, True):
                 image = curves.braid_move_curves(words, i, inverse)
                 key = evaluate(image)
@@ -404,7 +404,7 @@ def test_curve_harvest_matches_matrix_keyed_reference(name, order):
     o = _o(name, order)
     # The curve-word reference is slow at rank 4, so it gets a smaller grid;
     # universal:4:2 needs about 5000 nodes to finish its harvest.
-    if o.n < 4:
+    if o.cartan.n < 4:
         heights, node_caps = range(4, 9), (1, 5, 50, 300, DEFAULT_NODE_CAP)
     else:
         heights, node_caps = (4,), (5, 300, 5000)

@@ -255,7 +255,7 @@ def test_verify_skips_only_searches_the_harvest_settles(
     )
     if expected["truncated"]:
         assert prefix - curves and not skipped
-    elif o.n > 2 and expected["sets"]["all_positive"] is None:
+    elif o.cartan.n > 2 and expected["sets"]["all_positive"] is None:
         assert skipped == unknowns - curves
     else:
         assert not skipped

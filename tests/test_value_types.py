@@ -59,9 +59,10 @@ BUILDERS = {
     ),
 }
 UNHASHABLE = {"ReproResult"}  # its computed payload is a dict
+BY_IDENTITY = {"OrbitResult"}  # no command compares two orbits
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(set(BUILDERS) - BY_IDENTITY))
 def test_equality_and_hash_are_by_value(name):
     build, build_other = BUILDERS[name]
     first, second, other = build(), build(), build_other()
@@ -149,7 +150,8 @@ def test_reprs_read_as_before():
 def test_orbit_result_length_is_its_number_of_root_tuples():
     orbit = _orbit()
     assert len(orbit) == len(orbit.roots) == 4
-    assert len(_orbit().factorizations) == 4
+    c = weyl.coxeter_element(B2)
+    assert len({orbit.table.factorization(roots, c) for roots in orbit.roots}) == 4
     truncated = BUILDERS["OrbitResult"][1]()
     assert len(truncated) == 2 and not truncated.complete
 

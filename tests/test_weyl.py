@@ -58,7 +58,7 @@ def test_simple_reflection_formula_everywhere():
             s = simple_reflection(C, i).matrix
             for j in range(1, C.n + 1):
                 expected = list(simple_root(C.n, j))
-                expected[i - 1] -= C.entry(i, j)
+                expected[i - 1] -= C.entries[i - 1][j - 1]
                 assert matvec(s, simple_root(C.n, j)) == tuple(expected)
 
 
@@ -332,8 +332,14 @@ def test_length_table_matches_reflection_bfs(name):
     assert all(weyl.length_lower_bound(w) == k for w, k in table.items())
 
 
-# Dyer's deletion search (weyl.reduced_word, weyl.factor_into_reflections)
+# Dyer's deletion search (weyl._peel, weyl.factor_into_reflections)
 # against slow references built from simple-reflection matrices.
+
+
+def reduced_word(C, w):
+    """(i_1, ..., i_m) with w = s_{i_1} ... s_{i_m}: the peel's letters, last
+    first."""
+    return tuple(j + 1 for j, _ in weyl._peel(C, w))[::-1]
 
 
 def _word_product(C, word):
@@ -361,7 +367,7 @@ def _short_products(C, rng, count, height_bound, longest):
         w = identity(C.n)
         for _ in range(rng.randint(1, 3)):
             w = matmul(w, rng.choice(pool))
-        if len(weyl.reduced_word(C, w)) <= longest:
+        if len(reduced_word(C, w)) <= longest:
             found.add(w)
     return sorted(found)
 
@@ -380,7 +386,7 @@ def test_ordered_search_equals_brute_force_deletion(name, height_bound):
     C = preset(name)
     rng = random.Random(12)
     for w in _short_products(C, rng, 10, height_bound, 9):
-        word = weyl.reduced_word(C, w)
+        word = reduced_word(C, w)
         inversions = _left_inversion_matrices(C, word)
         for k in range(len(word) + 1):
             brute = False
@@ -412,7 +418,7 @@ def test_dyer_first_count_equals_the_length_table(name):
     # the group table reads off Carter's lemma.
     C = preset(name)
     for w, length in matrix_length_table(C).items():
-        counts = range(len(weyl.reduced_word(C, w)) + 1)
+        counts = range(len(reduced_word(C, w)) + 1)
         first = next(k for k in counts if weyl.factor_into_reflections(C, w, k) is not None)
         assert first == length, w
 
@@ -438,7 +444,7 @@ def _coxeter_lengths(C):
 def test_reduced_word_is_reduced_and_multiplies_back(name):
     C = preset(name)
     for w, length in _coxeter_lengths(C).items():
-        word = weyl.reduced_word(C, w)
+        word = reduced_word(C, w)
         assert len(word) == length
         assert _word_product(C, word) == w
 
@@ -450,7 +456,7 @@ def test_reduced_word_multiplies_back_on_infinite_types(name):
     for _ in range(30):
         letters = [rng.randint(1, C.n) for _ in range(rng.randint(0, 12))]
         w = _word_product(C, letters)
-        word = weyl.reduced_word(C, w)
+        word = reduced_word(C, w)
         assert _word_product(C, word) == w
         assert len(word) <= len(letters) and (len(letters) - len(word)) % 2 == 0
 
@@ -468,26 +474,26 @@ def test_fundamental_set_test_refuses_no_element_of_w(name):
     rng = random.Random(7)
     for _ in range(300):
         w = _word_product(C, [rng.randint(1, C.n) for _ in range(rng.randint(0, 16))])
-        assert _word_product(C, weyl.reduced_word(C, w)) == w
+        assert _word_product(C, reduced_word(C, w)) == w
 
 
 def test_reduced_word_refuses_matrices_outside_w(monkeypatch):
     # A diagram rotation permutes the simple roots: no descent, not the identity.
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
-        weyl.reduced_word(preset("affine-A2"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+        reduced_word(preset("affine-A2"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     # c^30 has length 60 in the infinite dihedral group, so its peel stops at
     # the cap of 50 steps.
     monkeypatch.setattr(weyl, "_DYER_CAP", 50)
     U = preset("universal:2:3")
     with pytest.raises(RuntimeError, match="safety cap of 50 steps"):
-        weyl.reduced_word(U, mat_pow(coxeter_element(U), 30))
+        reduced_word(U, mat_pow(coxeter_element(U), 30))
     # -id has a descent at every step there, but it sends alpha_1 + alpha_2,
     # which W keeps non-negative, to its negative: refused before the peel.
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
-        weyl.reduced_word(U, ((-1, 0), (0, -1)))
+        reduced_word(U, ((-1, 0), (0, -1)))
     # In a finite group it ends at the longest element's negative, -w_0.
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
-        weyl.reduced_word(preset("A2"), ((-1, 0), (0, -1)))
+        reduced_word(preset("A2"), ((-1, 0), (0, -1)))
 
 
 def test_reflection_search_rank_test_runs_before_the_peel():
