@@ -356,7 +356,7 @@ def _cmd_braid(session: Session, args) -> tuple[dict, int]:
     if args.action == "stab":
         fixed = hurwitz.stabilizer_check(word, session.cartan, session.order)
         return {"word": list(word), "stabilizes": fixed}, EXIT_OK
-    moved = hurwitz.apply_braid_word(start, word)
+    moved = hurwitz.apply_braid_word(session.cartan, start, word)
     return {"word": list(word), "factorization": _root_list(moved.roots())}, EXIT_OK
 
 

@@ -180,14 +180,14 @@ def is_simple(cw: CurveWord, n: int) -> hurwitz.Ternary:
     so t is read in the universal group U on n generators, and Dyer's search
     decides whether t c is a product of n - 1 reflections there
     (hurwitz.dyer_prefix).  YES means it found a product-checked
-    factorization, NO is decided, and UNKNOWN means the search passed
-    weyl._DYER_CAP.
+    factorization, NO is decided, and UNKNOWN means the descent to t
+    (reflection_of_curve) or the search passed weyl._DYER_CAP.
     """
     if cw.end > n or any(x > n for x in cw.letters):
         raise ValueError(f"word references punctures beyond {n}")
     U = universal_model(n)
-    t = weyl.reflection_for_root(U, root_of_curve(cw, U))
     try:
+        t = reflection_of_curve(cw, U)
         witness = hurwitz.dyer_prefix(U, t, hurwitz.canonical_factorization(U).coxeter)
     except RuntimeError:
         return hurwitz.Ternary.UNKNOWN

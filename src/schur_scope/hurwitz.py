@@ -7,28 +7,28 @@ a product of generators reads the product right to left.
 A reflection is its root and coroot row (weyl.Reflection).  The generator
 move sends (t_a, t_b) to (t_a t_b t_a, t_a), where t_a t_b t_a reflects
 gamma = t_a(beta_b) = beta_b - phi_a(beta_b) beta_a: O(n), no matrix.
-braid_move and apply_braid_word replay braid words on Factorization objects,
-and conjugate the rows too: t_a t_b t_a has the coroot row
-phi_b - phi_b(beta_a) phi_a (both negated when gamma < 0).
-The orbit searches move on tuples of small-int root ids through one table per
-Cartan matrix, which interns each positive root once, with its height, and
-memoizes the root id of each id pair's move; a move replaces one root of a
-tuple, and a walk looks up only that one.  Every walk is
-weyl._bounded_closure, and node_cap bounds the tuples each one keeps.  A
-finite orbit that fits its cap is walked under sigma_1 and delta = sigma_1
-... sigma_{n-1} alone, two images per tuple in which t_1 alone acts
-(hurwitz_orbit); every other walk takes the move and its inverse at each
-slot.  The curve harvest and the targeted prefix search are one walk
-(_ReflectionTable.walk) that expands no tuple with a root taller than its
-prune height, and none once it has met every root it wants: the harvest
-wants every enumerated root up to its bound, the search one root, and hands
-back the tuple whose move made it.  A root's row is made when the
+Every move, of a braid word or of an orbit walk, acts on a tuple of small-int
+root ids through one table per Cartan matrix, which interns each positive
+root once, with its height, and memoizes the root id of each id pair's move
+(_ReflectionTable.moved); a move replaces one root of a tuple, and a walk
+looks up only that one.  braid_move makes one move, and apply_braid_word
+admits a Factorization, replays a word on its ids and product-checks the
+result once.  Every walk is weyl._bounded_closure, and node_cap bounds the
+tuples each one keeps.  A finite orbit that fits its cap is walked under
+sigma_1 and delta = sigma_1 ... sigma_{n-1} alone, two images per tuple in
+which t_1 alone acts (hurwitz_orbit); every other walk takes the move and its
+inverse at each slot.  The curve harvest and the targeted prefix search are
+one walk (_ReflectionTable.walk) that expands no tuple with a root taller
+than its prune height, and none once it has met every root it wants: the
+harvest wants every enumerated root up to its bound, the search one root,
+and hands back the tuple whose move made it.  A root's row is made when the
 root first acts in a move, not when it is first met, by the one route from a
 real root to its row: phi_gamma = 2B(., gamma) / B(gamma, gamma) off the
 symmetrized form (weyl.coroot_row).  The product of a tuple they reach is
 certified without a check per tuple: the start's product is checked, every
 row is the true reflection of its root, and w s_beta w^-1 = s_{w beta} makes
-each move keep the product.  Callers get roots back, never ids.
+each move keep the product.  Callers get roots or Factorizations back,
+never ids.
 """
 
 from __future__ import annotations
@@ -42,15 +42,7 @@ from operator import mul
 from . import weyl
 from ._matrix import Matrix, identity, mat_sub, rank
 from .cartan import CartanMatrix, TypeClass, classify_type, symmetrized
-from .weyl import (
-    Reflection,
-    Root,
-    coxeter_element,
-    height,
-    is_negative,
-    negate,
-    positive_part,
-)
+from .weyl import Reflection, Root, coxeter_element, height, positive_part
 
 BraidWord = tuple[int, ...]
 RootTuple = tuple[Root, ...]
@@ -122,49 +114,15 @@ def canonical_factorization(
     return Factorization(parts, coxeter_element(C, order))
 
 
-def _conjugate_reflection(a: Reflection, b: Reflection) -> Reflection:
-    """a b a^{-1} = t_gamma for gamma = a(beta_b), whose coroot row is
-    phi_b - phi_b(beta_a) phi_a (Kac, "Infinite-dimensional Lie algebras",
-    1990, 5.1); both are negated when gamma is negative."""
-    root, k = a.apply(b.root), b.pair(a.root)
-    coroot = tuple(x - k * y for x, y in zip(b.coroot, a.coroot))
-    if is_negative(root):
-        root, coroot = negate(root), negate(coroot)
-    return Reflection(root, coroot)
-
-
-def braid_move(f: Factorization, i: int, inverse: bool = False) -> Factorization:
-    """Generator move at slot i: (g_i, g_{i+1}) -> (g_i g_{i+1} g_i^{-1}, g_i),
-    or (g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}) for the inverse move."""
-    if not 1 <= i <= f.n - 1:
-        raise ValueError(f"braid index {i} out of range 1..{f.n - 1}")
-    a, b = f.parts[i - 1], f.parts[i]
-    if inverse:
-        pair = (b, _conjugate_reflection(b, a))
-    else:
-        pair = (_conjugate_reflection(a, b), a)
-    parts = f.parts[: i - 1] + pair + f.parts[i + 1 :]
-    return Factorization(parts, f.coxeter)
-
-
-def apply_braid_word(f: Factorization, word: BraidWord) -> Factorization:
-    """Apply the letters in sequence; +i is the generator move, -i its inverse."""
-    for letter in word:
-        if letter == 0 or abs(letter) > f.n - 1:
-            raise ValueError(f"braid letter {letter} out of range for {f.n} strands")
-        f = braid_move(f, abs(letter), inverse=letter < 0)
-    return f
-
-
 class _ReflectionTable:
     """The reflections of W(C) that the orbit searches meet, and their moves.
 
     The searches move on nodes that are tuples of small-int root ids; the id
-    format stays inside this module, and callers get roots back (harvest,
-    hurwitz_orbit).  The table interns each positive real root once, with its
-    height: roots[g] and heights[g] for id g, ids[root] for a root.  pairs
-    maps an id pair (a, b) to the id of the root of t_a t_b t_a, so a pair
-    met again costs one lookup.
+    format stays inside this module, and callers get roots or Factorizations
+    back (harvest, hurwitz_orbit, apply_braid_word).  The table interns each
+    positive real root once, with its height: roots[g] and heights[g] for id
+    g, ids[root] for a root.  pairs maps an id pair (a, b) to the id of the
+    root of t_a t_b t_a, so a pair met again costs one lookup (moved).
 
     reflections maps an id to its Reflection.  A start root gets its row
     from weyl.reflection_for_root when intern first meets it, which refuses
@@ -176,13 +134,14 @@ class _ReflectionTable:
     the root first acts as t_a in a move, not when it is first met (or when
     a Factorization needs it; most roots a pruned search meets never act).
 
-    The move at slot i sends (beta_a, beta_b) to (root of t_a t_b t_a,
-    beta_a) and its inverse sends it to (beta_b, root of t_b t_a t_b).  Every
-    row is the reflection s_gamma of W(C), and w s_beta w^-1 = s_{w beta}
-    (Kac 5.1), so each move keeps the product of the tuple.  The start's
-    product check therefore proves the product of every tuple reached from
-    it, and no tuple is checked again.  Searches share one table per Cartan
-    matrix (_root_tuples).
+    The move at slot i (braid_move) sends (beta_a, beta_b) to (root of
+    t_a t_b t_a, beta_a) and its inverse sends it to (beta_b, root of
+    t_b t_a t_b).  Every row is the reflection s_gamma of W(C), and
+    w s_beta w^-1 = s_{w beta} (Kac 5.1), so each move keeps the product of
+    the tuple.  The start's product check therefore proves the product of
+    every tuple reached from it: no tuple of a walk is checked again, and a
+    braid word checks only its result (apply_braid_word).  Searches and
+    braid words share one table per Cartan matrix (_root_tuples).
     """
 
     def __init__(self, C: CartanMatrix):
@@ -226,10 +185,9 @@ class _ReflectionTable:
     def roots_of(self, node: IdTuple) -> RootTuple:
         return tuple(self.roots[g] for g in node)
 
-    def factorization(self, node: RootTuple, coxeter: Matrix) -> Factorization:
-        """The Factorization of a root tuple the table has met, product-checked
-        again."""
-        return Factorization(tuple(self.reflection(self.ids[r]) for r in node), coxeter)
+    def factorization(self, node: IdTuple, coxeter: Matrix) -> Factorization:
+        """The Factorization of a node's rows, product-checked again."""
+        return Factorization(tuple(map(self.reflection, node)), coxeter)
 
     def reflection(self, g: int) -> Reflection:
         """The row of root id g, read off the form on first use."""
@@ -246,18 +204,13 @@ class _ReflectionTable:
         makes.  new is the id of the one root the move creates:
         the move at slot i swaps beta_b (or beta_a, for the inverse) for it,
         so every other root of the image is a root of the node."""
-        pairs = self.pairs
-        found = []
+        moved, found = self.moved, []
         for i in range(1, len(node)):
             a, b = node[i - 1], node[i]
             head, tail = node[: i - 1], node[i + 1 :]
-            g = pairs.get((a, b))
-            if g is None:
-                g = self._moved(a, b)
+            g = moved(a, b)
             found.append((g, head + (g, a) + tail))
-            g = pairs.get((b, a))
-            if g is None:
-                g = self._moved(b, a)
+            g = moved(b, a)
             found.append((g, head + (b, g) + tail))
         return found
 
@@ -270,21 +223,20 @@ class _ReflectionTable:
         (t_1 t_2 t_1, t_1) + node[2:] and (t_1 t_2 t_1, ..., t_1 t_n t_1, t_1).
         Only t_1 acts, one memoized pair per other root.  Rank 1 has no
         moves."""
-        a, pairs = node[0], self.pairs
-        moved = []
-        for b in node[1:]:
-            g = pairs.get((a, b))
-            if g is None:
-                g = self._moved(a, b)
-            moved.append(g)
+        a, move = node[0], self.moved
+        moved = [move(a, b) for b in node[1:]]
         if not moved:
             return []
         return [(moved[0], a) + node[2:], (*moved, a)]
 
-    def _moved(self, a: int, b: int) -> int:
-        """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign.
+    def moved(self, a: int, b: int) -> int:
+        """Id of the root of t_a t_b t_a, which is t_a(beta_b) up to sign,
+        read from the pair memo; a pair met first is moved and memoized.
         The sign is read once from the least and greatest coordinates, and
         the height of the positive root is its sum."""
+        g = self.pairs.get((a, b))
+        if g is not None:
+            return g
         v = self.reflection(a).apply(self.roots[b])
         low, high = min(v), max(v)
         if low >= 0 < high:
@@ -365,6 +317,31 @@ class _ReflectionTable:
 def _root_tuples(C: CartanMatrix) -> _ReflectionTable:
     """One table per Cartan matrix, shared by every start and search on C."""
     return _ReflectionTable(C)
+
+
+def braid_move(table: _ReflectionTable, node: IdTuple, i: int, inverse: bool = False) -> IdTuple:
+    """Generator move at slot i of a node of table:
+    (t_a, t_b) -> (t_a t_b t_a, t_a), or (t_b, t_b t_a t_b) for the inverse
+    move; the one moved root comes from _ReflectionTable.moved."""
+    if not 1 <= i <= len(node) - 1:
+        raise ValueError(f"braid index {i} out of range 1..{len(node) - 1}")
+    a, b = node[i - 1], node[i]
+    pair = (b, table.moved(b, a)) if inverse else (table.moved(a, b), a)
+    return node[: i - 1] + pair + node[i + 1 :]
+
+
+def apply_braid_word(C: CartanMatrix, f: Factorization, word: BraidWord) -> Factorization:
+    """Apply the letters in sequence to f on the table of C; +i is the
+    generator move, -i its inverse.  f is admitted once (a part that is not
+    its root's row raises ArithmeticError), and the result is
+    product-checked once."""
+    table = _root_tuples(C)
+    node = table.admit(f)
+    for letter in word:
+        if letter == 0 or abs(letter) > f.n - 1:
+            raise ValueError(f"braid letter {letter} out of range for {f.n} strands")
+        node = braid_move(table, node, abs(letter), inverse=letter < 0)
+    return table.factorization(node, f.coxeter)
 
 
 class OrbitResult:
@@ -502,7 +479,7 @@ def _targeted_orbit_search(
     nodes, complete, made = table.walk(first, node_cap, height_cap, {beta})
     if beta not in made:
         return SearchOutcome(None, complete, len(nodes))
-    found = table.factorization(table.roots_of(made[beta]), start.coxeter)
+    found = table.factorization(made[beta], start.coxeter)
     return SearchOutcome(found, False, len(nodes))
 
 
@@ -586,7 +563,7 @@ def is_prefix_of_coxeter(
     outcome = _targeted_orbit_search(C, canonical, t, node_cap, height_cap)
     if outcome.found is not None:
         slot = outcome.found.roots().index(t.root)
-        witness = apply_braid_word(outcome.found, tuple(range(-slot, 0)))
+        witness = apply_braid_word(C, outcome.found, tuple(range(-slot, 0)))
         if witness.parts[0] != t:
             raise ArithmeticError(
                 "rotated witness does not start with the target; upstream bug"
@@ -601,4 +578,4 @@ def stabilizer_check(
     """True iff the braid word fixes the canonical factorization componentwise
     (the `braid stab` command)."""
     start = canonical_factorization(C, order)
-    return apply_braid_word(start, word).parts == start.parts
+    return apply_braid_word(C, start, word).parts == start.parts

@@ -199,8 +199,10 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     applied.  A positive real root other than a simple root has such an i, and
     s_i takes it to a lower positive real root (Kac, "Infinite-dimensional Lie
     algebras", 1990, 5.1), so beta is real iff the descent reaches some
-    alpha_j, which takes at most height(beta) steps.  The descent is the gate
-    only: the coroot row of the real root it admits is coroot_row's.
+    alpha_j, which takes fewer than height(beta) steps.  A descent that has
+    not ended after _DYER_CAP steps raises RuntimeError, as _peel does; every
+    root no taller than _DYER_CAP is decided.  The descent is the gate only:
+    the coroot row of the real root it admits is coroot_row's.
     """
     n = C.n
     if len(beta) != n:
@@ -215,7 +217,9 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     v = list(beta)
     # pairing[i] = <v, alpha_i^vee>, updated along with v.
     pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
-    while sum(v) != 1:
+    for _ in range(_DYER_CAP):
+        if sum(v) == 1:
+            break
         i = next((i for i in range(n) if pairing[i] > 0), None)
         if i is None or v[i] < pairing[i]:
             raise ValueError(f"{beta} is not a real root")
@@ -223,6 +227,8 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
         v[i] -= step
         for k in range(n):
             pairing[k] -= step * a[k][i]
+    else:
+        raise RuntimeError(f"root descent exceeded the safety cap of {_DYER_CAP} steps")
     return Reflection(beta, coroot_row(symmetrized(C), beta))
 
 

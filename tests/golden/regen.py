@@ -211,13 +211,49 @@ _ENTRY_LINES = [
 ]
 
 
+# The braid commands past the preset lines' one short word: on every preset,
+# a positive word and a mixed one of twelve or more letters (the positive one
+# in the reversed order too), and the letters 0, n and -n, which are refused
+# for n strands; on A1, whose one strand takes no letter, +1 and -1; and the
+# words sigma_1^h that fix the fan of a rank-2 finite type of Coxeter number h.
+_STABILIZING_WORDS = {"A2": 3, "B2": 4, "G2": 6}
+
+
+def _braid_lines() -> list[list[str]]:
+    lines = []
+    for name, (n, _) in _PRESETS.items():
+        session = ["--type", name]
+        letters = [k % (n - 1) + 1 for k in range(13)]
+        words = [_csv(letters[:12]), _csv(x if k % 3 < 2 else -x for k, x in enumerate(letters))]
+        reversed_order = ["--order", _csv(range(n, 0, -1))]
+        for action in ("apply", "stab"):
+            lines += [session + ["braid", action, "--word", word] for word in words]
+            lines.append(session + reversed_order + ["braid", action, "--word", words[0]])
+            lines += [session + ["braid", action, f"--word={x}"] for x in (0, n, -n)]
+    for action in ("apply", "stab"):
+        lines += [["--type", "A1", "braid", action, f"--word={x}"] for x in (1, -1)]
+        lines += [["--type", name, "braid", action, "--word", _csv([1] * h)]
+                  for name, h in _STABILIZING_WORDS.items()]
+    return lines
+
+
+# A real root of affine-A1 of height about 2 10^12, whose descent to a simple
+# root would take 10^12 steps, refused at weyl._DYER_CAP steps (exit 2).
+_TALL_ROOT = "1000000000000,1000000000001"
+_TALL_ROOT_LINES = [
+    ["--type", "affine-A1", "schur", "check", "--root", _TALL_ROOT],
+    ["--type", "affine-A1", "nc", "leq", "--u", _TALL_ROOT, "--w", "1,0"],
+    ["--type", "affine-A1", "nc", "leq", "--u", "1,0", "--w", _TALL_ROOT],
+]
+
+
 def corpus_lines() -> list[list[str]]:
     lines = [line for name in _PRESETS for line in _preset_lines(name)]
     lines += _CI_LINES + _UNKNOWN_LINES + _search_lines()
     lines += [["repro", fixture] for fixture in _FIXTURES]
     # D6 `nc list` is a CI line too; each line is kept once, where it first comes.
     lines += [line for line in _group_lines() if line not in lines]
-    lines += _ENTRY_LINES
+    lines += _ENTRY_LINES + _braid_lines() + _TALL_ROOT_LINES
     return [argv for line in lines for argv in (line, ["--json", *line])] + _prefix_lines()
 
 

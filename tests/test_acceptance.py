@@ -55,8 +55,8 @@ def test_criterion_2_every_orbit_component_is_a_prefix():
         C = preset(name)
         start = hurwitz.canonical_factorization(C)
         orbit = hurwitz.hurwitz_orbit(C, start)
-        for roots in orbit.roots:
-            factorization = orbit.table.factorization(roots, start.coxeter)
+        for node in orbit.nodes:
+            factorization = orbit.table.factorization(node, start.coxeter)
             for part in factorization.parts:
                 verdict = hurwitz.is_prefix_of_coxeter(part.root, C)
                 assert verdict.answer is Ternary.YES, (name, part.root)

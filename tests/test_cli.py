@@ -339,9 +339,8 @@ def test_caps_must_be_positive(capsys):
 def test_braid_apply_matches_core(capsys):
     code, out = _run(capsys, ["--type", "A3", "braid", "apply", "--word", "2"])
     assert code == EXIT_OK
-    moved = hurwitz.apply_braid_word(
-        hurwitz.canonical_factorization(cartan.preset("A3")), (2,)
-    )
+    A3 = cartan.preset("A3")
+    moved = hurwitz.apply_braid_word(A3, hurwitz.canonical_factorization(A3), (2,))
     assert f"factorization = {json.dumps([list(r) for r in moved.roots()])}" in out
 
 

@@ -168,7 +168,8 @@ def test_braid_move_curves_commutes_with_loop_evaluation():
             i = rng.randint(1, C.n - 1)
             inverse = rng.random() < 0.5
             moved_words = braid_move_curves(curves, i, inverse)
-            moved_parts = hurwitz.braid_move(factorization, i, inverse).parts
+            letter = -i if inverse else i
+            moved_parts = hurwitz.apply_braid_word(C, factorization, (letter,)).parts
             assert tuple(
                 reflection_of_curve(cw, C) for cw in moved_words
             ) == moved_parts
@@ -265,6 +266,18 @@ def test_is_simple_stable_under_braid_orbit():
         curves = _random_tuple(rng, 3, moves=rng.randint(0, 6))
         for cw in curves:
             assert is_simple(cw, 3) is Ternary.YES
+
+
+def test_is_simple_is_unknown_when_the_descent_to_t_is_capped(monkeypatch):
+    # The root (28, 15, 2) of this curve in the universal group descends in
+    # 4 steps.  Under a cap of 4 the descent is refused, and is_simple
+    # answers UNKNOWN, as it does when Dyer's search passes the cap.
+    cw, U = CurveWord((1, 2, 1, 3), 2), preset("universal:3:2")
+    assert is_simple(cw, 3) is Ternary.NO
+    monkeypatch.setattr(weyl, "_DYER_CAP", 4)
+    with pytest.raises(RuntimeError, match="root descent"):
+        reflection_of_curve(cw, U)
+    assert is_simple(cw, 3) is Ternary.UNKNOWN
 
 
 def test_is_simple_runs_no_orbit_search(monkeypatch):

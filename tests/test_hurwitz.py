@@ -38,6 +38,28 @@ def word_inverse(word):
     return tuple(-x for x in reversed(word))
 
 
+def conjugate_reflection(a, b):
+    """a b a^{-1} = t_gamma for gamma = a(beta_b), whose coroot row is
+    phi_b - phi_b(beta_a) phi_a (Kac, "Infinite-dimensional Lie algebras",
+    1990, 5.1); both are negated when gamma is negative.  The row update of
+    reference_braid_move, which reads no row off the form."""
+    root, k = a.apply(b.root), b.pair(a.root)
+    coroot = tuple(x - k * y for x, y in zip(b.coroot, a.coroot))
+    if weyl.is_negative(root):
+        root, coroot = weyl.negate(root), weyl.negate(coroot)
+    return weyl.Reflection(root, coroot)
+
+
+def reference_braid_move(f, i, inverse=False):
+    """The generator move on a Factorization, by conjugated rows:
+    (g_i, g_{i+1}) -> (g_i g_{i+1} g_i^{-1}, g_i), or
+    (g_{i+1}, g_{i+1}^{-1} g_i g_{i+1}) for the inverse move.  The reference
+    for hurwitz.braid_move, which moves root ids on the shared table."""
+    a, b = f.parts[i - 1], f.parts[i]
+    pair = (b, conjugate_reflection(b, a)) if inverse else (conjugate_reflection(a, b), a)
+    return Factorization(f.parts[: i - 1] + pair + f.parts[i + 1 :], f.coxeter)
+
+
 def standard_stabilizer_words(C):
     """(word, label) pairs that fix the canonical tuple, and the ranges skipped.
 
@@ -70,7 +92,7 @@ def full_twist_sides(C, k):
     conjugated by c^k: the identity says the two are equal."""
     start = canonical_factorization(C)
     word = tuple(range(1, C.n)) * (C.n * abs(k))
-    twisted = apply_braid_word(start, word if k >= 0 else word_inverse(word))
+    twisted = apply_braid_word(C, start, word if k >= 0 else word_inverse(word))
     ck, ck_inverse = mat_pow(start.coxeter, k), mat_pow(start.coxeter, -k)
     conjugated = [matmul(matmul(ck, part.matrix), ck_inverse) for part in start.parts]
     return [part.matrix for part in twisted.parts], conjugated
@@ -95,7 +117,7 @@ def _random_factorization(C, rng, moves=8):
     word = tuple(
         rng.choice([1, -1]) * rng.randint(1, C.n - 1) for _ in range(moves)
     )
-    return apply_braid_word(f, word)
+    return apply_braid_word(C, f, word)
 
 
 def test_factorization_validates_product():
@@ -108,23 +130,33 @@ def test_factorization_validates_product():
 def test_braid_move_formula_instance():
     A2 = preset("A2")
     f = canonical_factorization(A2)
-    moved = braid_move(f, 1)
-    assert moved.roots() == ((1, 1), (1, 0))  # (s1 s2 s1, s1)
+    table = hurwitz._root_tuples(A2)
+    node = braid_move(table, table.admit(f), 1)
+    assert table.roots_of(node) == ((1, 1), (1, 0))  # (s1 s2 s1, s1)
+    moved = table.factorization(node, f.coxeter)
+    assert moved == apply_braid_word(A2, f, (1,)) == reference_braid_move(f, 1)
     s1 = weyl.simple_reflection(A2, 1).matrix
     s2 = weyl.simple_reflection(A2, 2).matrix
     conjugated = matmul(matmul(s1, s2), s1)
     assert moved.parts[0].matrix == conjugated
+    with pytest.raises(ValueError, match="out of range"):
+        braid_move(table, node, 2)
 
 
 def test_braid_move_inverse_roundtrip():
     rng = random.Random(4)
     for name in ("A3", "B3", "universal:3:2"):
         C = preset(name)
+        table = hurwitz._root_tuples(C)
         for _ in range(20):
             f = _random_factorization(C, rng)
+            node = table.admit(f)
             for i in range(1, C.n):
-                assert braid_move(braid_move(f, i), i, inverse=True) == f
-                assert braid_move(braid_move(f, i, inverse=True), i) == f
+                assert braid_move(table, braid_move(table, node, i), i, inverse=True) == node
+                assert braid_move(table, braid_move(table, node, i, inverse=True), i) == node
+                for inverse in (False, True):
+                    moved = table.factorization(braid_move(table, node, i, inverse), f.coxeter)
+                    assert moved == reference_braid_move(f, i, inverse)
 
 
 def test_sigma1_cubed_fixes_a2():
@@ -134,20 +166,20 @@ def test_sigma1_cubed_fixes_a2():
 def test_apply_braid_word_empty_and_range():
     A3 = preset("A3")
     f = canonical_factorization(A3)
-    assert apply_braid_word(f, ()) == f
+    assert apply_braid_word(A3, f, ()) == f
     with pytest.raises(ValueError):
-        apply_braid_word(f, (3,))
+        apply_braid_word(A3, f, (3,))
     with pytest.raises(ValueError):
-        apply_braid_word(f, (0,))
+        apply_braid_word(A3, f, (0,))
 
 
 def test_braid_relations_on_canonical():
     A3 = preset("A3")
     f = canonical_factorization(A3)
-    assert apply_braid_word(f, (1, 2, 1)) == apply_braid_word(f, (2, 1, 2))
+    assert apply_braid_word(A3, f, (1, 2, 1)) == apply_braid_word(A3, f, (2, 1, 2))
     A4 = preset("A4")
     g = canonical_factorization(A4)
-    assert apply_braid_word(g, (1, 3)) == apply_braid_word(g, (3, 1))
+    assert apply_braid_word(A4, g, (1, 3)) == apply_braid_word(A4, g, (3, 1))
 
 
 def test_braid_relations_on_random_factorizations():
@@ -157,12 +189,12 @@ def test_braid_relations_on_random_factorizations():
         for _ in range(100):
             f = _random_factorization(C, rng)
             for i in range(1, C.n - 1):
-                assert apply_braid_word(f, (i, i + 1, i)) == apply_braid_word(
-                    f, (i + 1, i, i + 1)
+                assert apply_braid_word(C, f, (i, i + 1, i)) == apply_braid_word(
+                    C, f, (i + 1, i, i + 1)
                 )
             for i in range(1, C.n - 1):
                 for j in range(i + 2, C.n):
-                    assert apply_braid_word(f, (i, j)) == apply_braid_word(f, (j, i))
+                    assert apply_braid_word(C, f, (i, j)) == apply_braid_word(C, f, (j, i))
 
 
 def test_orbit_sizes_and_completeness():
@@ -181,9 +213,12 @@ def test_orbit_respects_node_cap():
 
 
 def orbit_factorizations(orbit, coxeter):
-    """Each root tuple of the orbit, sorted, as a Factorization of coxeter,
-    built through the orbit's table and product-checked."""
-    return tuple(orbit.table.factorization(roots, coxeter) for roots in orbit.roots)
+    """Each tuple of the orbit, sorted by roots, as a Factorization of
+    coxeter, built through the orbit's table and product-checked."""
+    table = orbit.table
+    return tuple(
+        table.factorization(node, coxeter) for node in sorted(orbit.nodes, key=table.roots_of)
+    )
 
 
 def test_orbit_deterministic():
@@ -288,7 +323,7 @@ def test_word_inverse_cancels():
     f = canonical_factorization(A3)
     for _ in range(50):
         word = tuple(rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(6))
-        assert apply_braid_word(apply_braid_word(f, word), word_inverse(word)) == f
+        assert apply_braid_word(A3, apply_braid_word(A3, f, word), word_inverse(word)) == f
 
 
 def test_normality_probe_a3_witness():
@@ -406,8 +441,8 @@ def test_prefix_search_and_carter_route_must_agree(monkeypatch):
         is_prefix_of_coxeter((1, 0, 0), A3)
 
 
-# Reference searches on Factorization nodes, one braid_move per image: the
-# matrix route that the root-tuple searches in hurwitz replace.
+# Reference searches on Factorization nodes, one reference_braid_move per
+# image: the row route that the root-tuple searches in hurwitz replace.
 
 
 def _reference_orbit(start, node_cap):
@@ -418,7 +453,7 @@ def _reference_orbit(start, node_cap):
         f = queue.popleft()
         for i in range(1, f.n):
             for inverse in (False, True):
-                image = braid_move(f, i, inverse)
+                image = reference_braid_move(f, i, inverse)
                 if image not in seen:
                     if len(seen) >= node_cap:
                         complete = False
@@ -429,7 +464,7 @@ def _reference_orbit(start, node_cap):
 
 
 def _reference_targeted_search(start, target, node_cap, height_cap):
-    """The targeted search on Factorizations moved by braid_move: a
+    """The targeted search on Factorizations moved by reference_braid_move: a
     breadth-first walk that keeps at most node_cap of them, expands none
     with a root taller than height_cap, and expands none once a move has
     made the target, whether its image is kept or dropped at the cap.
@@ -450,7 +485,7 @@ def _reference_targeted_search(start, target, node_cap, height_cap):
             continue
         for i in range(1, f.n):
             for letter in (i, -i):
-                image = braid_move(f, i, inverse=letter < 0)
+                image = reference_braid_move(f, i, inverse=letter < 0)
                 if made is None and target in image.parts:
                     made = f, letter, image
                 if image in parents:
@@ -590,8 +625,8 @@ def test_targeted_search_matches_braid_move_reference(name):
                 # found factorization with the target moved to the front by
                 # -k, ..., -1, as is_prefix_of_coxeter moves it.
                 slot = outcome.found.roots().index(beta)
-                rotated = apply_braid_word(outcome.found, tuple(range(-slot, 0)))
-                assert apply_braid_word(start, word) == rotated, case
+                rotated = apply_braid_word(C, outcome.found, tuple(range(-slot, 0)))
+                assert apply_braid_word(C, start, word) == rotated, case
                 kinds.add("found")
             else:
                 kinds.add("exhausted" if outcome.exhausted else "capped")
@@ -652,17 +687,12 @@ def test_orbit_builds_no_factorization_and_reads_each_row_once(monkeypatch):
     check = Factorization.__post_init__
     coroot_row = weyl.coroot_row
     apply = weyl.Reflection.apply
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk conjugated a row")
-
     monkeypatch.setattr(
         Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
     )
     monkeypatch.setattr(
         weyl, "coroot_row", lambda form, beta: (rows.append(beta), coroot_row(form, beta))[1]
     )
-    monkeypatch.setattr(hurwitz, "_conjugate_reflection", refuse)
     orbit = hurwitz_orbit(B3, start)
     assert len(orbit) == ORBIT_SIZES["B3"]
     # The start was checked when it was built, before the closure; no node is.
@@ -696,44 +726,49 @@ def test_orbit_factorizations_are_each_product_checked(monkeypatch):
     assert checked == [f.roots() for f in factorizations] == list(orbit.roots)
 
 
-def _without_correction(a, b):
-    """The row update with the phi_b(beta_a) phi_a term dropped."""
-    root, coroot = a.apply(b.root), b.coroot
-    if weyl.is_negative(root):
-        root, coroot = weyl.negate(root), weyl.negate(coroot)
-    return weyl.Reflection(root, coroot)
+_MOVED = hurwitz._ReflectionTable.moved
 
 
-def _without_sign_flip(a, b):
-    """The row update with a negative gamma kept as it is."""
-    k = b.pair(a.root)
-    coroot = tuple(x - k * y for x, y in zip(b.coroot, a.coroot))
-    return weyl.Reflection(a.apply(b.root), coroot)
+def _without_correction(table, a, b):
+    """The move with the correction -phi_a(beta_b) beta_a dropped: beta_b
+    stays as it is."""
+    return b
 
 
-_CONJUGATE = hurwitz._conjugate_reflection
+def _without_sign_flip(table, a, b):
+    """The move with a negative t_a(beta_b) kept as it is, under an id of
+    its own."""
+    root = table.reflection(a).apply(table.roots[b])
+    g = table.ids.get(root)
+    return table._add(root, sum(root)) if g is None else g
 
 
-def _with_stray_row(a, b):
-    """The right row plus (gamma_2, -gamma_1, 0, ...), which vanishes on
-    gamma: the pairing check of Reflection cannot see it, the form can."""
-    t = _CONJUGATE(a, b)
-    g = t.root
-    stray = (g[1], -g[0]) + (0,) * (len(g) - 2)
-    return weyl.Reflection(g, tuple(x + y for x, y in zip(t.coroot, stray)))
+def _with_stray_row(table, a, b):
+    """The right move, which also writes its new root a row of its own: the
+    true row plus (gamma_2, -gamma_1, 0, ...), which vanishes on gamma, so
+    the pairing check of Reflection cannot see it; the product check can."""
+    g = _MOVED(table, a, b)
+    if g not in table.reflections:
+        t = table.reflection(g)
+        gamma = t.root
+        stray = (gamma[1], -gamma[0]) + (0,) * (len(gamma) - 2)
+        row = tuple(x + y for x, y in zip(t.coroot, stray))
+        table.reflections[g] = weyl.Reflection(gamma, row)
+    return g
 
 
-# Only braid_move conjugates rows, so each mutant is aimed at apply_braid_word.
-# Dropping the correction breaks the pairing phi(gamma) = 2, which Reflection
-# refuses; a stray row is a different map, which the product check refuses.
-# Dropping the sign flip keeps the map and writes it with a negative root,
-# which no runtime check sees; B3 in the order (2, 1, 3) and G2 meet such an
-# image.  The matrix replay of tests/test_reflection_rows.py catches all three.
+# Each mutant replaces the table's move, which every braid word and orbit
+# walk runs through, on a fresh table.  Dropping the correction, or writing
+# a stray row, gives a tuple of another product, which apply_braid_word's
+# one product check refuses.  Dropping the sign flip keeps the map and
+# writes it with a negative root, which no runtime check sees; B3 in the
+# order (2, 1, 3) and G2 meet such an image.  The matrix replay of
+# tests/test_reflection_rows.py catches all three.
 @pytest.mark.parametrize(
     "mutant, starts, refusal",
     [
         (_without_correction, [("A3", None), ("B3", None), ("G2", None)],
-         (ArithmeticError, "does not pair")),
+         (ValueError, "differs from the Coxeter element")),
         (_without_sign_flip, [("B3", (2, 1, 3)), ("G2", None), ("G2", (2, 1))], None),
         (_with_stray_row, [("A3", None), ("B3", None), ("G2", None)],
          (ValueError, "differs from the Coxeter element")),
@@ -743,9 +778,11 @@ def _with_stray_row(a, b):
 def test_corrupted_row_update_is_refused(monkeypatch, mutant, starts, refusal):
     import test_reflection_rows
 
-    monkeypatch.setattr(hurwitz, "_conjugate_reflection", mutant)
+    monkeypatch.setattr(hurwitz, "_root_tuples", functools.lru_cache(hurwitz._ReflectionTable))
+    monkeypatch.setattr(hurwitz._ReflectionTable, "moved", mutant)
     for name, order in starts:
-        start = canonical_factorization(preset(name), order)
+        C = preset(name)
+        start = canonical_factorization(C, order)
         words = [
             word
             for length in (1, 2, 3)
@@ -754,14 +791,45 @@ def test_corrupted_row_update_is_refused(monkeypatch, mutant, starts, refusal):
             )
         ]
         if refusal is None:
-            moved = [apply_braid_word(start, word) for word in words]
+            moved = [apply_braid_word(C, start, word) for word in words]
             assert any(weyl.is_negative(r) for f in moved for r in f.roots()), name
         else:
             with pytest.raises(refusal[0], match=refusal[1]):
                 for word in words:
-                    apply_braid_word(start, word)
+                    apply_braid_word(C, start, word)
     with pytest.raises((AssertionError, ArithmeticError, ValueError)):
         test_reflection_rows.test_braid_words_match_the_matrix_replay()
+
+
+def test_a_braid_word_is_product_checked_once(monkeypatch):
+    # The start is admitted, not checked again, and no letter builds a
+    # Factorization: the result alone is checked.
+    C = preset("universal:3:2")
+    start = canonical_factorization(C)
+    checked = []
+    check = Factorization.__post_init__
+    monkeypatch.setattr(
+        Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
+    )
+    word = (1, 2, -1, 2, 2, -1, 1, 1, -2, 1, 2, 1)
+    moved = apply_braid_word(C, start, word)
+    assert checked == [moved.roots()]
+    checked.clear()
+    assert stabilizer_check((1, 2) * 12, preset("A3"))
+    assert len(checked) == 1
+
+
+def test_apply_braid_word_refuses_a_start_part_that_is_not_its_roots_reflection():
+    # The flipped s_1 of A2 is the same map, so the start's product check
+    # passes; the word's admission through the table refuses it, as
+    # hurwitz_orbit does, before any letter is read.
+    A2 = preset("A2")
+    s1, s2 = (weyl.simple_reflection(A2, i) for i in (1, 2))
+    flipped = weyl.Reflection(weyl.negate(s1.root), weyl.negate(s1.coroot))
+    start = Factorization((flipped, s2), weyl.coxeter_element(A2))
+    for word in ((), (1,), (-1, 1)):
+        with pytest.raises(ArithmeticError, match="not a positive root"):
+            apply_braid_word(A2, start, word)
 
 
 def test_orbit_refuses_start_part_that_is_not_its_roots_reflection():

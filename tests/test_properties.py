@@ -47,7 +47,8 @@ def test_word_model_commutes_with_matrix_action():
                 reflection_of_curve(cw, C)
                 for cw in braid_move_curves(tuple_words, i, inverse)
             )
-            via_matrices = hurwitz.braid_move(factorization, i, inverse).parts
+            letter = -i if inverse else i
+            via_matrices = hurwitz.apply_braid_word(C, factorization, (letter,)).parts
             assert via_words == via_matrices
 
 

@@ -20,6 +20,8 @@ from schur_scope.hurwitz import (
     hurwitz_orbit,
 )
 
+from test_hurwitz import conjugate_reflection
+
 PRESETS = ("A3", "B3", "C3", "G2", "F4", "D4", "affine-A2", "universal:3:2")
 NODE_CAP = 2_000
 
@@ -54,7 +56,7 @@ def test_table_rows_give_the_reflection_matrices(name):
         (a, b), root = map(rows.roots.__getitem__, ids), rows.roots[moved]
         conjugated = matmul(matmul(table[a].matrix, table[b].matrix), table[a].matrix)
         assert weyl.root_of_reflection(conjugated) == root
-        assert table[root] == hurwitz._conjugate_reflection(table[a], table[b])
+        assert table[root] == conjugate_reflection(table[a], table[b])
 
 
 def _conjugate_matrices(a, b):
@@ -84,7 +86,7 @@ def test_braid_words_match_the_matrix_replay():
             rng.choice((1, -1)) * rng.randint(1, C.n - 1)
             for _ in range(rng.randint(1, 8))
         )
-        moved = apply_braid_word(canonical_factorization(C), word)
+        moved = apply_braid_word(C, canonical_factorization(C), word)
         assert [(t.matrix, t.root) for t in moved.parts] == _matrix_replay(C, word)
 
 
@@ -94,7 +96,7 @@ def test_row_product_check_agrees_with_matmul(name):
     start = canonical_factorization(C)
     orbit = hurwitz_orbit(C, start, NODE_CAP)
     kinds = set()
-    for f in (orbit.table.factorization(roots, start.coxeter) for roots in orbit.roots):
+    for f in (orbit.table.factorization(node, start.coxeter) for node in orbit.nodes):
         assert _matrix_product(f.parts) == f.coxeter
         assert Factorization(f.parts, f.coxeter) == f
         for i in range(1, f.n):

@@ -20,7 +20,6 @@ from schur_scope.cartan import preset, symmetrized
 from schur_scope.hurwitz import (
     DEFAULT_NODE_CAP,
     DEFAULT_PRUNE_MULTIPLIER,
-    _conjugate_reflection,
     _targeted_orbit_search,
     canonical_factorization,
     hurwitz_orbit,
@@ -28,6 +27,7 @@ from schur_scope.hurwitz import (
 from schur_scope.schur import Orientation, _curve_root_harvest
 from schur_scope.weyl import height, positive_part
 
+from test_hurwitz import conjugate_reflection
 from test_reflection_rows import NODE_CAP, PRESETS
 
 
@@ -63,7 +63,7 @@ class _EagerRootTable:
         t_a = self.reflections[a]
         root = positive_part(t_a.apply(b))
         if root not in self.reflections:
-            row = _conjugate_reflection(t_a, self.reflections[b])
+            row = conjugate_reflection(t_a, self.reflections[b])
             column = [sum(map(mul, line, root)) for line in self.form]
             norm = sum(map(mul, root, column))
             if row.root != root or any(2 * x != p * norm for x, p in zip(column, row.coroot)):

@@ -81,7 +81,7 @@ def rank2_closed_forms(o, exponent_range):
 
     def moved(power):
         word = (1,) * power if power >= 0 else (-1,) * -power
-        return tuple(part.matrix for part in hurwitz.apply_braid_word(start, word).parts)
+        return tuple(part.matrix for part in hurwitz.apply_braid_word(C, start, word).parts)
 
     s121, s212 = matmul(matmul(s1, s2), s1), matmul(matmul(s2, s1), s2)
     yield s121, conj(1, s2)

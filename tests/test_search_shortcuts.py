@@ -112,7 +112,7 @@ def test_a_search_without_height_cap_matches_the_full_image_tests(monkeypatch):
 
 def test_a_start_taller_than_the_height_cap_is_refused():
     C = preset("universal:3:2")
-    start = apply_braid_word(canonical_factorization(C), (1, 1, 2, 2))
+    start = apply_braid_word(C, canonical_factorization(C), (1, 1, 2, 2))
     tallest = max(map(height, start.roots()))
     target = weyl.simple_reflection(C, 1)
     with pytest.raises(ValueError, match="taller than the height cap"):
@@ -292,7 +292,7 @@ def test_the_product_check_agrees_with_the_tuple_route(name):
     verdicts = {"moved": set(), "permuted": set(), "doctored": set(), "random": set()}
     for _ in range(40):
         word = tuple(rng.choice((1, -1)) * rng.randint(1, C.n - 1) for _ in range(6))
-        parts = apply_braid_word(start, word).parts
+        parts = apply_braid_word(C, start, word).parts
         i = rng.randrange(C.n)
         doctored = list(parts)
         doctored[i] = rng.choice([t for t in pool if t != parts[i]])
@@ -332,5 +332,5 @@ def test_a_doctored_row_still_raises_the_mixed_sign_error():
     # alpha_1 with a row that pairs alpha_2 to 5: t(alpha_2) = (-5, 1, 0).
     table.reflections[a] = Reflection((1, 0, 0), (2, 5, 0))
     with pytest.raises(ValueError, match=r"\(-5, 1, 0\) has mixed signs, so it is not a real root"):
-        table._moved(a, b)
+        table.moved(a, b)
     assert (a, b) not in table.pairs

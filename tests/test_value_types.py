@@ -151,7 +151,7 @@ def test_orbit_result_length_is_its_number_of_root_tuples():
     orbit = _orbit()
     assert len(orbit) == len(orbit.roots) == 4
     c = weyl.coxeter_element(B2)
-    assert len({orbit.table.factorization(roots, c) for roots in orbit.roots}) == 4
+    assert len({orbit.table.factorization(node, c) for node in orbit.nodes}) == 4
     truncated = BUILDERS["OrbitResult"][1]()
     assert len(truncated) == 2 and not truncated.complete
 

@@ -161,6 +161,26 @@ def test_reflection_for_root_validates():
         reflection_for_root(U, (1, 1))  # isotropic, not a real root
 
 
+def test_reflection_for_root_caps_its_descent(monkeypatch):
+    # affine-A1's real root (k, k + 1) descends two heights a step, so the
+    # root of height 2k + 1 = 99 999 takes 49 999 steps and is decided, and
+    # one of height about 2 10^12, which would descend for days, is refused
+    # at the cap, as a reduced word past it is (_peel).
+    C = preset("affine-A1")
+    k = (weyl._DYER_CAP - 1) // 2
+    assert reflection_for_root(C, (k, k + 1)).root == (k, k + 1)
+    with pytest.raises(RuntimeError, match="safety cap"):
+        reflection_for_root(C, (10**12, 10**12 + 1))
+    # The root of height 5 of A5 descends one height a step, in 4 steps: a
+    # root no taller than the cap is decided, and one step more is refused.
+    A5, beta = preset("A5"), (1, 1, 1, 1, 1)
+    monkeypatch.setattr(weyl, "_DYER_CAP", 5)
+    assert reflection_for_root(A5, beta).root == beta
+    monkeypatch.setattr(weyl, "_DYER_CAP", 4)
+    with pytest.raises(RuntimeError, match="safety cap"):
+        reflection_for_root(A5, beta)
+
+
 def _descent_coroot_row(C, beta):
     """The coroot row of a positive real root by its descent word, the
     reference coroot_row is held to: while beta is not simple, apply the
