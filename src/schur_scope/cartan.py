@@ -1,9 +1,9 @@
 """Symmetrizable generalized Cartan matrices: parsing, presets, classification.
 
 A CartanMatrix is the single source of truth for a session: it fixes the rank,
-the simple-reflection action on the root lattice and the symmetrized bilinear
-form.  Everything here is exact integer arithmetic; type classification is
-one elimination of that form, never floating point.
+the simple-reflection action on the root lattice and the symmetrized
+invariant form.  Everything here is exact integer arithmetic; type
+classification is one elimination of that form, never floating point.
 """
 
 from __future__ import annotations

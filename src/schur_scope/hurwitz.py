@@ -20,8 +20,10 @@ which t_1 alone acts (hurwitz_orbit); every other walk takes the move and its
 inverse at each slot.  The curve harvest and the targeted prefix search are
 one walk (_ReflectionTable.walk) that expands no tuple with a root taller
 than its prune height, and none once it has met every root it wants: the
-harvest wants every enumerated root up to its bound, the search one root,
-and hands back the tuple whose move made it.  A root's row is made when the
+harvest wants every enumerated root up to its bound, the search one root.
+The search rotates the tuple that holds its root (the start, or the image
+of the move that made it) on ids by braid_move until the root is first, and
+hands back that witness, product-checked once.  A root's row is made when the
 root first acts in a move, not when it is first met, by the one route from a
 real root to its row: phi_gamma = 2B(., gamma) / B(gamma, gamma) off the
 symmetrized form (weyl.coroot_row).  The product of a tuple they reach is
@@ -443,8 +445,8 @@ def factorization_count_formula(C: CartanMatrix) -> int:
 
 class SearchOutcome(namedtuple("SearchOutcome", "found exhausted nodes")):
     """Result of a bounded targeted orbit search: the product-checked
-    Factorization of the first tuple found to hold the target's root (or
-    None), whether the search region was exhausted, and the nodes it met."""
+    Factorization that starts with the target (or None), whether the search
+    region was exhausted, and the nodes it met."""
 
     __slots__ = ()
 
@@ -459,28 +461,32 @@ def _targeted_orbit_search(
     """The orbit walk from start that wants the target's root
     (_ReflectionTable.walk): it keeps at most node_cap tuples, expands none
     with a root taller than height_cap, and stops expanding once a move has
-    created the root.  That is sound for reporting found-witnesses, never
-    for claiming absence.
+    created the root, or at once if the start holds it.  That is sound for
+    reporting found-witnesses, never for claiming absence.
 
-    found is the start if it holds the root, else the image tuple of the
-    move that created it, as a Factorization of the table's rows,
-    product-checked again.  exhausted is True iff the walk finished below
-    node_cap without meeting the root, or the start holds it.  A start with
-    a root taller than height_cap is refused (ValueError); the canonical
-    start's roots are simple, of height 1.
+    found is the finished witness, or None: the tuple that holds the root
+    (the start, or the image of the move that created it) has the root
+    brought from slot k + 1 to the front by the moves -k, ..., -1 of
+    braid_move, still on root ids, and only then becomes a Factorization of
+    the table's rows, product-checked once.  A witness whose first part is
+    not the target raises ArithmeticError.  exhausted is True iff the walk
+    finished below node_cap and no move created the root: the start holds
+    it, or the walk never met it.
     """
     table = _root_tuples(C)
     first = table.admit(start)
     beta = target.root
-    if beta in table.roots_of(first):
-        return SearchOutcome(start, True, 1)
-    if max(table.heights[g] for g in first) > height_cap:
-        raise ValueError(f"the start has a root taller than the height cap {height_cap}")
     nodes, complete, made = table.walk(first, node_cap, height_cap, {beta})
-    if beta not in made:
+    node = made.get(beta, first)
+    roots = table.roots_of(node)
+    if beta not in roots:
         return SearchOutcome(None, complete, len(nodes))
-    found = table.factorization(made[beta], start.coxeter)
-    return SearchOutcome(found, False, len(nodes))
+    for i in range(roots.index(beta), 0, -1):
+        node = braid_move(table, node, i, inverse=True)
+    found = table.factorization(node, start.coxeter)
+    if found.parts[0] != target:
+        raise ArithmeticError("rotated witness does not start with the target; upstream bug")
+    return SearchOutcome(found, complete and beta not in made, len(nodes))
 
 
 def dyer_prefix(C: CartanMatrix, t: Reflection, coxeter: Matrix) -> Factorization | None:
@@ -536,10 +542,8 @@ def is_prefix_of_coxeter(
     canonical factorization, on root-id tuples, that wants the root of t
     and does not expand tuples with a root taller than
     DEFAULT_PRUNE_MULTIPLIER times the height of beta
-    (_targeted_orbit_search).  The search hands back the product-checked
-    tuple that holds the root of t; the moves -k, ..., -1 of braid_move
-    bring that root from slot k + 1 to the front, and the witness must
-    start with t.
+    (_targeted_orbit_search).  The search hands back the finished witness,
+    which starts with t and is product-checked once.
     """
     t = weyl.reflection_for_root(C, beta)
     canonical = canonical_factorization(C, order)
@@ -562,13 +566,7 @@ def is_prefix_of_coxeter(
     height_cap = DEFAULT_PRUNE_MULTIPLIER * height(t.root)
     outcome = _targeted_orbit_search(C, canonical, t, node_cap, height_cap)
     if outcome.found is not None:
-        slot = outcome.found.roots().index(t.root)
-        witness = apply_braid_word(C, outcome.found, tuple(range(-slot, 0)))
-        if witness.parts[0] != t:
-            raise ArithmeticError(
-                "rotated witness does not start with the target; upstream bug"
-            )
-        return PrefixVerdict(Ternary.YES, witness)
+        return PrefixVerdict(Ternary.YES, outcome.found)
     return PrefixVerdict(Ternary.UNKNOWN, None, exhausted=outcome.exhausted)
 
 

@@ -101,12 +101,6 @@ def positive_part(v: Root) -> Root:
     raise ValueError(f"{v} {problem}, so it is not a real root")
 
 
-def bilinear(C: CartanMatrix, u: Root, v: Root) -> int:
-    """Symmetrized invariant form B(u, v) = sum d_i a_ij u_i v_j."""
-    s = symmetrized(C)
-    return sum(s[i][j] * u[i] * v[j] for i in range(C.n) for j in range(C.n))
-
-
 def simple_root(n: int, i: int) -> Root:
     """Coordinate vector of alpha_i (1-based)."""
     if not 1 <= i <= n:
@@ -193,11 +187,13 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     """The reflection v -> v - <v, beta^vee> beta of a real root beta.
 
     Either sign of beta is accepted; every vector that is not a real root
-    raises ValueError.  The norm tests filter first: B(beta, beta) must equal
-    some simple-root norm 2 d_i.  Then beta descends: while it is not a simple
-    root, the first simple reflection s_i with <beta, alpha_i^vee> > 0 is
-    applied.  A positive real root other than a simple root has such an i, and
-    s_i takes it to a lower positive real root (Kac, "Infinite-dimensional Lie
+    raises ValueError.  The norm tests filter first: B(beta, beta) =
+    sum_i d_i beta_i <beta, alpha_i^vee>, read off the pairing vector that
+    the descent starts from, must be positive and equal some simple-root
+    norm 2 d_i.  Then beta descends: while it is not a simple root, the
+    first simple reflection s_i with <beta, alpha_i^vee> > 0 is applied.  A
+    positive real root other than a simple root has such an i, and s_i takes
+    it to a lower positive real root (Kac, "Infinite-dimensional Lie
     algebras", 1990, 5.1), so beta is real iff the descent reaches some
     alpha_j, which takes fewer than height(beta) steps.  A descent that has
     not ended after _DYER_CAP steps raises RuntimeError, as _peel does; every
@@ -208,15 +204,15 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     if len(beta) != n:
         raise ValueError("rank mismatch")
     beta = positive_part(beta)
-    norm = bilinear(C, beta, beta)
-    if norm <= 0:
-        raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
-    if norm not in {2 * d for d in symmetrizer(C)}:
-        raise ValueError(f"{beta} has norm {norm}, not the norm of any simple root")
-    a = C.entries
+    a, d = C.entries, symmetrizer(C)
     v = list(beta)
     # pairing[i] = <v, alpha_i^vee>, updated along with v.
     pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
+    norm = sum(map(mul, d, map(mul, beta, pairing)))
+    if norm <= 0:
+        raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
+    if norm not in {2 * x for x in d}:
+        raise ValueError(f"{beta} has norm {norm}, not the norm of any simple root")
     for _ in range(_DYER_CAP):
         if sum(v) == 1:
             break

@@ -60,6 +60,15 @@ def reference_braid_move(f, i, inverse=False):
     return Factorization(f.parts[: i - 1] + pair + f.parts[i + 1 :], f.coxeter)
 
 
+def reference_to_front(f, root):
+    """f with the part of root at slot k + 1 brought to the front by the
+    moves -k, ..., -1 of reference_braid_move: the rotation of a prefix
+    witness."""
+    for i in range(f.roots().index(root), 0, -1):
+        f = reference_braid_move(f, i, inverse=True)
+    return f
+
+
 def standard_stabilizer_words(C):
     """(word, label) pairs that fix the canonical tuple, and the ranges skipped.
 
@@ -621,12 +630,11 @@ def test_targeted_search_matches_braid_move_reference(name):
                 word is None, exhausted, nodes
             ), case
             if word is not None:
-                # The reference's braid word replayed from the start is the
-                # found factorization with the target moved to the front by
-                # -k, ..., -1, as is_prefix_of_coxeter moves it.
-                slot = outcome.found.roots().index(beta)
-                rotated = apply_braid_word(C, outcome.found, tuple(range(-slot, 0)))
-                assert apply_braid_word(C, start, word) == rotated, case
+                # The reference's braid word, which ends by moving the
+                # target to the front by -k, ..., -1, replayed from the
+                # start is the search's finished witness.
+                assert outcome.found.parts[0] == target, case
+                assert apply_braid_word(C, start, word) == outcome.found, case
                 kinds.add("found")
             else:
                 kinds.add("exhausted" if outcome.exhausted else "capped")
@@ -665,17 +673,59 @@ def test_orbit_rejects_reflection_with_wrong_root():
         Factorization((s1, it), weyl.coxeter_element(A2))
 
 
-def test_root_tuple_searches_make_no_braid_move(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("braid_move called inside a root-tuple search")
+def test_the_walks_make_no_braid_move_and_the_rotation_makes_k(monkeypatch):
+    # The walks move ids through the table's move list; the search's one
+    # caller of braid_move is the rotation of the tuple the walk found, which
+    # brings its root from slot k + 1 to the front by the moves -k, ..., -1.
+    events = []
+    move, walk = hurwitz.braid_move, hurwitz._ReflectionTable.walk
 
-    monkeypatch.setattr(hurwitz, "braid_move", refuse)
+    def recorded_move(table, node, i, inverse=False):
+        events.append((i, inverse))
+        return move(table, node, i, inverse)
+
+    def recorded_walk(table, *args):
+        events.append("walk")
+        result = walk(table, *args)
+        events.append("walked")
+        return result
+
+    monkeypatch.setattr(hurwitz, "braid_move", recorded_move)
+    monkeypatch.setattr(hurwitz._ReflectionTable, "walk", recorded_walk)
     B3 = preset("B3")
     assert len(hurwitz_orbit(B3, canonical_factorization(B3))) == ORBIT_SIZES["B3"]
+    assert events == []
     C = preset("universal:3:2")
-    target = weyl.reflection_for_root(C, (2, 0, 1))
-    outcome = _targeted_orbit_search(C, canonical_factorization(C), target, 10**4, 8)
-    assert target in outcome.found.parts
+    table, start = hurwitz._root_tuples(C), canonical_factorization(C)
+    first = table.admit(start)
+    for beta in weyl.positive_real_roots(C, 4):
+        target = weyl.reflection_for_root(C, beta)
+        _, _, made = walk(table, first, 10**4, 8, {beta})
+        k = table.roots_of(made.get(beta, first)).index(beta)
+        events.clear()
+        outcome = _targeted_orbit_search(C, start, target, 10**4, 8)
+        assert outcome.found.parts[0] == target
+        assert events == ["walk", "walked"] + [(i, True) for i in range(k, 0, -1)], beta
+
+
+@pytest.mark.parametrize(
+    "beta, how",
+    [((1, 0, 0), "slot 1"), ((0, 0, 1), "simple root at slot 3"), ((2, 0, 1), "made by a move")],
+)
+def test_an_orbit_search_yes_is_product_checked_once(beta, how, monkeypatch):
+    # The canonical start is cached and checked when first built; the YES
+    # then checks only its finished witness, whatever the rotation.
+    C = preset("universal:3:2")
+    table, start = hurwitz._root_tuples(C), canonical_factorization(C)
+    assert (beta in table.roots_of(table.admit(start))) == (how != "made by a move")
+    checked = []
+    check = Factorization.__post_init__
+    monkeypatch.setattr(
+        Factorization, "__post_init__", lambda f: (checked.append(f.roots()), check(f))
+    )
+    verdict = is_prefix_of_coxeter(beta, C)
+    assert verdict.answer is Ternary.YES and verdict.factorization.roots()[0] == beta
+    assert checked == [verdict.factorization.roots()], how
 
 
 def test_orbit_builds_no_factorization_and_reads_each_row_once(monkeypatch):

@@ -27,7 +27,7 @@ from schur_scope.hurwitz import (
 from schur_scope.schur import Orientation, _curve_root_harvest
 from schur_scope.weyl import height, positive_part
 
-from test_hurwitz import conjugate_reflection
+from test_hurwitz import conjugate_reflection, reference_to_front
 from test_reflection_rows import NODE_CAP, PRESETS
 
 
@@ -82,10 +82,16 @@ def _reference_search(table, start, target, node_cap, height_cap):
     """The targeted search's walk on root tuples: at most node_cap tuples
     kept, none with a root taller than height_cap expanded, and none
     expanded once a move has made the target's root.  Returns the first
-    tuple found to hold the root (or None), exhausted and the node count."""
+    tuple found to hold the root with the root rotated to the front by
+    reference_braid_move (or None), exhausted and the node count."""
+
+    def to_front(node):
+        f = hurwitz.Factorization(tuple(map(table.reflections.get, node)), start.coxeter)
+        return reference_to_front(f, target.root).roots()
+
     first = table.admit(start)
     if target.root in first:
-        return first, True, 1
+        return to_front(first), True, 1
     seen = {first}
     queue, complete, found = deque([first]), True, None
     while queue and found is None:
@@ -102,7 +108,9 @@ def _reference_search(table, start, target, node_cap, height_cap):
                 continue
             seen.add(image)
             queue.append(image)
-    return found, complete and found is None, len(seen)
+    if found is None:
+        return None, complete, len(seen)
+    return to_front(found), False, len(seen)
 
 
 def _reference_harvest(table, o, height_bound, node_cap):

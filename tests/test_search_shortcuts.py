@@ -34,17 +34,20 @@ from schur_scope.hurwitz import (
 from schur_scope.schur import Orientation, _curve_root_harvest, verify_conjecture
 from schur_scope.weyl import Reflection, height
 
+from test_hurwitz import reference_to_front
+
 
 def _full_image_search(C, start, target, node_cap, height_cap):
     """The targeted search with every root of every image compared with the
     goal, and every root of a tuple with the height cap before the tuple is
-    expanded."""
+    expanded.  The found tuple's goal is brought to the front by
+    reference_braid_move."""
     table = _root_tuples(C)
     heights = table.heights
     first = table.admit(start)
     goal = table.intern(target.root)
     if goal in first:
-        return SearchOutcome(start, True, 1)
+        return SearchOutcome(reference_to_front(start, target.root), True, 1)
     seen = {first}
     queue, complete, found = deque([first]), True, None
     while queue and found is None:
@@ -64,7 +67,8 @@ def _full_image_search(C, start, target, node_cap, height_cap):
     if found is None:
         return SearchOutcome(None, complete, len(seen))
     parts = tuple(map(table.reflection, found))
-    return SearchOutcome(Factorization(parts, start.coxeter), False, len(seen))
+    witness = reference_to_front(Factorization(parts, start.coxeter), target.root)
+    return SearchOutcome(witness, False, len(seen))
 
 
 SEARCH_CASES = [
@@ -108,16 +112,6 @@ def test_a_search_without_height_cap_matches_the_full_image_tests(monkeypatch):
         args = (C, start, target, 200, cap)
         assert _targeted_orbit_search(*args) == _full_image_search(*args), beta
     assert max(table.heights) < cap
-
-
-def test_a_start_taller_than_the_height_cap_is_refused():
-    C = preset("universal:3:2")
-    start = apply_braid_word(C, canonical_factorization(C), (1, 1, 2, 2))
-    tallest = max(map(height, start.roots()))
-    target = weyl.simple_reflection(C, 1)
-    with pytest.raises(ValueError, match="taller than the height cap"):
-        _targeted_orbit_search(C, start, target, 100, tallest - 1)
-    assert _targeted_orbit_search(C, start, target, 100, tallest).nodes > 0
 
 
 def _enumerated(o, height_bound):

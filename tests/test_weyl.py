@@ -10,7 +10,6 @@ from schur_scope._matrix import inverse, mat_sub, matmul, matvec, primitive, ran
 from schur_scope.cartan import CartanMatrix, preset, symmetrized, symmetrizer
 from schur_scope.weyl import (
     absolute_length,
-    bilinear,
     coxeter_element,
     enumerate_group,
     enumerate_real_roots,
@@ -26,6 +25,14 @@ from test_cartan import submatrix
 from test_group_id_table import SMALL_FINITE, matrix_group, matrix_length_table
 from test_matrix import mat_pow
 from test_reflection_rows import PRESETS as ROW_PRESETS
+
+
+def bilinear(C, u, v):
+    """Symmetrized invariant form B(u, v) = sum d_i a_ij u_i v_j: the oracle
+    for the norm that weyl.reflection_for_root reads off its pairing."""
+    s = symmetrized(C)
+    return sum(s[i][j] * u[i] * v[j] for i in range(C.n) for j in range(C.n))
+
 
 def is_reflection(w):
     """True iff w^2 = id and w - id has rank exactly 1: the matrix-level oracle."""
