@@ -4,6 +4,13 @@ A CartanMatrix is the single source of truth for a session: it fixes the rank,
 the simple-reflection action on the root lattice and the symmetrized
 invariant form.  Everything here is exact integer arithmetic; type
 classification is one elimination of that form, never floating point.
+
+The package's one breadth-first walk, _bounded_closure, lives here, in the
+lowest module that walks; weyl's root and group walks and hurwitz's orbit
+walks run on it.  Here it walks the diagram: once from each least vertex
+not yet met for the connected components, and once per component, with
+parents, for the symmetrizer, which carries each vertex's ratio d_j / d_i
+from its parent.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import functools
 import itertools
 import re
 from collections import namedtuple
-from math import gcd
+from math import gcd, lcm
 
 from ._matrix import Matrix, _eliminate
 
@@ -71,30 +78,63 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries")):
         return len(self.entries)
 
 
-def components(entries: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The connected components, as sorted 0-based vertex tuples, of the
-    graph with an edge i-j whenever a_ij != 0."""
+def _bounded_closure(starts, moves, node_cap, expand=None, parents=None):
+    """Breadth-first closure of the starts under moves, keeping at most
+    node_cap nodes; returns (nodes in discovery order, complete).
+
+    moves(node) returns a list of the node's images.  An image not met
+    before is kept while fewer than node_cap nodes are kept; otherwise it is
+    dropped and complete becomes False.  A kept node for which expand(node)
+    is false is recorded but not expanded.  The walk goes one breadth-first
+    level at a time, which meets the nodes in the order of a queue.
+
+    Each kept node is recorded with its parent, the node whose moves first
+    met it, and the starts with None; so a node's parent is kept before it.
+    In a complete walk that expanded every node, the parent chain of a node
+    is a shortest path to it from the starts in the graph of the moves.  A
+    caller that wants the parents passes an empty dict as parents, and the
+    walk records the nodes in it.
+    """
+    seen = {} if parents is None else parents
+    seen.update(dict.fromkeys(starts))
+    frontier = list(seen)
+    complete = True
+    while frontier:
+        found = []
+        for node in frontier:
+            if expand is not None and not expand(node):
+                continue
+            for image in moves(node):
+                if image in seen:
+                    continue
+                if len(seen) >= node_cap:
+                    complete = False
+                    continue
+                seen[image] = node
+                found.append(image)
+        frontier = found
+    return tuple(seen), complete
+
+
+def _neighbours(entries: Matrix):
+    """The moves of the diagram walks: i -> every j != i with a_ij != 0."""
     n = len(entries)
+    return lambda i: [j for j in range(n) if j != i and entries[i][j]]
+
+
+def components(entries: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The connected components, as sorted 0-based vertex tuples in the order
+    of their least vertices, of the graph with an edge i-j whenever a_ij != 0:
+    one walk from each least vertex not yet met."""
+    n = len(entries)
+    neighbours = _neighbours(entries)
     found: list[tuple[int, ...]] = []
     left = set(range(n))
     while left:
-        start = min(left)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and i != j and entries[i][j] != 0:
-                    seen.add(j)
-                    frontier.append(j)
-        found.append(tuple(sorted(seen)))
-        left -= seen
+        component, _ = _bounded_closure([min(left)], neighbours, n)
+        found.append(tuple(sorted(component)))
+        left.difference_update(component)
     return tuple(found)
-
-
-def is_irreducible(entries: Matrix) -> bool:
-    """Connectivity of the graph with an edge i-j whenever a_ij != 0."""
-    return len(components(entries)) == 1
 
 
 def parse_cartan(text: str) -> CartanMatrix:
@@ -120,7 +160,7 @@ def parse_cartan(text: str) -> CartanMatrix:
         tuple(values[1 + i * n + j] for j in range(n)) for i in range(n)
     )
     matrix = CartanMatrix(entries)
-    if not is_irreducible(entries):
+    if len(components(entries)) > 1:
         raise CartanError("irreducibility", "matrix graph is not connected")
     return matrix
 
@@ -129,43 +169,34 @@ def parse_cartan(text: str) -> CartanMatrix:
 def symmetrizer(C: CartanMatrix) -> tuple[int, ...]:
     """Componentwise-minimal positive integer d with d_i a_ij = d_j a_ji.
 
-    Computed by propagating d_j = d_i a_ij / a_ji along graph edges, one
-    connected component at a time, in integers: where that ratio is not
-    integral, the component found so far is rescaled first.  Each component
-    is then divided by the gcd of its entries.
+    One walk per connected component, from its least vertex, records each
+    vertex's parent; along the edge from parent i, d_j / d_i = a_ij / a_ji,
+    so each vertex's ratio to the start is an exact pair of integer
+    products.  The component is brought over the lcm of the denominators
+    and divided by the gcd of the results.  The identity on every pair is
+    then the one test that the ratios agree around each cycle.
     """
     n = C.n
     a = C.entries
+    neighbours = _neighbours(a)
     d = [0] * n
     for start in range(n):
         if d[start]:
             continue
-        d[start] = 1
-        component = [start]
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if i == j or a[i][j] == 0:
-                    continue
-                # d_j = num / den with num, den < 0 (the sign pattern is checked).
-                num, den = d[i] * a[i][j], a[j][i]
-                if d[j] == 0:
-                    if num % den:
-                        scale = -den // gcd(num, den)
-                        for k in component:
-                            d[k] *= scale
-                        num *= scale
-                    d[j] = num // den
-                    component.append(j)
-                    frontier.append(j)
-                elif d[j] * den != num:
-                    raise CartanError("symmetrizability", "no positive symmetrizer exists")
-        g = gcd(*(d[i] for i in component))
-        for i in component:
-            d[i] //= g
+        parents: dict[int, int | None] = {}
+        _bounded_closure([start], neighbours, n, parents=parents)
+        ratio = {start: (1, 1)}  # j -> (num, den) with d_j / d_start = num / den
+        for j, i in parents.items():  # a parent is met before its children
+            if i is not None:
+                num, den = ratio[i]
+                ratio[j] = (num * a[i][j], den * a[j][i])
+        scale = lcm(*(den for _, den in ratio.values()))
+        scaled = {j: num * scale // den for j, (num, den) in ratio.items()}
+        g = gcd(*scaled.values())
+        for j, x in scaled.items():
+            d[j] = x // g
     result = tuple(d)
-    # Cross-check the defining identity on every pair, not only graph edges.
+    # The walk reads only tree edges; the identity must hold on every pair.
     for i in range(n):
         for j in range(n):
             if result[i] * a[i][j] != result[j] * a[j][i]:
@@ -232,21 +263,25 @@ def _fork_matrix(n: int, branch: int) -> Matrix:
     return tuple(tuple(row) for row in entries)
 
 
-_PRESET_RE = re.compile(r"^([a-g])(\d+)$")
+# ASCII digits only: int() and a plain \d would also read signs, spaces
+# and other scripts' digits.
+_PRESET_RE = re.compile(r"universal:(\d+):(\d+)|affine-?a(\d+)|([a-g])(\d+)", re.ASCII)
 
 
 def preset(name: str) -> CartanMatrix:
     """Standard matrices by label: A_n, B_n, C_n, D_n, E6-E8, F4, G2,
-    affine-A_n, and universal:rank:weight (all off-diagonal entries -weight;
-    a label with other than these three fields is refused).
+    affine-A_n, and universal:rank:weight (all off-diagonal entries -weight).
+    Each number is unsigned ASCII digits; a universal label with other than
+    these three fields is refused as malformed.
     """
     key = name.strip().lower().replace("_", "")
-    if key.startswith("universal:"):
-        try:
-            _, k, m = key.split(":")
-            k, m = int(k), int(m)
-        except ValueError:
-            raise CartanError("preset", f"malformed universal preset {name!r}") from None
+    match = _PRESET_RE.fullmatch(key)
+    if match is None:
+        kind = "malformed universal" if key.startswith("universal:") else "unknown"
+        raise CartanError("preset", f"{kind} preset {name!r}")
+    k, m, affine, family, n = match.groups()
+    if k is not None:
+        k, m = int(k), int(m)
         if k < 1:
             raise CartanError("preset", "universal preset needs rank >= 1")
         if m < 2:
@@ -255,12 +290,8 @@ def preset(name: str) -> CartanMatrix:
             tuple(2 if i == j else -m for j in range(k)) for i in range(k)
         )
         return CartanMatrix(entries)
-    if key.startswith("affine-a") or key.startswith("affinea"):
-        digits = key[8:] if key.startswith("affine-a") else key[7:]
-        try:
-            n = int(digits)
-        except ValueError:
-            raise CartanError("preset", f"unknown preset {name!r}") from None
+    if affine is not None:
+        n = int(affine)
         if n < 1:
             raise CartanError("preset", "affine-A needs rank >= 1")
         if n == 1:
@@ -271,10 +302,7 @@ def preset(name: str) -> CartanMatrix:
             j = (i + 1) % size
             entries[i][j] = entries[j][i] = -1
         return CartanMatrix(tuple(tuple(row) for row in entries))
-    match = _PRESET_RE.match(key)
-    if not match:
-        raise CartanError("preset", f"unknown preset {name!r}")
-    family, n = match.group(1), int(match.group(2))
+    n = int(n)
     if family == "a" and n >= 1:
         return CartanMatrix(_path_matrix(n))
     if family == "b" and n >= 2:

@@ -13,11 +13,12 @@ root once, with its height, and memoizes the root id of each id pair's move
 (_ReflectionTable.moved); a move replaces one root of a tuple, and a walk
 looks up only that one.  braid_move makes one move, and apply_braid_word
 admits a Factorization, replays a word on its ids and product-checks the
-result once.  Every walk is weyl._bounded_closure, and node_cap bounds the
-tuples each one keeps.  A finite orbit that fits its cap is walked under
-sigma_1 and delta = sigma_1 ... sigma_{n-1} alone, two images per tuple in
-which t_1 alone acts (hurwitz_orbit); every other walk takes the move and its
-inverse at each slot.  The curve harvest and the targeted prefix search are
+result once.  Every walk is cartan._bounded_closure, the one breadth-first
+walk of the package, and node_cap bounds the tuples each one keeps.  A
+finite orbit that fits its cap is walked under sigma_1 and
+delta = sigma_1 ... sigma_{n-1} alone, two images per tuple in which t_1
+alone acts (hurwitz_orbit); every other walk takes the move and its inverse
+at each slot.  The curve harvest and the targeted prefix search are
 one walk (_ReflectionTable.walk) that expands no tuple with a root taller
 than its prune height, and none once it has met every root it wants: the
 harvest wants every enumerated root up to its bound, the search one root.
@@ -43,7 +44,7 @@ from operator import mul
 
 from . import weyl
 from ._matrix import Matrix, identity, mat_sub, rank
-from .cartan import CartanMatrix, TypeClass, classify_type, symmetrized
+from .cartan import CartanMatrix, TypeClass, _bounded_closure, classify_type, symmetrized
 from .weyl import Reflection, Root, coxeter_element, height, positive_part
 
 BraidWord = tuple[int, ...]
@@ -256,7 +257,7 @@ class _ReflectionTable:
     def walk(self, first: IdTuple, node_cap: int, expand_height: int,
              wanted=None) -> tuple[tuple[IdTuple, ...], bool, dict]:
         """The height-pruned orbit walk of the harvest and the targeted
-        search: weyl._bounded_closure of first under moves, keeping at most
+        search: cartan._bounded_closure of first under moves, keeping at most
         node_cap tuples; returns (nodes, complete, made).
 
         No tuple with a root taller than expand_height is expanded.  wanted,
@@ -287,7 +288,7 @@ class _ReflectionTable:
                 return False  # every wanted root has been met
             return all(heights[g] <= expand_height for g in node)
 
-        return (*weyl._bounded_closure([first], images, node_cap, expandable), made)
+        return (*_bounded_closure([first], images, node_cap, expandable), made)
 
     def harvest(self, start: Factorization, node_cap: int, height_bound: int,
                 roots: tuple[Root, ...] | None = None) -> tuple[set[Root], bool]:
@@ -409,7 +410,7 @@ def hurwitz_orbit(
         and factorization_count_formula(C) <= node_cap
     )
     moves = table.generator_images if by_generators else table.images
-    nodes, complete = weyl._bounded_closure([first], moves, node_cap)
+    nodes, complete = _bounded_closure([first], moves, node_cap)
     if by_generators and not complete:
         raise ArithmeticError(
             f"the orbit has more than {node_cap} factorizations, more than "

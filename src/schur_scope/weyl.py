@@ -28,6 +28,7 @@ from ._matrix import Matrix, Vector, identity, mat_sub, matmul
 from .cartan import (
     CartanMatrix,
     TypeClass,
+    _bounded_closure,
     classify_type,
     components,
     symmetrized,
@@ -226,44 +227,6 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     else:
         raise RuntimeError(f"root descent exceeded the safety cap of {_DYER_CAP} steps")
     return Reflection(beta, coroot_row(symmetrized(C), beta))
-
-
-def _bounded_closure(starts, moves, node_cap, expand=None, parents=None):
-    """Breadth-first closure of the starts under moves, keeping at most
-    node_cap nodes; returns (nodes in discovery order, complete).
-
-    moves(node) returns a list of the node's images.  An image not met
-    before is kept while fewer than node_cap nodes are kept; otherwise it is
-    dropped and complete becomes False.  A kept node for which expand(node)
-    is false is recorded but not expanded.  The walk goes one breadth-first
-    level at a time, which meets the nodes in the order of a queue.
-
-    Each kept node is recorded with its parent, the node whose moves first
-    met it, and the starts with None; so a node's parent is kept before it.
-    In a complete walk that expanded every node, the parent chain of a node
-    is a shortest path to it from the starts in the graph of the moves.  A
-    caller that wants the parents passes an empty dict as parents, and the
-    walk records the nodes in it.
-    """
-    seen = {} if parents is None else parents
-    seen.update(dict.fromkeys(starts))
-    frontier = list(seen)
-    complete = True
-    while frontier:
-        found = []
-        for node in frontier:
-            if expand is not None and not expand(node):
-                continue
-            for image in moves(node):
-                if image in seen:
-                    continue
-                if len(seen) >= node_cap:
-                    complete = False
-                    continue
-                seen[image] = node
-                found.append(image)
-        frontier = found
-    return tuple(seen), complete
 
 
 _FINITE_CLOSURE_CAP = 2_000_000

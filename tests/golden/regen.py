@@ -32,7 +32,15 @@ from schur_scope import cartan, cli, weyl
 
 CORPUS = Path(__file__).with_name("cli.jsonl")
 RENDER_OUT = "curve.svg"
-CARTAN_FILES = {"affine-b4.txt": "5\n2 -1 0 0 0\n-1 2 -1 0 -1\n0 -1 2 -2 0\n0 0 -1 2 0\n0 -1 0 0 2\n"}
+CARTAN_FILES = {
+    "affine-b4.txt": "5\n2 -1 0 0 0\n-1 2 -1 0 -1\n0 -1 2 -2 0\n0 0 -1 2 0\n0 -1 0 0 2\n",
+    # Two components, refused as reducible.
+    "reducible.txt": "3\n2 -1 0\n-1 2 0\n0 0 2\n",
+    # A 3-cycle whose ratios a_ij/a_ji multiply to 1/8, refused as not symmetrizable.
+    "three-cycle.txt": "3\n2 -1 -2\n-2 2 -1\n-1 -2 2\n",
+    # d = (3, 2, 2): the ratio d_2/d_1 = 2/3 is not integral.
+    "valued.txt": "3\n2 -2 0\n-3 2 -1\n0 -1 2\n",
+}
 
 # preset: (rank, height bound or None); an infinite type runs at its bound,
 # and its orbit commands stop at an orbit cap of 60.
@@ -202,12 +210,22 @@ _FIXTURES = ("example-2.6", "example-3.6", "table-4")
 
 # Entry and error paths that no other line runs (tests/test_reach.py): an
 # abbreviated option, which only argparse reads; an unknown preset and an
-# unknown fixture (exit 1); and the rank-1 group table.
+# unknown fixture (exit 1); the rank-1 group table and orbit; a reducible
+# and a non-symmetrizable matrix file (exit 1); a valued matrix whose
+# symmetrizer is not found by integral ratios alone; and preset labels with
+# a sign or a digit outside ASCII, which are refused (exit 1).
 _ENTRY_LINES = [
     ["--typ", "A2", "roots", "list"],
     ["--type", "Z9", "roots", "list"],
     ["repro", "no-such-fixture"],
     ["--type", "A1", "nc", "list"],
+    ["--type", "A1", "orbit", "count"],
+    ["--type", "A1", "orbit", "dump"],
+    ["--cartan", "reducible.txt", "roots", "list"],
+    ["--cartan", "three-cycle.txt", "roots", "list"],
+    ["--cartan", "valued.txt", "--height", "4", "schur", "verify"],
+    ["--type", "affine-A+2", "roots", "list"],
+    ["--type", "A\u0663", "group", "order"],
 ]
 
 

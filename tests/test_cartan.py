@@ -161,11 +161,19 @@ def test_preset_values():
 
 def test_preset_errors():
     # A universal label has exactly three fields: universal, rank and weight.
+    # Every number is unsigned ASCII digits, with no space inside the label.
     for bad in ("H3", "A0", "universal:2:1", "universal:x:2", "Q5", "universal:3",
-                "universal:3:2:junk", "universal:3:2:", "universal:3:2:2"):
+                "universal:3:2:junk", "universal:3:2:", "universal:3:2:2",
+                "universal:+3:2", "universal: 3:2", "universal:3:\u0662",
+                "affine-A+2", "affine-A 2", "A\u0663"):
         with pytest.raises(CartanError) as caught:
             preset(bad)
         assert caught.value.kind == "preset", bad
+    # A sign is malformed like any other character, a minus too.
+    with pytest.raises(CartanError, match="malformed universal preset 'universal:-1:2'"):
+        preset("universal:-1:2")
+    with pytest.raises(CartanError, match="unknown preset 'affine-A\\+2'"):
+        preset("affine-A+2")
 
 
 def test_preset_d4_shape():
@@ -309,19 +317,19 @@ def test_classify_matches_minor_walk_on_random_matrices():
     assert seen == set(TypeClass)
 
 
+def block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    entries = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            entries[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return CartanMatrix(tuple(tuple(row) for row in entries))
+
+
 def test_classify_reducible_by_nullity():
     a1, affine_a1 = ((2,),), ((2, -2), (-2, 2))
-
-    def block_sum(*blocks):
-        n = sum(len(b) for b in blocks)
-        entries = [[0] * n for _ in range(n)]
-        offset = 0
-        for b in blocks:
-            for i, row in enumerate(b):
-                entries[offset + i][offset : offset + len(b)] = row
-            offset += len(b)
-        return CartanMatrix(tuple(tuple(row) for row in entries))
-
     expected = {
         (a1, a1): TypeClass.FINITE,
         (a1, affine_a1): TypeClass.AFFINE,
@@ -447,8 +455,9 @@ def test_integer_symmetrizer_and_classify_match_the_fraction_code_on_random_matr
     assert 0 < refused < 250
 
 
-def test_integer_symmetrizer_rescales_when_a_ratio_is_not_integral():
-    # d_2 = d_1 * a_12 / a_21 = 2/3 before the rescale.
+def test_integer_symmetrizer_brings_a_component_over_the_lcm():
+    # The ratios to d_1 are 1, a_12 / a_21 = 2/3 and 2/3 * a_23 / a_32 = 2/3,
+    # so the component comes over the lcm 3 of their denominators.
     C = CartanMatrix(((2, -2, 0), (-3, 2, -1), (0, -1, 2)))
     assert symmetrizer(C) == _fraction_symmetrizer(C.entries) == (3, 2, 2)
 
@@ -461,3 +470,45 @@ def test_non_symmetrizable_three_cycle_is_refused():
     assert str(info.value) == "no positive symmetrizer exists"
     with pytest.raises(CartanError):
         _fraction_symmetrizer(entries)
+
+
+def _stack_components(entries):
+    """Reference: the stack walk from each least unvisited vertex that
+    cartan.components ran before it used the shared breadth-first walk."""
+    n = len(entries)
+    found = []
+    left = set(range(n))
+    while left:
+        start = min(left)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if j not in seen and i != j and entries[i][j] != 0:
+                    seen.add(j)
+                    frontier.append(j)
+        found.append(tuple(sorted(seen)))
+        left -= seen
+    return tuple(found)
+
+
+def test_components_match_the_stack_walk():
+    a1, a2, g2 = ((2,),), preset("A2").entries, preset("G2").entries
+    affine_a2 = preset("affine-A2").entries
+    assert cartan.components(block_sum(a2, a1, affine_a2).entries) == ((0, 1), (2,), (3, 4, 5))
+    rng = random.Random(20261022)
+    cases = []
+    for _ in range(100):
+        blocks = [rng.choice((a1, a2, g2, affine_a2)) for _ in range(rng.randint(1, 4))]
+        entries = block_sum(*blocks).entries
+        # Relabel the vertices, so that the components interleave.
+        order = rng.sample(range(len(entries)), len(entries))
+        cases.append(tuple(tuple(entries[i][j] for j in order) for i in order))
+    cases += [_random_rank_2_to_6(rng) for _ in range(300)]
+    sizes = set()
+    for entries in cases:
+        found = cartan.components(entries)
+        assert found == _stack_components(entries), entries
+        sizes.add(len(found))
+    assert {1, 2, 3} <= sizes

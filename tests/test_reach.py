@@ -30,9 +30,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schur_scope"
 ALLOWED = {
     "_matrix.matvec": "pinned by perfbench's tracer (matrix.matvec)",
     "cli.main": "the console-script entry point in pyproject.toml; the corpus runs cli.run",
-    "curves.fan": "pinned by perfbench's tracer; ROADMAP items 5 and 17",
+    "curves.fan": "ROADMAP items 5 and 17",
     "curves.braid_move_curves": "pinned by perfbench's tracer; ROADMAP items 5 and 17",
-    "curves.apply_braid_word_curves": "pinned by perfbench's tracer; ROADMAP items 5 and 17",
+    "curves.apply_braid_word_curves": "ROADMAP items 5 and 17",
     "schur.schur_transversal_finite": "the start of the spiral route of ROADMAP item 5",
     "hurwitz.OrbitResult.__setattr__": "the immutability guard, reached only by misuse",
 }
