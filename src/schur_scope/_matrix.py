@@ -2,9 +2,12 @@
 
 All group elements and roots in this package are plain tuples of Python ints,
 so every computation is exact and every value is hashable.  Matrices are
-stored row-major; column j holds the image of the j-th basis vector.  The
-eliminations (det, rank, inverse) are fraction-free: they combine rows with
-integer coefficients and divide only where the division is exact.
+stored row-major; column j holds the image of the j-th basis vector.
+matvec is the package's one product of a matrix and a vector; a product of
+reflections is weyl.reflection_product, which builds no reflection's
+matrix.  The eliminations (det, rank, inverse) are fraction-free: they
+combine rows with integer coefficients and divide only where the division
+is exact.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
-# No library code calls matvec, but perfbench/tracer.py wraps it by name.
 def matvec(a: Matrix, v: Vector) -> Vector:
+    """a v: entry i is row i of a against v."""
     if len(a) != len(v):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -137,8 +137,23 @@ def components(entries: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def parse_int(token: str) -> int:
+    """The integer of a token that is an optional sign and ASCII digits,
+    with whitespace around it allowed.  int() alone would also read other
+    scripts' digits and "_" separators; any other token raises int()'s own
+    ValueError message."""
+    stripped = token.strip()
+    if _INT_RE.fullmatch(stripped) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
+    return int(stripped)
+
+
 def parse_cartan(text: str) -> CartanMatrix:
-    """Parse the documented text format: first token n, then n*n integers.
+    """Parse the documented text format: first token n, then n*n integers,
+    each read by parse_int.
 
     Rows may be separated by newlines or '/'; all whitespace is equivalent.
     """
@@ -146,7 +161,7 @@ def parse_cartan(text: str) -> CartanMatrix:
     if not tokens:
         raise CartanError("format", "empty matrix source")
     try:
-        values = [int(t) for t in tokens]
+        values = [parse_int(t) for t in tokens]
     except ValueError as exc:
         raise CartanError("format", f"non-integer token in matrix source: {exc}") from None
     n = values[0]

@@ -31,7 +31,7 @@ Session = namedtuple("Session", "cartan order orbit_cap height_bound json_mode")
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(cartan.parse_int, text.split(",")))
     except ValueError:
         raise ValueError(f"malformed {what} {text!r}; expected comma-separated integers")
 
@@ -218,22 +218,25 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def _build_session(args: SimpleNamespace) -> Session:
-    if args.command != "repro":
-        if bool(args.type) == bool(args.cartan):
-            raise ValueError("exactly one of --type or --cartan is required")
+    """The session of args.  repro reads no matrix, so it needs neither
+    --type nor --cartan and its session may hold none; one it is given is
+    still read and validated, and so is an --order against it."""
+    if args.command != "repro" and bool(args.type) == bool(args.cartan):
+        raise ValueError("exactly one of --type or --cartan is required")
+    matrix = order = None
     if args.type:
         matrix = cartan.preset(args.type)
     elif args.cartan:
         with open(args.cartan, encoding="utf-8") as handle:
             matrix = cartan.parse_cartan(handle.read())
-    else:
-        matrix = cartan.preset("A2")  # unused placeholder for repro
-    order = tuple(range(1, matrix.n + 1))
+    elif args.order:
+        raise ValueError("--order needs --type or --cartan")
     if args.order:
         order = _parse_csv_ints(args.order, "order")
     if min(args.orbit_cap, args.height) < 1:
         raise ValueError("caps must be positive")
-    weyl._check_order(matrix, order)
+    if matrix is not None:
+        order = weyl._check_order(matrix, order)
     return Session(matrix, order, args.orbit_cap, args.height, args.json)
 
 

@@ -40,7 +40,6 @@ import enum
 import functools
 import math
 from collections import namedtuple
-from operator import mul
 
 from . import weyl
 from ._matrix import Matrix, identity, mat_sub, rank
@@ -78,25 +77,13 @@ class Factorization(namedtuple("Factorization", "parts coxeter")):
 
     def __post_init__(self):
         """The product check that __new__ runs, looked up through self so
-        that a profiler or a test can wrap it: t_n, ..., t_1 applied to
-        alpha_j must give column j of c.  The vector is a list updated in
-        place, on the rows where the part's root is nonzero, and a part that
-        pairs it to 0 leaves it as it is."""
+        that a profiler or a test can wrap it: the parts, each of c's rank,
+        must multiply to c (weyl.reflection_product)."""
         n = len(self.coxeter)
-        parts = self.parts[::-1]
-        if any(len(root) != n or len(coroot) != n for root, coroot in parts):
+        if any(len(root) != n or len(coroot) != n for root, coroot in self.parts) or (
+            weyl.reflection_product(self.parts, n) != self.coxeter
+        ):
             raise ValueError("factorization product differs from the Coxeter element")
-        for j, column in enumerate(zip(*self.coxeter)):
-            v = [0] * n
-            v[j] = 1
-            for root, coroot in parts:
-                k = sum(map(mul, coroot, v))
-                if k:
-                    for i, b in enumerate(root):
-                        if b:
-                            v[i] -= k * b
-            if tuple(v) != column:
-                raise ValueError("factorization product differs from the Coxeter element")
 
     @property
     def n(self) -> int:

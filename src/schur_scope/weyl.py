@@ -3,18 +3,23 @@
 Roots are integer coordinate tuples in the simple-root basis; height is the L1
 norm.  A reflection is its root and coroot row; other group elements are n x n
 integer matrices (column j = image of alpha_j), so equality stays decidable
-even for infinite groups.
+even for infinite groups.  A product of reflections, the Coxeter element
+among them, is reflection_product: one fold of Reflection.left_multiply.
 
 The tables of a finite-type group (enumerate_group, _absolute_length_table)
 hold an element w as the root ids of its columns w(alpha_1), ..., w(alpha_n),
-with the ids of _root_ids; this module alone reads that format.  Left
-multiplication by x is then x's permutation of the root ids applied to each
-id, and _act_on(w), built once per element w, is x -> x w for every x, so a
-node of a walk makes all its products with one lookup function;
-_element_matrix turns an element back into its matrix.  One breadth-first
-walk of the identity under every reflection builds both tables: an
-element's level in it is its absolute length, by definition, and
-enumerate_group is the set of elements the walk met.
+with the ids of _root_ids.  Two modules read that format: this one, and
+ncposet.enumerate_nc, which reads _absolute_length_table,
+_matrix_permutation, _element_ids, _act_on, _element_matrix and
+_root_ids(C).permutations; ROADMAP item 4's descent from c, which needs no
+group table, removes that second reader.  Left multiplication by x is then
+x's permutation of the root ids applied to each id, and _act_on(w), built
+once per element w, is x -> x w for every x, so a node of a walk makes all
+its products with one lookup function; _element_matrix turns an element
+back into its matrix.  One breadth-first walk of the identity under every
+reflection builds both tables: an element's level in it is its absolute
+length, by definition, and enumerate_group is the set of elements the walk
+met.
 """
 
 from __future__ import annotations
@@ -69,11 +74,9 @@ class Reflection(namedtuple("Reflection", "root coroot")):
 
     @property
     def matrix(self) -> Matrix:
-        """id - beta phi, read only at the CLI boundary (cli._parse_element)."""
-        return tuple(
-            tuple(int(i == j) - b * p for j, p in enumerate(self.coroot))
-            for i, b in enumerate(self.root)
-        )
+        """t's matrix id - beta phi, made as t id by left_multiply; read only
+        at the CLI boundary (cli._parse_element)."""
+        return self.left_multiply(identity(len(self.root)))
 
 
 def height(v: Root) -> int:
@@ -126,17 +129,18 @@ def _check_order(C: CartanMatrix, order: tuple[int, ...] | None) -> tuple[int, .
     return tuple(order)
 
 
+def reflection_product(parts, n: int) -> Matrix:
+    """The n x n matrix t_1 ... t_k of the reflections parts = (t_1, ..., t_k):
+    the identity left-multiplied by t_k, ..., t_1 (Reflection.left_multiply),
+    with no matrix of any t_i.  The package's one product of reflections."""
+    return functools.reduce(lambda m, t: t.left_multiply(m), reversed(parts), identity(n))
+
+
 def coxeter_element(C: CartanMatrix, order: tuple[int, ...] | None = None) -> Matrix:
     """Product s_{order(1)} ... s_{order(n)}; default order is 1, 2, ..., n.
-
-    Built by column updates: s_i = id - alpha_i (row i of C), so
-    c s_i = c - (c alpha_i) (row i of C), with no matrix of s_i.
-    """
-    c = identity(C.n)
-    for i in _check_order(C, order):
-        a_i = C.entries[i - 1]
-        c = tuple(tuple([x - row[i - 1] * a for x, a in zip(row, a_i)]) for row in c)
-    return c
+    The reflection_product of the simple reflections in that order."""
+    parts = [simple_reflection(C, i) for i in _check_order(C, order)]
+    return reflection_product(parts, C.n)
 
 
 def _moved_direction(m: Matrix) -> Vector | None:
@@ -177,7 +181,7 @@ def coroot_row(form: Matrix, beta: Root) -> Vector:
     is symmetric, so B(alpha_i, beta) is line i of the form against beta.
     The row of every real root is integral; a non-positive norm or a row
     that is not integral raises ArithmeticError."""
-    column = [sum(map(mul, line, beta)) for line in form]
+    column = _mat.matvec(form, beta)
     norm = sum(map(mul, beta, column))
     if norm <= 0 or any(2 * x % norm for x in column):
         raise ArithmeticError(f"{beta} has no integral coroot row; it is not a real root")
@@ -208,7 +212,7 @@ def reflection_for_root(C: CartanMatrix, beta: Root) -> Reflection:
     a, d = C.entries, symmetrizer(C)
     v = list(beta)
     # pairing[i] = <v, alpha_i^vee>, updated along with v.
-    pairing = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
+    pairing = list(_mat.matvec(a, beta))
     norm = sum(map(mul, d, map(mul, beta, pairing)))
     if norm <= 0:
         raise ValueError(f"{beta} has non-positive norm, so it is not a real root")
@@ -253,13 +257,11 @@ def positive_real_roots(C: CartanMatrix, height_bound: int) -> tuple[Root, ...]:
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     bound = float("inf") if classify_type(C) is TypeClass.FINITE else height_bound
-    rows = tuple(enumerate(C.entries))
 
     def moves(beta: Root) -> list[Root]:
         images = []
         h = sum(beta)
-        for i, row in rows:
-            k = sum(map(mul, row, beta))
+        for i, k in enumerate(_mat.matvec(C.entries, beta)):
             if k and beta[i] >= k and h - k <= bound:
                 images.append(beta[:i] + (beta[i] - k,) + beta[i + 1 :])
         return images
@@ -400,9 +402,7 @@ def _matrix_permutation(C: CartanMatrix, m: Matrix) -> Element:
     """m's permutation of the root ids, for m in the finite-type group; a
     matrix that sends a root outside Phi raises ArithmeticError."""
     table = _root_ids(C)
-    return _permute(
-        table.roots, table.index, lambda beta: tuple([sum(map(mul, row, beta)) for row in m])
-    )
+    return _permute(table.roots, table.index, lambda beta: _mat.matvec(m, beta))
 
 
 def _element_matrix(C: CartanMatrix, w: Element) -> Matrix:

@@ -40,6 +40,8 @@ CARTAN_FILES = {
     "three-cycle.txt": "3\n2 -1 -2\n-2 2 -1\n-1 -2 2\n",
     # d = (3, 2, 2): the ratio d_2/d_1 = 2/3 is not integral.
     "valued.txt": "3\n2 -2 0\n-3 2 -1\n0 -1 2\n",
+    # An entry with a "_" separator, which int() would read as -10; refused.
+    "separator.txt": "2 / 2 -1_0 / -1 2\n",
 }
 
 # preset: (rank, height bound or None); an infinite type runs at its bound,
@@ -212,8 +214,10 @@ _FIXTURES = ("example-2.6", "example-3.6", "table-4")
 # abbreviated option, which only argparse reads; an unknown preset and an
 # unknown fixture (exit 1); the rank-1 group table and orbit; a reducible
 # and a non-symmetrizable matrix file (exit 1); a valued matrix whose
-# symmetrizer is not found by integral ratios alone; and preset labels with
-# a sign or a digit outside ASCII, which are refused (exit 1).
+# symmetrizer is not found by integral ratios alone; preset labels with a
+# sign or a digit outside ASCII, and integer tokens with a digit outside
+# ASCII or a "_" separator, which are refused (exit 1); and an --order that
+# repro, which needs no matrix, is given without one (exit 1).
 _ENTRY_LINES = [
     ["--typ", "A2", "roots", "list"],
     ["--type", "Z9", "roots", "list"],
@@ -226,6 +230,11 @@ _ENTRY_LINES = [
     ["--cartan", "valued.txt", "--height", "4", "schur", "verify"],
     ["--type", "affine-A+2", "roots", "list"],
     ["--type", "A\u0663", "group", "order"],
+    ["--type", "A3", "schur", "check", "--root", "\u0661,0,0"],
+    ["--type", "A3", "--order", "\u0663,1,2", "mutate", "source"],
+    ["--type", "A3", "braid", "apply", "--word", "1_2"],
+    ["--cartan", "separator.txt", "roots", "list"],
+    ["--order", "2,1,3", "repro", "table-4"],
 ]
 
 

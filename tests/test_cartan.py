@@ -17,6 +17,7 @@ from schur_scope.cartan import (
     TypeClass,
     classify_type,
     parse_cartan,
+    parse_int,
     preset,
     symmetrized,
     symmetrizer,
@@ -83,10 +84,32 @@ def test_parse_irreducibility_error():
 
 
 def test_parse_format_errors():
-    for text in ("", "x", "2 / 2 -1", "-1 / 2"):
+    # int() alone would read "-1_0" as -10 and an Arabic-Indic digit as 1.
+    for text in ("", "x", "2 / 2 -1", "-1 / 2", "2 / 2 -1_0 / -1 2", "2 / 2 -\u0661 / -1 2"):
         with pytest.raises(CartanError) as info:
             parse_cartan(text)
         assert info.value.kind == "format"
+
+
+def test_parse_int_reads_what_int_reads_but_ascii_digits_alone():
+    """A token int() refuses keeps int()'s exact message, truncation
+    included; a token int() reads is read alike unless it has a digit
+    outside ASCII or a "_" separator."""
+    read = ["7", " -2\t", "+3", "-0", "007"]
+    refused_by_int = ["", " ", "x", "1.0", "--1", "0x10", "1 2", "y" * 300]
+    refused_here = ["1_0", "\u0663", "-\u0661", "\uff11", " 1_000 "]
+    for token in read:
+        assert parse_int(token) == int(token)
+    for token in refused_by_int:
+        with pytest.raises(ValueError) as expected:
+            int(token)
+        with pytest.raises(ValueError) as info:
+            parse_int(token)
+        assert str(info.value) == str(expected.value)
+    for token in refused_here:
+        int(token)
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_int(token)
 
 
 def test_symmetrizer_symmetric_gives_ones():

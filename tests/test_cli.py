@@ -124,6 +124,30 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--type", "A3", "schur", "check", "--root", "\u0661,0,0"], "root '\u0661,0,0'"),
+        (["--type", "A3", "--order", "\u0663,1,2", "mutate", "source"], "order '\u0663,1,2'"),
+        (["--type", "A3", "braid", "apply", "--word", "1_2"], "braid word '1_2'"),
+        (["--type", "A3", "nc", "leq", "--u", "1_0,0,0", "--w", "1,0,0"], "root '1_0,0,0'"),
+    ],
+)
+def test_integer_tokens_are_ascii_digits_without_separators(capsys, argv, what):
+    # int() alone reads an Arabic-Indic digit, and "1_2" as 12.
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: malformed {what}; expected comma-separated integers\n"
+
+
+def test_integer_tokens_keep_their_sign_and_surrounding_spaces(capsys):
+    code, out = _run(capsys, ["--type", "A3", "schur", "check", "--root", " +1, 0,0 "])
+    assert code == EXIT_OK
+    assert "root = [1, 0, 0]" in out.splitlines()
+
+
 def test_zero_root_is_named_as_zero(capsys):
     code = run(["--type", "A3", "schur", "check", "--root", "0,0,0"])
     captured = capsys.readouterr()
@@ -157,6 +181,19 @@ def test_cartan_file_input(tmp_path, capsys):
     code, out = _run(capsys, ["--cartan", str(source), "group", "order"])
     assert code == EXIT_OK
     assert "order = 8" in out.splitlines()
+
+
+def test_a_cartan_file_entry_with_a_separator_is_refused(tmp_path, capsys):
+    source = tmp_path / "separator.txt"
+    source.write_text("2 / 2 -1_0 / -1 2", encoding="utf-8")
+    code = run(["--cartan", str(source), "roots", "list"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: non-integer token in matrix source: "
+        "invalid literal for int() with base 10: '-1_0'\n"
+    )
 
 
 def test_non_root_on_a_cartan_file_is_refused(tmp_path, capsys):
@@ -497,6 +534,24 @@ def test_repro_fixtures_all_ok(capsys):
 
 def test_repro_unknown_fixture(capsys):
     assert run(["repro", "example-9.9"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_repro_refuses_an_order_without_a_matrix(capsys, tmp_path):
+    # repro needs no matrix; an --order without one is refused, not read
+    # against a rank the line never gave.
+    code = run(["--order", "2,1,3", "repro", "table-4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: --order needs --type or --cartan\n"
+    code, out = _run(capsys, ["--type", "A3", "--order", "2,1,3", "repro", "table-4"])
+    assert code == EXIT_OK
+    assert "ok = true" in out.splitlines()
+    # A matrix or an order given to repro is still validated.
+    assert run(["--type", "A3", "--order", "2,1,4", "repro", "table-4"]) == EXIT_USAGE
+    assert run(["--type", "Z9", "repro", "table-4"]) == EXIT_USAGE
+    assert run(["--cartan", str(tmp_path / "missing.txt"), "repro", "table-4"]) == EXIT_USAGE
     capsys.readouterr()
 
 

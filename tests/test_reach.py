@@ -28,7 +28,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schur_scope"
 
 # Unreached by the corpus, each with its reason.
 ALLOWED = {
-    "_matrix.matvec": "pinned by perfbench's tracer (matrix.matvec)",
     "cli.main": "the console-script entry point in pyproject.toml; the corpus runs cli.run",
     "curves.fan": "ROADMAP items 5 and 17",
     "curves.braid_move_curves": "pinned by perfbench's tracer; ROADMAP items 5 and 17",

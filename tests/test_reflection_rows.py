@@ -1,6 +1,9 @@
 """Reflections as a root and a coroot row, cross-checked against the matrix
 route they replaced: conjugated matrices, root_of_reflection, the product of
-n matrices, and the row update t m against the matrix product.
+n matrices, and the row update t m against the matrix product.  The
+references build a reflection's matrix entry by entry (reflection_matrix),
+not through Reflection.left_multiply, which the library's products and
+Reflection.matrix run on.
 
 B3, C3, G2 and F4 are valued types, where the coroot row of a root is not its
 transpose, so a row update that mixed the two would show there.
@@ -26,10 +29,18 @@ PRESETS = ("A3", "B3", "C3", "G2", "F4", "D4", "affine-A2", "universal:3:2")
 NODE_CAP = 2_000
 
 
+def reflection_matrix(t):
+    """id - beta phi, entry by entry."""
+    return tuple(
+        tuple(int(i == j) - b * p for j, p in enumerate(t.coroot))
+        for i, b in enumerate(t.root)
+    )
+
+
 def _matrix_product(parts):
     product = identity(len(parts[0].root))
     for t in parts:
-        product = matmul(product, t.matrix)
+        product = matmul(product, reflection_matrix(t))
     return product
 
 
@@ -49,6 +60,10 @@ def test_table_rows_give_the_reflection_matrices(name):
         assert t.root == root
         assert t.matrix == weyl.reflection_for_root(C, root).matrix
         assert weyl.root_of_reflection(t.matrix) == root
+    # Reflection.matrix, t id by left_multiply, is id - beta phi.
+    for root in weyl.positive_real_roots(C, 4):
+        t = weyl.reflection_for_root(C, root)
+        assert t.matrix == reflection_matrix(t), root
     # Each memoized move is the root of the conjugated matrix, and its row,
     # read off the form, is the pair's rows conjugated.
     assert rows.pairs
@@ -67,7 +82,7 @@ def _conjugate_matrices(a, b):
 
 
 def _matrix_replay(C, word):
-    parts = [(t.matrix, t.root) for t in canonical_factorization(C).parts]
+    parts = [(reflection_matrix(t), t.root) for t in canonical_factorization(C).parts]
     for letter in word:
         i = abs(letter)
         a, b = parts[i - 1], parts[i]
@@ -117,20 +132,21 @@ def test_row_product_check_agrees_with_matmul(name):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4", "E6"])
 def test_left_multiply_matches_matmul(name):
-    """t m = m - beta (phi m) by rows equals t.matrix times m, on group
+    """t m = m - beta (phi m) by rows equals t's matrix times m, on group
     elements and on random integer matrices; a root with a zero coordinate
     takes the path that reuses that row of m."""
     C = preset(name)
     rng = random.Random(15)
     reused = 0
     for t in weyl.reflections(C):
-        samples = [weyl.coxeter_element(C), t.matrix]
+        matrix = reflection_matrix(t)
+        samples = [weyl.coxeter_element(C), matrix]
         samples += [
             tuple(tuple(rng.randint(-9, 9) for _ in range(C.n)) for _ in range(C.n))
             for _ in range(20)
         ]
         for m in samples:
             product = t.left_multiply(m)
-            assert product == matmul(t.matrix, m), (t, m)
+            assert product == matmul(matrix, m), (t, m)
             reused += sum(row is old for row, old in zip(product, m))
     assert reused

@@ -24,7 +24,7 @@ from schur_scope.weyl import (
 from test_cartan import submatrix
 from test_group_id_table import SMALL_FINITE, matrix_group, matrix_length_table
 from test_matrix import mat_pow
-from test_reflection_rows import PRESETS as ROW_PRESETS
+from test_reflection_rows import PRESETS as ROW_PRESETS, reflection_matrix
 
 
 def bilinear(C, u, v):
@@ -115,12 +115,12 @@ def test_coxeter_element_variants():
 
 
 def test_coxeter_element_equals_the_product_of_reflection_matrices():
-    # The column updates against the product of the simple reflections'
-    # matrices over the order, the route they replaced.
+    # reflection_product's fold of left_multiply against the matmul product
+    # of the simple reflections' matrices, each built entry by entry.
     def product(C, order):
         result = identity(C.n)
         for i in order:
-            result = matmul(result, simple_reflection(C, i).matrix)
+            result = matmul(result, reflection_matrix(simple_reflection(C, i)))
         return result
 
     rng = random.Random(17)
